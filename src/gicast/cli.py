@@ -64,7 +64,7 @@ class Record:
 def _solve_one(inst: GicInstance, scheme: str, args) -> tuple[Record, bool, SchemeSolution | None]:
     """Run one scheme; returns (record, ok, solution-if-any)."""
     policy = CoeffPolicy("randomized", seed=args.seed) if args.randomized else CoeffPolicy()
-    cap = args.cap_override if args.cap_override else DEFAULT_CAP
+    cap = args.cap_override if args.cap_override is not None else DEFAULT_CAP
     t0 = time.perf_counter()
     sol: SchemeSolution | None = None
     if scheme == "minrank":
@@ -81,11 +81,11 @@ def _solve_one(inst: GicInstance, scheme: str, args) -> tuple[Record, bool, Sche
         )
         return rec, True, None
     if scheme == "ppm-exhaustive":
-        sol = exhaustive_ppm(inst, cap=cap, jobs=args.jobs)
+        sol = exhaustive_ppm(inst, cap=cap)
     elif scheme == "upm-exhaustive":
-        sol = exhaustive_upm(inst, cap=cap, jobs=args.jobs)
+        sol = exhaustive_upm(inst, cap=cap)
     elif scheme == "iupm-exhaustive":
-        sol = exhaustive_iupm(inst, cap=cap, jobs=args.jobs, policy=policy)
+        sol = exhaustive_iupm(inst, cap=cap, policy=policy)
     elif scheme == "upm-group":
         part = group_partition(inst)
         rate, _ = upm_rate(inst, part)
@@ -100,7 +100,6 @@ def _solve_one(inst: GicInstance, scheme: str, args) -> tuple[Record, bool, Sche
         raise ValueError(f"unknown scheme {scheme}")
     report = simulate_decode(inst, sol, seed=args.seed)
     ms = round((time.perf_counter() - t0) * 1000)
-    name = scheme + (" (CAPM-variant)" if scheme == "heuristic-packet" else "")
     rec = Record(
         [
             ("scheme", scheme),
@@ -113,7 +112,6 @@ def _solve_one(inst: GicInstance, scheme: str, args) -> tuple[Record, bool, Sche
     )
     if scheme == "heuristic-packet":
         rec.fields.append(("variant", "CAPM-variant"))
-    _ = name
     return rec, report.passed, sol
 
 
@@ -175,15 +173,28 @@ def cmd_validate(args) -> int:
 
 
 def _parse_krange(text: str) -> list[int]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    """A single k or an inclusive range lo:hi; ValueError when malformed or
+    empty."""
+    try:
+        if ":" in text:
+            lo, hi = text.split(":", 1)
+            ks = list(range(int(lo), int(hi) + 1))
+        else:
+            ks = [int(text)]
+    except ValueError:
+        raise ValueError(f"--k expects k or lo:hi, got {text!r}") from None
+    if not ks:
+        raise ValueError(f"empty k range {text!r}")
+    return ks
 
 
 def cmd_table(args) -> int:
-    ks = _parse_krange(args.k)
-    cap = args.cap_override if args.cap_override else DEFAULT_CAP
+    try:
+        family = [generate_k2(k) for k in _parse_krange(args.k)]
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    cap = args.cap_override if args.cap_override is not None else DEFAULT_CAP
     policy = CoeffPolicy("randomized", seed=args.seed) if args.randomized else CoeffPolicy()
     header = [
         "k",
@@ -198,13 +209,13 @@ def cmd_table(args) -> int:
     ]
     rows = []
     all_ok = True
-    for k in ks:
-        inst, gs = generate_k2(k)
+    for inst, gs in family:
+        k = gs.k
         part = UserPartition.of(gs.user_groups())
         bound = k * (k - 1) / 6 + 1
         row = {"k": str(k), "m": str(inst.m), "ppm_bound": f"{bound:g}"}
         if inst.m <= cap:
-            sol = exhaustive_ppm(inst, cap=cap, jobs=args.jobs)
+            sol = exhaustive_ppm(inst, cap=cap)
             all_ok &= simulate_decode(inst, sol, seed=args.seed).passed
             row["ppm_exh"] = str(sol.rate)
         else:
@@ -258,10 +269,9 @@ def main(argv: list[str] | None = None) -> int:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int, default=0, help="seed for randomized pieces")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes for exhaustive searches")
         p.add_argument("--format", choices=("table", "records"), default="table")
         p.add_argument("--out", default=None, help="write output to this file instead of stdout")
-        p.add_argument("--cap-override", type=int, default=None, help="raise the enumeration cap")
+        p.add_argument("--cap-override", type=int, default=None, help="set the enumeration cap of the exhaustive searches")
         p.add_argument("--trace", action="store_true", help="show heuristic promotion steps")
         p.add_argument("--randomized", action="store_true", help="resample rank-reduction coefficients")
 

@@ -1,27 +1,28 @@
 """Partition-based multicast schemes and exhaustive minimization.
 
-Two scheme families share one search engine: packet partitions (each block
-multicast with an MDS code sized by the worst-informed demander) and user
-partitions (blocks of receivers, coded over the packets the block demands).
-Stacking the user-partition transmissions and dropping linearly dependent
-rows gives the rank-reduced variant.  Exhaustive searches enumerate every
-set partition in restricted-growth-string order.
+Two scheme families share per-block cost tables: packet partitions (each
+block multicast with an MDS code sized by the worst-informed demander) and
+user partitions (blocks of receivers, coded over the packets the block
+demands).  Stacking the user-partition transmissions and dropping linearly
+dependent rows gives the rank-reduced variant.  The packet- and
+user-partition rates are sums of block costs, so their exhaustive searches
+are a subset DP in O(3^n); the rank-reduced search is a depth-first search
+over blocks, pruned by rank.  All three return the first optimum in
+restricted-growth-string order, the order `enumerate_partitions` yields.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from multiprocessing import Pool
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .gf import (
     GF2,
     GF256,
     CodingMatrix,
     Field,
-    gf2_rank_masks,
-    matrix_from_masks,
+    _ff_insert,
     mds_generator,
     rank,
     row_basis,
@@ -48,7 +49,8 @@ __all__ = [
     "exhaustive_iupm",
 ]
 
-#: Largest ground set enumerated by default; Bell(13) is ~27.6 million.
+#: Largest ground set searched by default.  Randomized IUPM still scores
+#: every partition, and Bell(13) is ~27.6 million.
 DEFAULT_CAP = 13
 
 
@@ -310,89 +312,64 @@ def iupm_rate(
 
 # ---------------------------------------------------------------- exhaustive search
 #
-# Both partition families minimize a sum of per-block costs, so the searches
-# share one engine: precompute cost[mask] for every subset of the ground set,
-# then walk the restricted-growth tree keeping a running total.  Parallel runs
-# split the tree by RGS prefix; reduction by (rate, rgs) reproduces the
-# sequential first-witness tie-break exactly.
-
-_WORKER: dict = {}
+# Every search returns the lexicographically first optimal restricted growth
+# string (RGS): a[t] is the index of the block holding element t, blocks
+# numbered by smallest member.  Strings are compared as packed ints, one
+# `width`-bit digit per element with element 0 most significant; a partial
+# string leaves its unassigned elements at digit 0.
 
 
-def _init_worker(n: int, cost: list[int]) -> None:
-    _WORKER["n"] = n
-    _WORKER["cost"] = cost
+def _packing(n: int) -> tuple[int, list[int]]:
+    """Digit width for labels 0..n-1 and ones[mask], the packed string with
+    digit 1 at every element of mask."""
+    width = max(1, (n - 1).bit_length())
+    ones = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        t = low.bit_length() - 1
+        ones[mask] = ones[mask ^ low] + (1 << (width * (n - 1 - t)))
+    return width, ones
 
 
-def _scan_prefix(prefix: list[int]) -> tuple[int, list[int]] | None:
-    n, cost = _WORKER["n"], _WORKER["cost"]
-    return _best_completion(n, cost, prefix)
+def _unpack(code: int, n: int, width: int) -> list[int]:
+    digit = (1 << width) - 1
+    return [(code >> (width * (n - 1 - t))) & digit for t in range(n)]
 
 
-def _best_completion(n: int, cost: Sequence[int], prefix: Sequence[int]) -> tuple[int, list[int]] | None:
-    """Best (total, rgs) over all partitions extending the given RGS prefix,
-    scanning completions in lexicographic order and keeping the first
-    minimum."""
-    blocks = [0] * (n + 1)
-    total = 0
-    nb = 0
-    for t, b in enumerate(prefix):
-        bit = 1 << t
-        total += cost[blocks[b] | bit] - cost[blocks[b]]
-        blocks[b] |= bit
-        nb = max(nb, b + 1)
-    a = list(prefix) + [0] * (n - len(prefix))
-    best_total: list = [None, None]
+def _min_partition_sum(n: int, cost: Sequence[int]) -> tuple[int, list[int]]:
+    """Minimize the sum of cost[block] over all set partitions of n elements;
+    returns the total and the lexicographically first optimal RGS.
 
-    def rec(t: int, nb: int, total: int) -> None:
-        if t == n:
-            if best_total[0] is None or total < best_total[0]:
-                best_total[0] = total
-                best_total[1] = a.copy()
-            return
-        bit = 1 << t
-        for b in range(nb):
-            old = blocks[b]
-            new = old | bit
-            a[t] = b
-            blocks[b] = new
-            rec(t + 1, nb, total + cost[new] - cost[old])
-            blocks[b] = old
-        a[t] = nb
-        blocks[nb] = bit
-        rec(t + 1, nb + 1, total + cost[bit])
-        blocks[nb] = 0
-    rec(len(prefix), nb, total)
-    if best_total[0] is None:
-        return None
-    return best_total[0], best_total[1]
+    Subset DP, f(S) = min over blocks B holding min(S) of cost[B] + f(S - B).
+    Each subset keeps the key total * 2^(width*n) + its packed lex-first
+    optimal RGS, so one integer minimum settles ties by the string.  With B
+    fixed at label 0, the string of S is the rest's string with every label
+    raised by one, packed(rest) + ones[rest], so the order among the rest's
+    strings carries over.  Only the full set and the subsets without element
+    0 are ever a rest, so only those are solved."""
+    width, ones = _packing(n)
+    shift = width * n
+    ckey = [c << shift for c in cost]
+    full = (1 << n) - 1
+    lifted = [0] * (1 << n)  # key[S] + ones[S]: S as the rest beside a label-0 block
+    for S in (*range(2, full, 2), full):
+        low = S & -S
+        rest = S ^ low
+        best = ckey[S]  # B = S, nothing left
+        sub = rest
+        while sub:
+            sub = (sub - 1) & rest
+            k = ckey[sub | low] + lifted[rest ^ sub]
+            if k < best:
+                best = k
+        lifted[S] = best + ones[S]
+    key = lifted[full] - ones[full]
+    return key >> shift, _unpack(key & ((1 << shift) - 1), n, width)
 
 
-def _min_partition_sum(n: int, cost: list[int], jobs: int) -> tuple[int, list[int]]:
-    """Minimize sum of cost[block] over all set partitions of n elements;
-    returns the total and the lexicographically first optimal RGS."""
-    if jobs <= 1 or n < 9:
-        found = _best_completion(n, cost, [0])
-        assert found is not None
-        return found
-    plen = 6
-    prefixes = [list(a) for a in _rgs_stream_prefix(n, plen)]
-    with Pool(jobs, initializer=_init_worker, initargs=(n, cost)) as pool:
-        results = pool.map(_scan_prefix, prefixes, chunksize=max(1, len(prefixes) // (jobs * 8)))
-    best = min((r for r in results if r is not None), key=lambda r: (r[0], r[1]))
-    return best
-
-
-def _rgs_stream_prefix(n: int, plen: int) -> Iterator[list[int]]:
-    """All restricted growth strings of length min(plen, n), lex order."""
-    plen = min(plen, n)
-    for a in _rgs_stream(plen):
-        yield a.copy()
-
-
-def _user_cost_table(inst: GicInstance) -> list[int]:
+def _user_cost_table(inst: GicInstance) -> tuple[list[int], list[int]]:
     """cost[mask] = |Y| - c for the receiver block given by mask over the
-    canonical user order."""
+    canonical user order, and ymask[mask] = the packets Y it demands."""
     ids = inst.user_ids
     n = len(ids)
     pmask = [1 << (uid.packet - 1) for uid in ids]
@@ -419,7 +396,7 @@ def _user_cost_table(inst: GicInstance) -> list[int]:
                 c = o
             mm ^= lb
         cost[mask] = y.bit_count() - c
-    return cost
+    return cost, ymask
 
 
 def _packet_cost_table(inst: GicInstance) -> list[int]:
@@ -454,132 +431,121 @@ def _rgs_to_blocks(a: Sequence[int]) -> list[list[int]]:
     return blocks
 
 
-def exhaustive_ppm(inst: GicInstance, cap: int = DEFAULT_CAP, jobs: int = 1) -> SchemeSolution:
-    """Minimum-rate packet partition by full enumeration (first optimum in
-    enumeration order), with its MDS transmissions."""
+def _user_partition(ids: Sequence[UserId], a: Sequence[int]) -> UserPartition:
+    return UserPartition.of([ids[t] for t in blk] for blk in _rgs_to_blocks(a))
+
+
+def exhaustive_ppm(inst: GicInstance, cap: int = DEFAULT_CAP) -> SchemeSolution:
+    """Minimum-rate packet partition (the first optimum in enumeration
+    order) by subset DP, with its MDS transmissions."""
     if inst.m > cap:
         raise PartitionCapError(f"{inst.m} packets exceed enumeration cap {cap}")
     cost = _packet_cost_table(inst)
-    total, a = _min_partition_sum(inst.m, cost, jobs)
+    total, a = _min_partition_sum(inst.m, cost)
     part = PacketPartition.of([x + 1 for x in blk] for blk in _rgs_to_blocks(a))
     matrix = build_transmissions(inst, ppm_as_upm(inst, part))
     return SchemeSolution("ppm-exhaustive", total, part, matrix)
 
 
-def exhaustive_upm(inst: GicInstance, cap: int = DEFAULT_CAP, jobs: int = 1) -> SchemeSolution:
-    """Minimum-rate user partition by full enumeration (first optimum in
-    enumeration order), with its MDS transmissions."""
+def exhaustive_upm(inst: GicInstance, cap: int = DEFAULT_CAP) -> SchemeSolution:
+    """Minimum-rate user partition (the first optimum in enumeration order)
+    by subset DP, with its MDS transmissions."""
     ids = inst.user_ids
     if len(ids) > cap:
         raise PartitionCapError(f"{len(ids)} users exceed enumeration cap {cap}")
-    cost = _user_cost_table(inst)
-    total, a = _min_partition_sum(len(ids), cost, jobs)
-    part = UserPartition.of([ids[t] for t in blk] for blk in _rgs_to_blocks(a))
+    cost, _ = _user_cost_table(inst)
+    total, a = _min_partition_sum(len(ids), cost)
+    part = _user_partition(ids, a)
     matrix = build_transmissions(inst, part)
     return SchemeSolution("upm-exhaustive", total, part, matrix)
 
 
-# IUPM's objective (rank of the stacked rows) is not a sum of block costs, so
-# its exhaustive search evaluates whole partitions at the leaves.
-
-_IWORK: dict = {}
-
-
-def _init_iupm_worker(payload: tuple) -> None:
-    _IWORK["payload"] = payload
-
-
-def _iupm_eval_partition(
-    inst: GicInstance, ids: Sequence[UserId], blocks: Sequence[Sequence[int]], policy: CoeffPolicy, salt: int
-) -> int:
-    part = UserPartition.of([ids[t] for t in blk] for blk in blocks)
-    pol = policy if policy.kind == "deterministic" else CoeffPolicy("randomized", policy.trials, salt)
-    r, _, _ = iupm_rate(inst, part, pol)
-    return r
+# IUPM's objective, the rank of the stacked block rows, is not a sum of block
+# costs.  A block's deterministic rows depend only on its users, so each block
+# mask's rows are built once and inserted into a GF(256) echelon as the search
+# picks the block of the lowest unassigned user.  Rows that are all 0/1 have
+# the same rank over GF(2) as over GF(256), so the one echelon also scores
+# the partitions that build_transmissions keeps over GF(2).  Rank only grows
+# as blocks are added, which bounds every completion of a partial partition.
 
 
-def _iupm_scan_prefix(prefix: list[int]) -> tuple[int, list[int]] | None:
-    inst, policy = _IWORK["payload"]
-    return _iupm_best_completion(inst, policy, prefix)
-
-
-def _iupm_best_completion(
-    inst: GicInstance, policy: CoeffPolicy, prefix: Sequence[int]
-) -> tuple[int, list[int]] | None:
-    ids = inst.user_ids
-    n = len(ids)
-    pmask = [1 << (uid.packet - 1) for uid in ids]
-    smask = []
-    for uid in ids:
-        s = 0
-        for p in inst.side_of(uid):
-            s |= 1 << (p - 1)
-        smask.append(s)
-    best: list = [None, None]
-    a = list(prefix) + [0] * (n - len(prefix))
-
-    def leaf_rank() -> int:
-        # Blocks where a single parity symbol suffices contribute their XOR
-        # row; that case never leaves GF(2), so rank it on bit masks.  Any
-        # wider block falls back to the full construction.
-        rows = []
-        for blk in _rgs_to_blocks(a):
-            y = 0
-            for t in blk:
-                y |= pmask[t]
-            c = min((smask[t] & y).bit_count() for t in blk)
-            if y.bit_count() - c != 1:
-                salt = policy.seed
-                for d in a:
-                    salt = salt * 31 + d + 1
-                return _iupm_eval_partition(inst, ids, _rgs_to_blocks(a), policy, salt)
-            rows.append(y)
-        return gf2_rank_masks(rows)
-
-    def rec(t: int, nb: int) -> None:
-        if t == n:
-            r = leaf_rank()
-            if best[0] is None or r < best[0]:
-                best[0] = r
-                best[1] = a.copy()
-            return
-        for b in range(nb):
-            a[t] = b
-            rec(t + 1, nb)
-        a[t] = nb
-        rec(t + 1, nb + 1)
-    nb = max(prefix) + 1 if prefix else 0
-    rec(len(prefix), nb)
-    if best[0] is None:
-        return None
-    return best[0], best[1]
+def _salted(policy: CoeffPolicy, a: Sequence[int]) -> CoeffPolicy:
+    """The policy scoring the partition with RGS a: a randomized policy gets
+    a seed derived from the string, so each partition draws its own rows."""
+    if policy.kind == "deterministic":
+        return policy
+    salt = policy.seed
+    for d in a:
+        salt = salt * 31 + d + 1
+    return CoeffPolicy("randomized", policy.trials, salt)
 
 
 def exhaustive_iupm(
     inst: GicInstance,
     cap: int = DEFAULT_CAP,
-    jobs: int = 1,
     policy: CoeffPolicy = DETERMINISTIC,
 ) -> SchemeSolution:
-    """Minimum rank-reduced rate over every user partition; the witness keeps
-    the reduced basis as its transmissions."""
+    """Minimum rank-reduced rate over every user partition (the first optimum
+    in enumeration order); the witness keeps the reduced basis as its
+    transmissions.
+
+    Deterministic coefficients: a depth-first search over blocks that prunes
+    a branch once its rank exceeds the incumbent's, or equals it while the
+    branch's smallest completion (all unassigned users in one block) is
+    already a later string.  Randomized coefficients prune nothing: each
+    partition with a multi-row block is scored by iupm_rate under its own
+    salted seed."""
     ids = inst.user_ids
     n = len(ids)
     if n > cap:
         raise PartitionCapError(f"{n} users exceed enumeration cap {cap}")
-    if jobs <= 1 or n < 9:
-        found = _iupm_best_completion(inst, policy, [0])
-    else:
-        prefixes = [a for a in _rgs_stream_prefix(n, 6)]
-        with Pool(jobs, initializer=_init_iupm_worker, initargs=((inst, policy),)) as pool:
-            results = pool.map(_iupm_scan_prefix, prefixes, chunksize=max(1, len(prefixes) // (jobs * 8)))
-        found = min((r for r in results if r is not None), key=lambda r: (r[0], r[1]))
-    assert found is not None
-    total, a = found
-    part = UserPartition.of([ids[t] for t in blk] for blk in _rgs_to_blocks(a))
-    salt = policy.seed
-    for d in a:
-        salt = salt * 31 + d + 1
-    pol = policy if policy.kind == "deterministic" else CoeffPolicy("randomized", policy.trials, salt)
-    rate, basis, label = iupm_rate(inst, part, pol)
+    cost, ymask = _user_cost_table(inst)
+    width, ones = _packing(n)
+    prune = policy.kind == "deterministic"
+    block_rows: dict[int, list[tuple[int, ...]]] = {}
+    best: list = [None]  # (score, packed RGS) of the incumbent
+
+    def rows_of(B: int) -> list[tuple[int, ...]]:
+        rows = block_rows.get(B)
+        if rows is None:
+            Y = [p + 1 for p in range(inst.m) if ymask[B] >> p & 1]
+            gen = mds_generator(len(Y), cost[B], GF256)
+            rows = block_rows[B] = [_place(coeffs, Y, inst.m) for coeffs in gen.rows]
+        return rows
+
+    def search(U: int, label: int, code: int, basis: dict, r: int, wide: bool) -> None:
+        if not U:
+            if not prune and wide:
+                a = _unpack(code, n, width)
+                r = iupm_rate(inst, _user_partition(ids, a), _salted(policy, a))[0]
+            if best[0] is None or (r, code) < best[0]:
+                best[0] = (r, code)
+            return
+        low = U & -U
+        rest = U ^ low
+        sub = rest
+        while True:
+            B = sub | low
+            left = U ^ B
+            code2 = code + label * ones[B]
+            limit = inst.m  # the highest rank worth extending
+            if prune and best[0] is not None:
+                best_r, best_code = best[0]
+                limit = best_r if code2 + (label + 1) * ones[left] < best_code else best_r - 1
+            child = dict(basis)
+            r2 = r
+            for row in rows_of(B):
+                if r2 > limit:
+                    break
+                r2 += _ff_insert(child, row, GF256)
+            if r2 <= limit:
+                search(left, label + 1, code2, child, r2, wide or cost[B] != 1)
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+
+    search((1 << n) - 1, 0, 0, {}, 0, False)
+    a = _unpack(best[0][1], n, width)
+    part = _user_partition(ids, a)
+    rate, basis, label = iupm_rate(inst, part, _salted(policy, a))
     return SchemeSolution("iupm-exhaustive", rate, part, basis, policy=label)

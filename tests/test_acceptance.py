@@ -133,7 +133,7 @@ def test_criterion_06_packet_partition_bound():
 def test_criterion_07_exhaustive_user_partition_k4():
     with criterion(7, "k=4: exhaustive user-partition search over Bell(12)", 120.0):
         inst, _ = generate_k2(4)
-        sol = certify(inst, exhaustive_upm(inst, jobs=4))
+        sol = certify(inst, exhaustive_upm(inst))
         assert sol.rate == 4
 
 

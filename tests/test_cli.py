@@ -1,10 +1,13 @@
 """Command-line front end: subcommands, record output, exit codes."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import gicast
 from gicast.cli import main
 
 from conftest import FIXTURES
@@ -144,6 +147,12 @@ def test_solve_cap_exceeded_exit(tmp_path, capsys):
     assert "cap" in err
 
 
+def test_solve_cap_override_zero(capsys):
+    rc, _, err = run(capsys, "solve", EX1, "--scheme", "upm-exhaustive", "--cap-override", "0")
+    assert rc == 2
+    assert "exceed enumeration cap 0" in err
+
+
 def test_solve_budget_exceeded_exit(tmp_path, capsys):
     fam = tmp_path / "k5.gic"
     main(["gen", "--k", "5", "--out", str(fam)])
@@ -215,13 +224,24 @@ def test_table_human_format_aligned(capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("krange", ["5:4", "1", "x"])
+def test_table_rejects_bad_k(capsys, krange):
+    rc, out, err = run(capsys, "table", "--k", krange)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 # ------------------------------------------------------------- entry point
 
 def test_console_script_runs():
+    src = str(Path(gicast.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "gicast.cli", "solve", EX1, "--scheme", "minrank", "--format", "records"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "value=2" in proc.stdout

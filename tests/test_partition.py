@@ -303,11 +303,73 @@ def test_exhaustive_cap_error():
         exhaustive_upm(inst)
 
 
-def test_parallel_jobs_match_sequential(ex1):
-    inst, _ = generate_k2(3)
-    for fn in (exhaustive_upm, exhaustive_iupm):
-        s1 = fn(inst, jobs=1)
-        s2 = fn(inst, jobs=3)
-        assert s1.rate == s2.rate
-        assert s1.partition == s2.partition
-        assert s1.matrix.rows == s2.matrix.rows
+def _first_optimum(n, score):
+    """Brute-force reference: the blocks and RGS of the first partition of n
+    elements, in enumeration order, with the smallest score(blocks, rgs)."""
+    best = None
+    for blocks in enumerate_partitions(n):
+        rgs = [0] * n
+        for b, blk in enumerate(blocks):
+            for x in blk:
+                rgs[x - 1] = b
+        s = score(blocks, rgs)
+        if best is None or s < best[0]:
+            best = (s, blocks, rgs)
+    return best[1], best[2]
+
+
+def _summary(sol):
+    return sol.rate, sol.partition, sol.matrix.rows, sol.policy
+
+
+def _users(inst, blocks):
+    ids = inst.user_ids
+    return UserPartition.of([ids[x - 1] for x in blk] for blk in blocks)
+
+
+def _iupm_reference(inst, policy):
+    def salted(rgs):
+        if policy.kind == "deterministic":
+            return policy
+        salt = policy.seed
+        for d in rgs:
+            salt = salt * 31 + d + 1
+        return CoeffPolicy("randomized", policy.trials, salt)
+
+    blocks, rgs = _first_optimum(
+        len(inst.user_ids), lambda b, a: iupm_rate(inst, _users(inst, b), salted(a))[0]
+    )
+    part = _users(inst, blocks)
+    r, basis, label = iupm_rate(inst, part, salted(rgs))
+    return r, part, basis.rows, label
+
+
+def test_exhaustive_searches_match_brute_force():
+    rng = random.Random(3)
+    for _ in range(16):
+        inst = random_instance(rng, max_m=8, max_users=8)
+
+        blocks, _ = _first_optimum(inst.m, lambda b, _: ppm_rate(inst, PacketPartition.of(b))[0])
+        part = PacketPartition.of(blocks)
+        rows = build_transmissions(inst, ppm_as_upm(inst, part)).rows
+        assert _summary(exhaustive_ppm(inst)) == (ppm_rate(inst, part)[0], part, rows, "deterministic")
+
+        blocks, _ = _first_optimum(len(inst.user_ids), lambda b, _: upm_rate(inst, _users(inst, b))[0])
+        part = _users(inst, blocks)
+        rows = build_transmissions(inst, part).rows
+        assert _summary(exhaustive_upm(inst)) == (upm_rate(inst, part)[0], part, rows, "deterministic")
+
+        assert _summary(exhaustive_iupm(inst)) == _iupm_reference(inst, CoeffPolicy())
+
+
+def test_exhaustive_iupm_randomized_matches_brute_force():
+    rng = random.Random(5)
+    for seed in range(4):
+        inst = random_instance(rng, max_m=4, max_users=6)
+        policy = CoeffPolicy("randomized", trials=4, seed=seed)
+        assert _summary(exhaustive_iupm(inst, policy=policy)) == _iupm_reference(inst, policy)
+
+
+def test_exhaustive_iupm_k4_family():
+    inst, _ = generate_k2(4)  # 12 users
+    assert certify(inst, exhaustive_iupm(inst)).rate == 3
