@@ -1,8 +1,10 @@
 """Finite-field linear algebra for broadcast coding matrices.
 
-GF(2) rows are bit-packed into Python ints (bit i-1 = packet i) so rank and
-elimination run word-parallel.  Extension fields GF(2^w) use log/antilog
-tables built over a fixed irreducible polynomial per degree.
+Coefficients live in GF(2) or GF(2^8), each with log/antilog tables over a
+fixed irreducible polynomial.  GF(2) is a subfield of GF(2^8), and rank does
+not change under a field extension, so one elimination kernel, `Echelon`,
+serves matrices over both: a row is packed into a Python int, one byte per
+column; rows add by XOR and scale through `bytes.translate`.
 """
 
 from __future__ import annotations
@@ -18,64 +20,37 @@ __all__ = [
     "GF256",
     "CodingMatrix",
     "Decoding",
+    "Echelon",
+    "pack_row",
+    "unpack_row",
+    "unit_row",
+    "column_mask",
     "rank",
     "row_basis",
     "mds_generator",
     "conditional_entropy",
     "solve_decode",
-    "gf2_rank_masks",
 ]
 
-# Irreducible polynomial per extension degree, bit i = coefficient of x^i.
-# Degree 8 is x^8 + x^4 + x^3 + x + 1.
-_IRREDUCIBLE = {
-    1: 0b11,
-    2: 0b111,
-    3: 0b1011,
-    4: 0b10011,
-    5: 0b100101,
-    6: 0b1000011,
-    7: 0b10001001,
-    8: 0b100011011,
-    9: 0b1000010001,
-    10: 0b10000001001,
-    11: 0b100000000101,
-    12: 0b1000001010011,
-    13: 0b10000000011011,
-    14: 0b100010001000011,
-    15: 0b1000000000000011,
-    16: 0b10001000000001011,
-}
-
-
-def _prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n by trial division (n <= 2^16 here)."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+# Irreducible polynomial (bit i = coefficient of x^i) and a generator of the
+# multiplicative group, per supported extension degree.  Degree 8 is
+# x^8 + x^4 + x^3 + x + 1, generated by x + 1.
+_FIELDS = {1: (0b11, 1), 8: (0b100011011, 3)}
 
 
 class Field:
-    """Arithmetic in GF(2^w) for 1 <= w <= 16.  Elements are ints 0..2^w-1;
+    """Arithmetic in GF(2) or GF(2^8).  Elements are ints 0..2^w-1;
     addition is XOR, multiplication goes through log/antilog tables."""
 
     __slots__ = ("w", "order", "poly", "_exp", "_log")
 
     def __init__(self, w: int):
-        if not 1 <= w <= 16:
-            raise ValueError(f"extension degree must be in 1..16, got {w}")
+        if w not in _FIELDS:
+            raise ValueError(f"extension degree must be 1 or 8, got {w}")
         self.w = w
         self.order = 1 << w
-        self.poly = _IRREDUCIBLE[w]
-        self._exp, self._log = self._build_tables()
+        self.poly, gen = _FIELDS[w]
+        self._exp, self._log = self._build_tables(gen)
 
     def _mul_noTable(self, a: int, b: int) -> int:
         """Carry-less multiply modulo the field polynomial (table bootstrap)."""
@@ -89,28 +64,8 @@ class Field:
                 a ^= self.poly
         return r
 
-    def _pow_noTable(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_noTable(r, a)
-            a = self._mul_noTable(a, a)
-            e >>= 1
-        return r
-
-    def _find_generator(self) -> int:
+    def _build_tables(self, g: int) -> tuple[list[int], list[int]]:
         n = self.order - 1
-        if n == 1:
-            return 1
-        factors = _prime_factors(n)
-        for g in range(2, self.order):
-            if all(self._pow_noTable(g, n // p) != 1 for p in factors):
-                return g
-        raise AssertionError("no multiplicative generator found")
-
-    def _build_tables(self) -> tuple[list[int], list[int]]:
-        n = self.order - 1
-        g = self._find_generator()
         exp = [0] * (2 * n if n > 1 else 2)
         log = [0] * self.order
         x = 1
@@ -156,7 +111,7 @@ class Field:
 
 @lru_cache(maxsize=None)
 def field(w: int) -> Field:
-    """Shared Field instance per extension degree."""
+    """Shared Field instance per extension degree, 1 or 8."""
     return Field(w)
 
 
@@ -166,7 +121,7 @@ GF256 = field(8)
 
 @dataclass(frozen=True)
 class CodingMatrix:
-    """Immutable matrix over GF(2^w); rows[r][c] is the coefficient of packet
+    """Immutable matrix over GF(2) or GF(2^8); rows[r][c] is the coefficient of packet
     c+1 in coded symbol r."""
 
     field: Field
@@ -192,94 +147,126 @@ class CodingMatrix:
         return "\n".join(" ".join(str(e) for e in row) for row in self.rows)
 
 
-def _row_mask(row: Sequence[int]) -> int:
-    mask = 0
-    for c, e in enumerate(row):
-        if e:
-            mask |= 1 << c
-    return mask
+def pack_row(row: Sequence[int]) -> int:
+    """A row of field elements as an `Echelon` row: byte c holds column c."""
+    return int.from_bytes(bytes(row), "little")
 
 
-def _mask_row(mask: int, ncols: int) -> tuple[int, ...]:
-    return tuple((mask >> c) & 1 for c in range(ncols))
+def unpack_row(row: int, ncols: int) -> tuple[int, ...]:
+    """The first ncols columns of a packed row."""
+    return tuple(row.to_bytes(ncols, "little"))
 
 
-def matrix_from_masks(masks: Iterable[int], ncols: int) -> CodingMatrix:
-    """GF(2) matrix from bit-packed rows."""
-    return CodingMatrix(GF2, ncols, tuple(_mask_row(m, ncols) for m in masks))
+def unit_row(p: int) -> int:
+    """Packed unit row of packet p (1-based)."""
+    return 1 << 8 * (p - 1)
 
 
-def gf2_rank_masks(masks: Iterable[int]) -> int:
-    """Rank over GF(2) of bit-packed rows."""
-    basis: dict[int, int] = {}
-    for row in masks:
-        while row:
-            low = row & -row
-            other = basis.get(low)
-            if other is None:
-                basis[low] = row
-                break
-            row ^= other
-    return len(basis)
+def column_mask(packets: Iterable[int]) -> int:
+    """Packed row with byte 0xFF at the column of every packet."""
+    return 0xFF * sum(unit_row(p) for p in set(packets))
 
 
-def _ff_insert(basis: dict[int, list[int]], vec: Sequence[int], fld: Field) -> bool:
-    """Reduce vec against a pivot-column-keyed echelon basis; insert the
-    normalized remainder.  Returns True iff vec was independent."""
-    v = list(vec)
-    while True:
-        p = next((j for j, e in enumerate(v) if e), None)
-        if p is None:
-            return False
-        b = basis.get(p)
-        if b is None:
-            s = fld.inv(v[p])
-            basis[p] = [fld.mul(s, e) for e in v]
-            return True
-        f = v[p]
-        v = [e ^ fld.mul(f, be) for e, be in zip(v, b)]
+def _scale_tables() -> list[bytes]:
+    """Table f maps every byte x to f * x in GF(2^8), for `bytes.translate`.
+    For x != 0, f * x = exp[log f + log x], so translating the logs of
+    1..255 through the powers from exp[log f] on gives the table."""
+    exp, log = bytes(GF256._exp), GF256._log
+    logs = bytes(log[1:])
+    tables = [bytes(256)]
+    for f in range(1, 256):
+        powers = exp[log[f]:log[f] + 255] + b"\0"  # no log is 255
+        tables.append(b"\0" + logs.translate(powers))
+    return tables
+
+
+_SCALE = _scale_tables()
+
+
+class Echelon:
+    """Row echelon basis over GF(2^8), so also over its subfield GF(2).
+
+    Rows are packed as by `pack_row`.  Each basis row is keyed by its pivot,
+    its first nonzero column, and scaled to 1 there.  Only the first `ncols`
+    columns are eliminated.  The bytes above them, up to `width` bytes in
+    all, ride along: an identity appended there records how a remainder
+    combines the inserted rows."""
+
+    __slots__ = ("pivots", "_data", "_width")
+
+    def __init__(self, ncols: int, width: int | None = None):
+        self.pivots: dict[int, int] = {}
+        self._data = (1 << 8 * ncols) - 1
+        self._width = ncols if width is None else width
+
+    def __len__(self) -> int:
+        return len(self.pivots)
+
+    def copy(self) -> "Echelon":
+        new = Echelon.__new__(Echelon)
+        new.pivots = dict(self.pivots)
+        new._data = self._data
+        new._width = self._width
+        return new
+
+    def _scale(self, row: int, f: int) -> int:
+        return int.from_bytes(row.to_bytes(self._width, "little").translate(_SCALE[f]), "little")
+
+    def _reduce(self, row: int) -> tuple[int, int]:
+        """Subtract pivot rows until the first nonzero column has no pivot;
+        returns the remainder and that column, or -1 once the eliminated
+        columns are all zero."""
+        pivots = self.pivots
+        data = self._data
+        while True:
+            v = row & data
+            if not v:
+                return row, -1
+            c = ((v & -v).bit_length() - 1) >> 3
+            p = pivots.get(c)
+            if p is None:
+                return row, c
+            f = (v >> 8 * c) & 0xFF
+            row ^= p if f == 1 else self._scale(p, f)
+
+    def reduce(self, row: int) -> int:
+        """Row less the pivot rows subtracted until its first nonzero column
+        has no pivot; its first `ncols` columns are all zero iff row lies in
+        the span."""
+        return self._reduce(row)[0]
+
+    def insert(self, row: int) -> int | None:
+        """Add row's remainder to the basis and return its pivot column;
+        None, with the basis unchanged, when row lies in the span."""
+        row, c = self._reduce(row)
+        if c < 0:
+            return None
+        f = (row >> 8 * c) & 0xFF
+        self.pivots[c] = row if f == 1 else self._scale(row, GF256.inv(f))
+        return c
 
 
 def rank(M: CodingMatrix) -> int:
     """Rank of M over its field."""
-    if M.field.w == 1:
-        return gf2_rank_masks(_row_mask(r) for r in M.rows)
-    basis: dict[int, list[int]] = {}
-    n = 0
+    ech = Echelon(M.ncols)
     for row in M.rows:
-        if _ff_insert(basis, row, M.field):
-            n += 1
-    return n
+        ech.insert(pack_row(row))
+    return len(ech)
 
 
 def row_basis(M: CodingMatrix) -> CodingMatrix:
     """Greedy maximal independent subset of M's rows, kept in original order.
     Every dropped row is a linear combination of the kept ones."""
-    keep = []
-    if M.field.w == 1:
-        basis: dict[int, int] = {}
-        for row in M.rows:
-            r = _row_mask(row)
-            while r:
-                low = r & -r
-                other = basis.get(low)
-                if other is None:
-                    basis[low] = r
-                    keep.append(row)
-                    break
-                r ^= other
-    else:
-        fbasis: dict[int, list[int]] = {}
-        for row in M.rows:
-            if _ff_insert(fbasis, row, M.field):
-                keep.append(row)
-    return CodingMatrix(M.field, M.ncols, tuple(keep))
+    ech = Echelon(M.ncols)
+    keep = tuple(row for row in M.rows if ech.insert(pack_row(row)) is not None)
+    return CodingMatrix(M.field, M.ncols, keep)
 
 
 def mds_generator(n: int, r: int, fld: Field) -> CodingMatrix:
     """Generator matrix of an (n, r) MDS code: r x n with every r x r
     submatrix invertible.  r=1 gives the all-ones parity row, r=n the
-    identity; otherwise a Cauchy matrix (needs 2^w >= n + r)."""
+    identity; otherwise the Cauchy rows 1/(a_i + b_j) with a_i = i and
+    b_j = r + j (char 2: + is XOR), which need 2^w >= n + r."""
     if n < 1 or r < 1:
         raise ValueError("matrix dimensions must be positive")
     if r > n:
@@ -291,13 +278,8 @@ def mds_generator(n: int, r: int, fld: Field) -> CodingMatrix:
     else:
         if fld.order < n + r:
             raise ValueError(f"{fld} too small for a Cauchy matrix: need order >= {n + r}")
-        rows = _cauchy_rows(n, r, fld)
+        rows = tuple(tuple(fld.inv(i ^ (r + j)) for j in range(n)) for i in range(r))
     return CodingMatrix(fld, n, rows)
-
-
-def _cauchy_rows(n: int, r: int, fld: Field) -> tuple[tuple[int, ...], ...]:
-    """Cauchy rows 1/(a_i + b_j) with a_i = i, b_j = r + j (char 2: + is XOR)."""
-    return tuple(tuple(fld.inv(i ^ (r + j)) for j in range(n)) for i in range(r))
 
 
 def conditional_entropy(M: CodingMatrix, known: Iterable[int]) -> int:
@@ -307,14 +289,11 @@ def conditional_entropy(M: CodingMatrix, known: Iterable[int]) -> int:
     for p in kset:
         if not 1 <= p <= M.ncols:
             raise ValueError(f"known packet {p} outside 1..{M.ncols}")
-    if M.field.w == 1:
-        kmask = 0
-        for p in kset:
-            kmask |= 1 << (p - 1)
-        return gf2_rank_masks(_row_mask(r) & ~kmask for r in M.rows)
-    rows = [tuple(0 if (c + 1) in kset else e for c, e in enumerate(row)) for row in M.rows]
-    basis: dict[int, list[int]] = {}
-    return sum(1 for row in rows if _ff_insert(basis, row, M.field))
+    unknown = ~column_mask(kset)
+    ech = Echelon(M.ncols)
+    for row in M.rows:
+        ech.insert(pack_row(row) & unknown)
+    return len(ech)
 
 
 @dataclass(frozen=True)
@@ -330,51 +309,23 @@ class Decoding:
 def solve_decode(M: CodingMatrix, known: Iterable[int], target: int) -> Decoding | None:
     """Express e_target as a combination of M's rows and the unit vectors of
     the known packets; None when the target is outside the span."""
-    fld = M.field
     m = M.ncols
     if not 1 <= target <= m:
         raise ValueError(f"target packet {target} outside 1..{m}")
     kcols = sorted(set(known))
     if target in kcols:
         raise ValueError(f"target packet {target} already known")
-    sources: list[tuple[int, ...]] = list(M.rows)
-    for p in kcols:
-        sources.append(tuple(1 if c == p - 1 else 0 for c in range(m)))
+    sources = [pack_row(row) for row in M.rows] + [unit_row(p) for p in kcols]
     nsrc = len(sources)
-
-    # Echelon basis with combination tracking: vec == combo . sources.
-    basis: dict[int, tuple[list[int], list[int]]] = {}
-    for idx, row in enumerate(sources):
-        v = list(row)
-        combo = [0] * nsrc
-        combo[idx] = 1
-        while True:
-            p = next((j for j, e in enumerate(v) if e), None)
-            if p is None:
-                break
-            hit = basis.get(p)
-            if hit is None:
-                s = fld.inv(v[p])
-                basis[p] = ([fld.mul(s, e) for e in v], [fld.mul(s, e) for e in combo])
-                break
-            bv, bc = hit
-            f = v[p]
-            v = [e ^ fld.mul(f, be) for e, be in zip(v, bv)]
-            combo = [e ^ fld.mul(f, be) for e, be in zip(combo, bc)]
-
-    v = [1 if c == target - 1 else 0 for c in range(m)]
-    acc = [0] * nsrc
-    while True:
-        p = next((j for j, e in enumerate(v) if e), None)
-        if p is None:
-            break
-        hit = basis.get(p)
-        if hit is None:
-            return None
-        bv, bc = hit
-        f = v[p]
-        v = [e ^ fld.mul(f, be) for e, be in zip(v, bv)]
-        acc = [e ^ fld.mul(f, be) for e, be in zip(acc, bc)]
+    # Source i carries a 1 in column m + i, so the columns of a remainder
+    # from m on are its coefficients over the sources.
+    ech = Echelon(m, m + nsrc)
+    for i, src in enumerate(sources):
+        ech.insert(src | unit_row(m + i + 1))
+    rem = ech.reduce(unit_row(target))
+    if rem & ((1 << 8 * m) - 1):
+        return None
+    acc = unpack_row(rem, m + nsrc)[m:]
     nrows = len(M.rows)
     return Decoding(
         target=target,

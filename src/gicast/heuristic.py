@@ -8,21 +8,23 @@ repeatedly promotes any subset that is worthless to one of its key members —
 zero residual information — into higher-level subsets until every subset is
 equally useful to all its key members.  Step 3 compresses co-bucketed packet
 groups to single XOR rows and charges each subset its worst-case residual
-information, realized with MDS-combined transmissions.
+information, realized with one deterministic matrix of MDS-combined
+transmissions; no other coefficients are tried.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .gf import (
     GF2,
     GF256,
     CodingMatrix,
-    gf2_rank_masks,
+    Echelon,
+    column_mask,
     mds_generator,
-    solve_decode,
+    unit_row,
+    unpack_row,
 )
 from .model import GicInstance, UserId
 from .partition import SchemeSolution
@@ -172,94 +174,56 @@ def step2_merge(
 
 
 def _subset_rows(ws: WorkingSubset) -> list[int]:
-    """Post-compression content rows as GF(2) masks: one XOR row per packet
-    group, duplicates dropped."""
+    """Post-compression content rows, packed as by `pack_row`: one XOR row
+    per packet group, duplicates dropped."""
     rows: list[int] = []
     for g in ws.groups:
-        mask = 0
-        for p in g:
-            mask |= 1 << (p - 1)
-        if mask not in rows:
-            rows.append(mask)
+        row = sum(unit_row(p) for p in g)
+        if row not in rows:
+            rows.append(row)
     return rows
 
 
-def _subset_residual(ws: WorkingSubset, side: frozenset[int]) -> int:
-    kmask = 0
-    for p in side:
-        kmask |= 1 << (p - 1)
-    return gf2_rank_masks(r & ~kmask for r in _subset_rows(ws))
+def _subset_residual(rows: list[int], side: frozenset[int], m: int) -> int:
+    """Rank of the content rows once the side-information columns are zeroed."""
+    unknown = ~column_mask(side)
+    ech = Echelon(m)
+    for row in rows:
+        ech.insert(row & unknown)
+    return len(ech)
 
 
-def _combine(rows: list[int], rho: int, m: int, style: str, rng: random.Random | None) -> tuple:
-    """rho coded symbols from the given content rows.  style picks the MDS
-    coefficients: 'plain' keeps the rows / all-ones summary, 'cauchy' uses
-    distinct GF(256) coefficients, 'random' a scaled random Cauchy."""
-    q = len(rows)
-    bits = [tuple((r >> c) & 1 for c in range(m)) for r in rows]
-    if rho == q:
-        return tuple(bits)
-    if style == "plain":
-        gen = mds_generator(q, rho, GF256).rows
-    elif style == "cauchy":
-        gen = tuple(
-            tuple(GF256.inv(i ^ (rho + j)) for j in range(q)) for i in range(rho)
-        )
-    else:
-        assert rng is not None
-        pts = rng.sample(range(GF256.order), rho + q)
-        gen = tuple(
-            tuple(
-                GF256.mul(
-                    rng.randrange(1, GF256.order), GF256.inv(pts[i] ^ pts[rho + j])
-                )
-                for j in range(q)
-            )
-            for i in range(rho)
-        )
+def _combine(rows: list[int], rho: int) -> list[int]:
+    """rho coded symbols from the given 0/1 content rows: the rows
+    themselves when none can be spared, else the plain MDS combinations."""
+    if rho == len(rows):
+        return rows
     out = []
-    for coeffs in gen:
-        row = [0] * m
-        for f, bvec in zip(coeffs, bits):
-            if f:
-                for c, e in enumerate(bvec):
-                    if e:
-                        row[c] ^= f
-        out.append(tuple(row))
-    return tuple(out)
+    for coeffs in mds_generator(len(rows), rho, GF256).rows:
+        acc = 0
+        for f, row in zip(coeffs, rows):
+            acc ^= f * row  # every byte of row is 0 or 1, so this scales it by f
+        out.append(acc)
+    return out
 
 
 def step3_rate(
     inst: GicInstance, subsets: dict[SubsetKey, WorkingSubset], scheme: str, trace: tuple[str, ...] = ()
 ) -> SchemeSolution:
     """Charge each final subset the worst residual information among its key
-    members and realize that rate with MDS combinations of the subset's
-    compressed rows.  Coefficients escalate from the plain choice through
-    Cauchy to seeded random resamples until every receiver's decode check
-    passes (the rate never changes, only the coefficients)."""
+    members and realize that rate with one deterministic matrix: the plain
+    MDS combinations of each subset's compressed rows.  The matrix is
+    returned as built; nothing retries other coefficients."""
     finals = sorted(subsets.values(), key=lambda ws: (ws.key.level, ws.key))
-    plans: list[tuple[list[int], int]] = []
+    solution_rows = []
     for ws in finals:
         rows = _subset_rows(ws)
-        rho = max(_subset_residual(ws, side) for side in (inst.side_map[u] for u in ws.key.members))
-        plans.append((rows, rho))
-    total = sum(rho for _, rho in plans)
-
-    rng = random.Random(0)
-    solution_rows: tuple = ()
-    for attempt, style in enumerate(("plain", "cauchy", "random", "random", "random")):
-        chunks = []
-        for rows, rho in plans:
-            if rho:
-                chunks.append(_combine(rows, rho, inst.m, style, rng))
-        solution_rows = tuple(row for chunk in chunks for row in chunk)
-        fld = GF2 if all(e <= 1 for row in solution_rows for e in row) else GF256
-        matrix = CodingMatrix(fld, inst.m, solution_rows)
-        if all(
-            solve_decode(matrix, side, uid.packet) is not None for uid, side in inst.users
-        ):
-            break
-    return SchemeSolution(scheme, total, None, matrix, trace=trace)
+        rho = max(_subset_residual(rows, inst.side_map[u], inst.m) for u in ws.key.members)
+        if rho:
+            solution_rows += _combine(rows, rho)
+    rows = tuple(unpack_row(row, inst.m) for row in solution_rows)
+    fld = GF2 if all(e <= 1 for row in rows for e in row) else GF256
+    return SchemeSolution(scheme, len(rows), None, CodingMatrix(fld, inst.m, rows), trace=trace)
 
 
 def run_heuristic(inst: GicInstance, init: str = "user") -> SchemeSolution:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .gf import Decoding, solve_decode
+from .gf import Decoding, Echelon, solve_decode, unit_row
 from .model import GicInstance, UserId
 from .partition import SchemeSolution
 
@@ -64,28 +64,18 @@ def minrank_gf2(inst: GicInstance, budget: int = DEFAULT_FREE_BIT_BUDGET) -> int
         raise MinrankBudgetError(
             f"{tmpl.free_bits} free cells exceed the budget of {budget}"
         )
+    # Packed 0/1 rows: the echelon works over GF(256), whose rank on them is
+    # the GF(2) rank.
     candidates: list[list[int]] = []
     for base, cols in tmpl.rows:
-        opts = [base]
+        opts = [unit_row(base.bit_length())]  # the forced demanded column
         for p in cols:
-            bit = 1 << (p - 1)
-            opts = opts + [o | bit for o in opts]
+            opts = opts + [o | unit_row(p) for o in opts]
         candidates.append(opts)
 
     nrows = len(candidates)
     best = nrows + 1
-    basis: dict[int, int] = {}
-
-    def insert(row: int) -> int | None:
-        """Reduce and insert; returns the new pivot bit, or None if dependent."""
-        while row:
-            low = row & -row
-            other = basis.get(low)
-            if other is None:
-                basis[low] = row
-                return low
-            row ^= other
-        return None
+    basis = Echelon(tmpl.m)
 
     def walk(idx: int) -> None:
         nonlocal best
@@ -95,10 +85,10 @@ def minrank_gf2(inst: GicInstance, budget: int = DEFAULT_FREE_BIT_BUDGET) -> int
             best = len(basis)
             return
         for row in candidates[idx]:
-            pivot = insert(row)
+            pivot = basis.insert(row)
             walk(idx + 1)
             if pivot is not None:
-                del basis[pivot]
+                del basis.pivots[pivot]
             if best == 1:
                 return
 

@@ -21,9 +21,10 @@ from .gf import (
     GF2,
     GF256,
     CodingMatrix,
+    Echelon,
     Field,
-    _ff_insert,
     mds_generator,
+    pack_row,
     rank,
     row_basis,
 )
@@ -462,10 +463,10 @@ def exhaustive_upm(inst: GicInstance, cap: int = DEFAULT_CAP) -> SchemeSolution:
 
 # IUPM's objective, the rank of the stacked block rows, is not a sum of block
 # costs.  A block's deterministic rows depend only on its users, so each block
-# mask's rows are built once and inserted into a GF(256) echelon as the search
-# picks the block of the lowest unassigned user.  Rows that are all 0/1 have
-# the same rank over GF(2) as over GF(256), so the one echelon also scores
-# the partitions that build_transmissions keeps over GF(2).  Rank only grows
+# mask's rows are built once and inserted into an Echelon as the search picks
+# the block of the lowest unassigned user.  Rows that are all 0/1 have the
+# same rank over GF(2) as over GF(256), so the one echelon also scores the
+# partitions that build_transmissions keeps over GF(2).  Rank only grows
 # as blocks are added, which bounds every completion of a partial partition.
 
 
@@ -502,19 +503,20 @@ def exhaustive_iupm(
     cost, ymask = _user_cost_table(inst)
     width, ones = _packing(n)
     prune = policy.kind == "deterministic"
-    block_rows: dict[int, list[tuple[int, ...]]] = {}
+    block_rows: dict[int, list[int]] = {}
     best: list = [None]  # (score, packed RGS) of the incumbent
 
-    def rows_of(B: int) -> list[tuple[int, ...]]:
+    def rows_of(B: int) -> list[int]:
         rows = block_rows.get(B)
         if rows is None:
             Y = [p + 1 for p in range(inst.m) if ymask[B] >> p & 1]
             gen = mds_generator(len(Y), cost[B], GF256)
-            rows = block_rows[B] = [_place(coeffs, Y, inst.m) for coeffs in gen.rows]
+            rows = block_rows[B] = [pack_row(_place(coeffs, Y, inst.m)) for coeffs in gen.rows]
         return rows
 
-    def search(U: int, label: int, code: int, basis: dict, r: int, wide: bool) -> None:
+    def search(U: int, label: int, code: int, basis: Echelon, wide: bool) -> None:
         if not U:
+            r = len(basis)
             if not prune and wide:
                 a = _unpack(code, n, width)
                 r = iupm_rate(inst, _user_partition(ids, a), _salted(policy, a))[0]
@@ -532,19 +534,18 @@ def exhaustive_iupm(
             if prune and best[0] is not None:
                 best_r, best_code = best[0]
                 limit = best_r if code2 + (label + 1) * ones[left] < best_code else best_r - 1
-            child = dict(basis)
-            r2 = r
+            child = basis.copy()
             for row in rows_of(B):
-                if r2 > limit:
+                if len(child) > limit:
                     break
-                r2 += _ff_insert(child, row, GF256)
-            if r2 <= limit:
-                search(left, label + 1, code2, child, r2, wide or cost[B] != 1)
+                child.insert(row)
+            if len(child) <= limit:
+                search(left, label + 1, code2, child, wide or cost[B] != 1)
             if not sub:
                 break
             sub = (sub - 1) & rest
 
-    search((1 << n) - 1, 0, 0, {}, 0, False)
+    search((1 << n) - 1, 0, 0, Echelon(inst.m), False)
     a = _unpack(best[0][1], n, width)
     part = _user_partition(ids, a)
     rate, basis, label = iupm_rate(inst, part, _salted(policy, a))

@@ -44,3 +44,17 @@ def random_instance(rng: random.Random, max_m: int = 4, max_users: int = 7) -> G
         side = {p for p in range(1, m + 1) if p != i and rng.random() < 0.5}
         users.append(((i, copies[i]), side))
     return GicInstance.make(m, users)
+
+
+def bitmask_rank(masks) -> int:
+    """Rank over GF(2) of rows packed one bit per column: a reference kept
+    apart from the byte-packed kernel in gicast.gf that the tests check."""
+    basis: dict[int, int] = {}
+    for row in masks:
+        while row:
+            low = row & -row
+            if low not in basis:
+                basis[low] = row
+                break
+            row ^= basis[low]
+    return len(basis)

@@ -21,10 +21,9 @@ from gicast import (
     simulate_decode,
     upm_rate,
 )
-from gicast.gf import gf2_rank_masks
 from gicast.partition import CoeffPolicy
 
-from conftest import random_instance
+from conftest import bitmask_rank, random_instance
 
 
 def brute_force_minrank(inst: GicInstance) -> int:
@@ -45,7 +44,7 @@ def brute_force_minrank(inst: GicInstance) -> int:
                 if (b >> t) & 1:
                     mask |= 1 << (col - 1)
             masks.append(mask)
-        best = min(best, gf2_rank_masks(masks))
+        best = min(best, bitmask_rank(masks))
     return best
 
 

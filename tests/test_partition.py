@@ -260,7 +260,7 @@ def test_iupm_randomized_policy_never_worse(ex1):
     det, _, _ = iupm_rate(ex1, part, CoeffPolicy())
     rnd, _, label = iupm_rate(ex1, part, CoeffPolicy("randomized", trials=8, seed=1))
     assert rnd <= det
-    assert label in ("deterministic", "randomized")
+    assert label == "deterministic" or label.startswith("randomized[")
 
 
 # ------------------------------------------------------------- exhaustive

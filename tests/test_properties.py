@@ -23,7 +23,7 @@ from gicast import (
     save_instance,
     upm_rate,
 )
-from gicast.gf import rank
+from gicast.gf import rank, row_basis, solve_decode
 
 
 @st.composite
@@ -48,6 +48,25 @@ def gf2_matrices(draw, max_rows=6, max_cols=8):
         tuple(draw(st.integers(0, 1)) for _ in range(ncols)) for _ in range(nrows)
     )
     return CodingMatrix(GF2, ncols, rows)
+
+
+@st.composite
+def gf256_matrices(draw, max_rows=6, max_cols=8):
+    ncols = draw(st.integers(1, max_cols))
+    nrows = draw(st.integers(1, max_rows))
+    entries = st.one_of(st.just(0), st.integers(1, 255))
+    rows: list[tuple[int, ...]] = []
+    for _ in range(nrows):
+        if rows and draw(st.booleans()):
+            # a combination of earlier rows, so dependent rows come up often
+            row = [0] * ncols
+            for prev in rows:
+                f = draw(st.integers(0, 255))
+                row = [a ^ GF256.mul(f, b) for a, b in zip(row, prev)]
+        else:
+            row = [draw(entries) for _ in range(ncols)]
+        rows.append(tuple(row))
+    return CodingMatrix(GF256, ncols, tuple(rows))
 
 
 @given(instances())
@@ -103,6 +122,40 @@ def test_rank_invariant_under_scaling(M, scalar):
 def test_entropy_boundaries(M):
     assert conditional_entropy(M, set()) == rank(M)
     assert conditional_entropy(M, set(range(1, M.ncols + 1))) == 0
+
+
+@given(gf256_matrices(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_gf256_elimination(M, data):
+    r = rank(M)
+    assert rank(CodingMatrix(GF256, M.nrows, tuple(zip(*M.rows)))) == r
+
+    B = row_basis(M)
+    assert B.nrows == r
+    rest = iter(M.rows)
+    assert all(any(row == kept for row in rest) for kept in B.rows)  # original order
+
+    target = data.draw(st.integers(1, M.ncols))
+    others = [p for p in range(1, M.ncols + 1) if p != target]
+    known = data.draw(st.sets(st.sampled_from(others))) if others else set()
+    unit = tuple(int(c == target - 1) for c in range(M.ncols))
+    zeroed = tuple(
+        tuple(0 if c + 1 in known else e for c, e in enumerate(row)) for row in M.rows
+    )
+    raises = rank(CodingMatrix(GF256, M.ncols, zeroed + (unit,))) > rank(
+        CodingMatrix(GF256, M.ncols, zeroed)
+    )
+    dec = solve_decode(M, known, target)
+    assert (dec is None) == raises
+    if dec is not None:
+        assert dec.target == target
+        assert [p for p, _ in dec.known_coeffs] == sorted(known)
+        acc = [0] * M.ncols
+        for f, row in zip(dec.row_coeffs, M.rows, strict=True):
+            acc = [a ^ GF256.mul(f, e) for a, e in zip(acc, row)]
+        for p, f in dec.known_coeffs:
+            acc[p - 1] ^= f
+        assert tuple(acc) == unit
 
 
 @given(st.integers(1, 7))
