@@ -8,6 +8,7 @@ import argparse
 import sys
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .heuristic import run_heuristic
 from .model import (
@@ -18,12 +19,7 @@ from .model import (
     load_instance,
     save_instance,
 )
-from .oracle import (
-    DEFAULT_FREE_BIT_BUDGET,
-    MinrankBudgetError,
-    minrank_gf2,
-    simulate_decode,
-)
+from .oracle import MinrankBudgetError, minrank_gf2, simulate_decode
 from .partition import (
     DEFAULT_CAP,
     CoeffPolicy,
@@ -260,7 +256,10 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def main(argv: list[str] | None = None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and each call returns a new namespace."""
     ap = argparse.ArgumentParser(
         prog="gicast",
         description="Multicast coding schemes for groupcast index coding instances.",
@@ -296,7 +295,11 @@ def main(argv: list[str] | None = None) -> int:
     common(v)
     v.set_defaults(fn=cmd_validate)
 
-    args = ap.parse_args(argv)
+    return ap
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     return args.fn(args)
 
 

@@ -10,7 +10,7 @@ column; rows add by XOR and scale through `bytes.translate`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -20,11 +20,13 @@ __all__ = [
     "GF256",
     "CodingMatrix",
     "Decoding",
+    "Decoder",
     "Echelon",
     "pack_row",
     "unpack_row",
     "unit_row",
     "column_mask",
+    "scale_row",
     "rank",
     "row_basis",
     "mds_generator",
@@ -142,6 +144,12 @@ class CodingMatrix:
     def nrows(self) -> int:
         return len(self.rows)
 
+    @cached_property
+    def packed(self) -> tuple[int, ...]:
+        """The rows packed by `pack_row`, computed on first use and kept, so
+        every `Decoder` of this matrix packs it only once."""
+        return tuple(map(pack_row, self.rows))
+
     def dump(self) -> str:
         """One row per line, space-separated field elements in decimal."""
         return "\n".join(" ".join(str(e) for e in row) for row in self.rows)
@@ -183,6 +191,11 @@ def _scale_tables() -> list[bytes]:
 _SCALE = _scale_tables()
 
 
+def scale_row(row: int, f: int, width: int) -> int:
+    """Each of the first `width` bytes of a packed row times f in GF(2^8)."""
+    return int.from_bytes(row.to_bytes(width, "little").translate(_SCALE[f]), "little")
+
+
 class Echelon:
     """Row echelon basis over GF(2^8), so also over its subfield GF(2).
 
@@ -209,9 +222,6 @@ class Echelon:
         new._width = self._width
         return new
 
-    def _scale(self, row: int, f: int) -> int:
-        return int.from_bytes(row.to_bytes(self._width, "little").translate(_SCALE[f]), "little")
-
     def _reduce(self, row: int) -> tuple[int, int]:
         """Subtract pivot rows until the first nonzero column has no pivot;
         returns the remainder and that column, or -1 once the eliminated
@@ -227,7 +237,7 @@ class Echelon:
             if p is None:
                 return row, c
             f = (v >> 8 * c) & 0xFF
-            row ^= p if f == 1 else self._scale(p, f)
+            row ^= p if f == 1 else scale_row(p, f, self._width)
 
     def reduce(self, row: int) -> int:
         """Row less the pivot rows subtracted until its first nonzero column
@@ -242,7 +252,7 @@ class Echelon:
         if c < 0:
             return None
         f = (row >> 8 * c) & 0xFF
-        self.pivots[c] = row if f == 1 else self._scale(row, GF256.inv(f))
+        self.pivots[c] = row if f == 1 else scale_row(row, GF256.inv(f), self._width)
         return c
 
 
@@ -306,29 +316,69 @@ class Decoding:
     known_coeffs: tuple[tuple[int, int], ...]
 
 
+class Decoder:
+    """Decodings of one matrix for any number of receivers from a single
+    elimination of its rows.
+
+    Row r is inserted into a shared `Echelon` with a 1 in tail slot r, and
+    the unit row of packet p, reduced once against it and cached, carries a
+    1 in tail slot nrows + p - 1; the tail of every remainder then records
+    how it combines the rows and the unit rows.  A receiver copies the shared
+    echelon, inserts the remainders of its side packets, and reduces the
+    remainder of its target.  The copy is needed: `Echelon.reduce` stops at
+    the first column without a pivot, so a remainder may still hold columns
+    that only the shared rows eliminate."""
+
+    __slots__ = ("ncols", "nrows", "_ech", "_units", "_unit_tag")
+
+    def __init__(self, M: CodingMatrix):
+        m = self.ncols = M.ncols
+        n = self.nrows = M.nrows
+        ech = self._ech = Echelon(m, 2 * m + n)
+        tag = unit_row(m + 1)
+        for row in M.packed:
+            ech.insert(row | tag)
+            tag <<= 8
+        # e_1 with its tag; shifted up by p - 1 bytes, it is e_p with its tag
+        self._unit_tag = tag | 1
+        self._units: dict[int, int] = {}
+
+    def _unit(self, p: int) -> int:
+        """Remainder of the tagged e_p against the rows, cached; never 0,
+        since its tag is set."""
+        rem = self._units[p] = self._ech.reduce(self._unit_tag << 8 * (p - 1))
+        return rem
+
+    def decode(self, known: Iterable[int], target: int) -> Decoding | None:
+        """Express e_target as a combination of the rows and the unit
+        vectors of the known packets; None when the target is outside the
+        span."""
+        m = self.ncols
+        if not 1 <= target <= m:
+            raise ValueError(f"target packet {target} outside 1..{m}")
+        kcols = sorted(set(known))
+        if target in kcols:
+            raise ValueError(f"target packet {target} already known")
+        if kcols and not (1 <= kcols[0] and kcols[-1] <= m):
+            raise ValueError(f"known packets {kcols} outside 1..{m}")
+        ech = self._ech.copy()
+        insert, units = ech.insert, self._units
+        for p in kcols:
+            insert(units.get(p) or self._unit(p))
+        rem = ech.reduce(units.get(target) or self._unit(target))
+        if rem & ((1 << 8 * m) - 1):
+            return None
+        n = self.nrows
+        tail = (rem >> 8 * m).to_bytes(n + m, "little")
+        return Decoding(
+            target=target,
+            row_coeffs=tuple(tail[:n]),
+            known_coeffs=tuple((p, tail[n + p - 1]) for p in kcols),
+        )
+
+
 def solve_decode(M: CodingMatrix, known: Iterable[int], target: int) -> Decoding | None:
     """Express e_target as a combination of M's rows and the unit vectors of
-    the known packets; None when the target is outside the span."""
-    m = M.ncols
-    if not 1 <= target <= m:
-        raise ValueError(f"target packet {target} outside 1..{m}")
-    kcols = sorted(set(known))
-    if target in kcols:
-        raise ValueError(f"target packet {target} already known")
-    sources = [pack_row(row) for row in M.rows] + [unit_row(p) for p in kcols]
-    nsrc = len(sources)
-    # Source i carries a 1 in column m + i, so the columns of a remainder
-    # from m on are its coefficients over the sources.
-    ech = Echelon(m, m + nsrc)
-    for i, src in enumerate(sources):
-        ech.insert(src | unit_row(m + i + 1))
-    rem = ech.reduce(unit_row(target))
-    if rem & ((1 << 8 * m) - 1):
-        return None
-    acc = unpack_row(rem, m + nsrc)[m:]
-    nrows = len(M.rows)
-    return Decoding(
-        target=target,
-        row_coeffs=tuple(acc[:nrows]),
-        known_coeffs=tuple((p, acc[nrows + i]) for i, p in enumerate(kcols)),
-    )
+    the known packets; None when the target is outside the span.  One
+    receiver's `Decoder.decode`."""
+    return Decoder(M).decode(known, target)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .gf import Decoding, Echelon, solve_decode, unit_row
+from .gf import Decoder, Decoding, Echelon, scale_row, unit_row
 from .model import GicInstance, UserId
 from .partition import SchemeSolution
 
@@ -110,19 +110,31 @@ class DecodeReport:
         return self.failures[0] if self.failures else None
 
 
+def _combine(terms, width: int) -> int:
+    """Sum of f * row over GF(2^8) for (f, row) pairs, rows packed in
+    `width` bytes."""
+    acc = 0
+    for f, row in terms:
+        if f:
+            acc ^= row if f == 1 else scale_row(row, f, width)
+    return acc
+
+
 def simulate_decode(
     inst: GicInstance, solution: SchemeSolution, trials: int = 16, seed: int = 0
 ) -> DecodeReport:
     """Check that every receiver can recover its packet from the solution's
     transmissions plus its own side information: first symbolically (span
-    membership with explicit coefficients), then on `trials` random payload
-    vectors drawn from the solution's field."""
+    membership with explicit coefficients, from one shared elimination of
+    the rows), then on `trials` random payload vectors drawn from the
+    solution's field, all trials at once."""
     M = solution.matrix
-    fld = M.field
+    m = inst.m
     failures: list[tuple[UserId, int | None, str]] = []
     decodings: dict[UserId, Decoding] = {}
+    decoder = Decoder(M)
     for uid, side in inst.users:
-        dec = solve_decode(M, side, uid.packet)
+        dec = decoder.decode(side, uid.packet)
         if dec is None:
             failures.append(
                 (uid, None, f"packet {uid.packet} outside span of rows + side info; rows:\n{M.dump()}")
@@ -130,23 +142,23 @@ def simulate_decode(
         else:
             decodings[uid] = dec
 
+    # Payloads are packed like `Echelon` rows, one byte per trial: byte t of
+    # x[p - 1] is packet p in trial t.  GF(2) payloads are 0/1 bytes, on
+    # which GF(2^8) arithmetic agrees with GF(2).
     rng = random.Random(seed)
+    draws = bytes(rng.randrange(M.field.order) for _ in range(trials * m))
+    x = [int.from_bytes(draws[p::m], "little") for p in range(m)]
+    y = [_combine(zip(row, x), trials) for row in M.rows]
+    wrong = []
+    for uid, dec in decodings.items():
+        est = _combine(zip(dec.row_coeffs, y), trials)
+        est ^= _combine([(f, x[p - 1]) for p, f in dec.known_coeffs], trials)
+        payload = x[uid.packet - 1]
+        if est != payload:
+            wrong.append((uid, est, payload))
     for t in range(trials):
-        x = [rng.randrange(fld.order) for _ in range(inst.m)]
-        y = []
-        for row in M.rows:
-            acc = 0
-            for e, xp in zip(row, x):
-                acc ^= fld.mul(e, xp)
-            y.append(acc)
-        for uid, dec in decodings.items():
-            est = 0
-            for f, sym in zip(dec.row_coeffs, y):
-                est ^= fld.mul(f, sym)
-            for p, f in dec.known_coeffs:
-                est ^= fld.mul(f, x[p - 1])
-            if est != x[uid.packet - 1]:
-                failures.append(
-                    (uid, t, f"trial {t}: reconstructed {est}, payload {x[uid.packet - 1]}")
-                )
+        for uid, est, payload in wrong:
+            e, v = est >> 8 * t & 0xFF, payload >> 8 * t & 0xFF
+            if e != v:
+                failures.append((uid, t, f"trial {t}: reconstructed {e}, payload {v}"))
     return DecodeReport(passed=not failures, trials=trials, failures=tuple(failures))

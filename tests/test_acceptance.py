@@ -13,7 +13,6 @@ from gicast import (
     CoeffPolicy,
     GF256,
     SchemeSolution,
-    UserId,
     UserPartition,
     build_transmissions,
     enumerate_partitions,

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import gicast
-from gicast.cli import main
+from gicast.cli import _parser, main
 
 from conftest import FIXTURES
 
@@ -151,6 +151,43 @@ def test_solve_cap_override_zero(capsys):
     rc, _, err = run(capsys, "solve", EX1, "--scheme", "upm-exhaustive", "--cap-override", "0")
     assert rc == 2
     assert "exceed enumeration cap 0" in err
+
+
+def test_main_keeps_no_state_between_calls(tmp_path, capsys):
+    # main reuses one parser per process; each call must see only its own options
+    argvs = [
+        ["solve", EX1, "--scheme", "upm-exhaustive", "--cap-override", "0"],
+        ["solve", EX1, "--scheme", "upm-exhaustive"],
+        ["solve", EX1, "--scheme", "iupm-exhaustive", "--randomized", "--seed", "7", "--format", "records", "--trace"],
+        ["solve", EX1, "--scheme", "iupm-exhaustive"],
+        ["table", "--k", "2:3", "--out", str(tmp_path / "t.txt")],
+        ["gen", "--k", "2"],
+    ]
+    for argv in argvs:
+        assert _parser().parse_args(argv) == _parser.__wrapped__().parse_args(argv)
+
+    rc, _, err = run(capsys, *argvs[0])
+    assert rc == 2
+    assert "exceed enumeration cap 0" in err
+    rc, out, _ = run(capsys, *argvs[1])
+    assert rc == 0
+    assert out.splitlines()[0].startswith("scheme=upm-exhaustive rate=2 ")
+    assert "seed=0" in out.split()
+
+    rc, out, _ = run(capsys, *argvs[2])
+    assert rc == 0
+    (rec,) = records(out)
+    assert rec["seed"] == "7"
+    rc, out, _ = run(capsys, *argvs[3])
+    assert rc == 0
+    assert "seed=0" in out.split()
+    assert "transmissions:" in out
+
+    rc, out, _ = run(capsys, *argvs[4])
+    assert rc == 0
+    assert out == ""
+    rc, out, _ = run(capsys, *argvs[5])
+    assert (rc, out) == (0, "gic 1\nuser 1 1 :\nuser 1 2 :\n")
 
 
 def test_solve_budget_exceeded_exit(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from gicast import GF2, GF256, CodingMatrix, field
 from gicast.gf import (
+    Decoding,
     Echelon,
     conditional_entropy,
     mds_generator,
@@ -207,6 +208,22 @@ def test_solve_decode_needs_side_info():
     M = CodingMatrix(GF2, 3, ((1, 1, 0),))
     assert solve_decode(M, set(), 1) is None
     assert solve_decode(M, {2}, 1) is not None
+
+
+def test_solve_decode_reduces_side_packets_against_every_row():
+    # e_1 reduces to (0, 1, 1) against the first row and stops at column 2,
+    # which has no pivot; column 3 needs the second row, and e_1 = row 1 +
+    # row 2 + e_2
+    M = CodingMatrix(GF2, 3, ((1, 1, 1), (0, 0, 1)))
+    dec = solve_decode(M, {2}, 1)
+    assert dec == Decoding(1, (1, 1), ((2, 1),))
+
+
+@pytest.mark.parametrize("known,target", [(set(), 0), (set(), 4), ({2}, 2), ({0}, 1), ({4}, 1)])
+def test_solve_decode_rejects_packets_outside_the_matrix(known, target):
+    M = CodingMatrix(GF2, 3, ((1, 1, 1),))
+    with pytest.raises(ValueError):
+        solve_decode(M, known, target)
 
 
 def test_solve_decode_mds_any_erasure_pattern():

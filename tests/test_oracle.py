@@ -1,13 +1,17 @@
 """Minrank ground truth and the decode simulator."""
 
 import random
+from functools import reduce
 from itertools import product
+from operator import xor
 
 import pytest
 
+import gicast.oracle
 from gicast import (
     CodingMatrix,
     GF2,
+    GF256,
     GicInstance,
     MinrankBudgetError,
     MinrankTemplate,
@@ -15,12 +19,21 @@ from gicast import (
     UserId,
     UserPartition,
     build_transmissions,
+    exhaustive_iupm,
+    exhaustive_ppm,
+    exhaustive_upm,
     generate_k2,
+    group_partition,
     iupm_rate,
+    mds_generator,
     minrank_gf2,
+    rank,
+    run_heuristic,
     simulate_decode,
+    solve_decode,
     upm_rate,
 )
+from gicast.gf import Decoder, Decoding
 from gicast.partition import CoeffPolicy
 
 from conftest import bitmask_rank, random_instance
@@ -163,3 +176,146 @@ def test_ordering_chain_small():
         up = exhaustive_upm(inst).rate
         pp = exhaustive_ppm(inst).rate
         assert mr <= iu <= up <= pp
+
+
+# ------------------------------------------------- simulator equivalence
+
+#: The minimal instance on which heuristic step 3 emits an undecodable code.
+FAULT = GicInstance.make(3, [((1, 1), {2}), ((2, 1), {1, 3}), ((2, 2), {3}), ((3, 1), {2})])
+
+
+def every_solution(inst: GicInstance) -> list[SchemeSolution]:
+    """Every scheme but minrank, as `gicast solve` runs it; the exhaustive
+    searches only on instances small enough to be quick."""
+    part = group_partition(inst)
+    urate, _ = upm_rate(inst, part)
+    irate, basis, label = iupm_rate(inst, part, CoeffPolicy())
+    sols = [
+        SchemeSolution("upm-group", urate, part, build_transmissions(inst, part)),
+        SchemeSolution("iupm-group", irate, part, basis, policy=label),
+        run_heuristic(inst, "user"),
+        run_heuristic(inst, "packet"),
+    ]
+    if len(inst.users) <= 8:
+        sols += [exhaustive_ppm(inst), exhaustive_upm(inst), exhaustive_iupm(inst)]
+    return sols
+
+
+def in_span(M: CodingMatrix, known, target: int) -> bool:
+    """Whether e_target lies in span(rows + known units): appending e_target
+    to the rows with the known columns zeroed leaves their rank unchanged.
+    GF(2) matrices are ranked as bitmasks, apart from gicast's kernel."""
+    if M.field == GF2:
+        kmask = sum(1 << (p - 1) for p in known)
+        zeroed = [sum(e << c for c, e in enumerate(row)) & ~kmask for row in M.rows]
+        return bitmask_rank(zeroed + [1 << (target - 1)]) == bitmask_rank(zeroed)
+    zeroed = tuple(tuple(0 if c + 1 in known else e for c, e in enumerate(row)) for row in M.rows)
+    unit = tuple(int(c == target - 1) for c in range(M.ncols))
+    return rank(CodingMatrix(GF256, M.ncols, zeroed + (unit,))) == rank(CodingMatrix(GF256, M.ncols, zeroed))
+
+
+def test_simulate_verdicts_match_span_test():
+    rng = random.Random(71)
+    instances = [random_instance(rng, max_m=5, max_users=7) for _ in range(200)]
+    instances += [generate_k2(k)[0] for k in range(2, 7)] + [FAULT]
+    fields = set()
+    for inst in instances:
+        for sol in every_solution(inst):
+            M = sol.matrix
+            fields.add(M.field)
+            report = simulate_decode(inst, sol)
+            assert all(t is None for _, t, _ in report.failures), "a correct decoding failed a trial"
+            undecodable = [uid for uid, _, _ in report.failures]
+            expected = [uid for uid, side in inst.users if not in_span(M, side, uid.packet)]
+            assert undecodable == expected, (sol.scheme, M.rows)
+            assert report.passed == (not expected)
+    assert fields == {GF2, GF256}
+
+
+def test_simulate_fault_instance_fails_one_receiver():
+    sol = run_heuristic(FAULT, "user")
+    report = simulate_decode(FAULT, sol)
+    assert report.failures == (
+        (UserId(2, 2), None, f"packet 2 outside span of rows + side info; rows:\n{sol.matrix.dump()}"),
+    )
+
+
+# ------------------------------------------------ packed payload trials
+
+#: Four receivers that each know two packets of an MDS (4, 2) code.
+MDS_INST = GicInstance.make(4, [
+    ((1, 1), {3, 4}), ((2, 1), {3, 4}), ((3, 1), {1, 2}), ((4, 1), {1, 2}), ((1, 2), {2, 3}),
+])
+MDS_SOL = SchemeSolution("upm-group", 2, None, mds_generator(4, 2, GF256))
+
+
+def scalar_trials(inst, M, decodings, trials, seed):
+    """The payload trials one trial and one receiver at a time through
+    GF256.mul, in the simulator's order of draws and of failures."""
+    rng = random.Random(seed)
+    failures = []
+    for t in range(trials):
+        x = [rng.randrange(256) for _ in range(inst.m)]
+        y = [reduce(xor, (GF256.mul(e, v) for e, v in zip(row, x)), 0) for row in M.rows]
+        for uid, dec in decodings.items():
+            est = reduce(xor, (GF256.mul(f, v) for f, v in zip(dec.row_coeffs, y)), 0)
+            est ^= reduce(xor, (GF256.mul(f, x[p - 1]) for p, f in dec.known_coeffs), 0)
+            if est != x[uid.packet - 1]:
+                failures.append((uid, t, f"trial {t}: reconstructed {est}, payload {x[uid.packet - 1]}"))
+    return failures
+
+
+@pytest.mark.parametrize("wrong", [[UserId(2, 1)], [UserId(4, 1), UserId(2, 1)]])
+def test_simulate_reports_wrong_coefficients_in_every_trial(monkeypatch, wrong):
+    # receivers are told apart by their (target, side) pairs
+    sides = {(uid.packet, frozenset(side)): uid for uid, side in MDS_INST.users}
+
+    class WrongDecoder(Decoder):
+        def decode(self, known, target):
+            dec = super().decode(known, target)
+            if sides[target, frozenset(known)] in wrong:
+                dec = Decoding(dec.target, (dec.row_coeffs[0] ^ 0x35, *dec.row_coeffs[1:]), dec.known_coeffs)
+            return dec
+
+    monkeypatch.setattr(gicast.oracle, "Decoder", WrongDecoder)
+    M = MDS_SOL.matrix
+    decodings = {}
+    for uid, side in MDS_INST.users:
+        decodings[uid] = WrongDecoder(M).decode(side, uid.packet)
+    report = simulate_decode(MDS_INST, MDS_SOL, trials=16, seed=5)
+    expected = scalar_trials(MDS_INST, M, decodings, 16, seed=5)
+    assert report.failures == tuple(expected)
+    assert not report.passed
+    order = [uid for uid, _ in MDS_INST.users]
+    assert [(t, order.index(uid)) for uid, t, _ in report.failures] == sorted(
+        (t, order.index(uid)) for uid, t, _ in report.failures
+    )
+    # a wrong first coefficient shows in every trial whose first row symbol is nonzero
+    rng = random.Random(5)
+    affected = []
+    for t in range(16):
+        x = [rng.randrange(256) for _ in range(4)]
+        if reduce(xor, (GF256.mul(e, v) for e, v in zip(M.rows[0], x)), 0):
+            affected.append(t)
+    for uid in wrong:
+        assert [t for u, t, _ in report.failures if u == uid] == affected
+    assert {u for u, _, _ in report.failures} == set(wrong)
+
+    empty = simulate_decode(MDS_INST, MDS_SOL, trials=0, seed=5)
+    assert (empty.passed, empty.trials, empty.failures) == (True, 0, ())
+
+
+@pytest.mark.parametrize("trials", [0, 16])
+def test_simulate_matrix_without_rows(trials):
+    sol = SchemeSolution("upm-group", 0, None, CodingMatrix(GF256, 4, ()))
+    report = simulate_decode(MDS_INST, sol, trials=trials)
+    assert report.trials == trials
+    assert [(uid, t) for uid, t, _ in report.failures] == [(uid, None) for uid, _ in MDS_INST.users]
+
+
+def test_solve_decode_is_one_receiver_of_the_shared_decoder():
+    inst, _ = generate_k2(5)
+    M = run_heuristic(inst, "user").matrix
+    shared = Decoder(M)
+    for uid, side in inst.users:
+        assert shared.decode(side, uid.packet) == solve_decode(M, side, uid.packet)
