@@ -6,6 +6,7 @@ from .gf import (
     CodingMatrix,
     Decoding,
     Field,
+    FieldSizeError,
     conditional_entropy,
     field,
     mds_generator,
@@ -45,8 +46,6 @@ from .oracle import (
 )
 from .partition import (
     DEFAULT_CAP,
-    DETERMINISTIC,
-    CoeffPolicy,
     PacketPartition,
     PartitionCapError,
     SchemeSolution,

@@ -10,6 +10,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .gf import FieldSizeError
 from .heuristic import run_heuristic
 from .model import (
     GicInstance,
@@ -22,7 +23,6 @@ from .model import (
 from .oracle import MinrankBudgetError, minrank_gf2, simulate_decode
 from .partition import (
     DEFAULT_CAP,
-    CoeffPolicy,
     PartitionCapError,
     SchemeSolution,
     UserPartition,
@@ -35,16 +35,44 @@ from .partition import (
     build_transmissions,
 )
 
-SCHEMES = (
-    "ppm-exhaustive",
-    "upm-exhaustive",
-    "iupm-exhaustive",
-    "upm-group",
-    "iupm-group",
-    "heuristic-user",
-    "heuristic-packet",
-    "minrank",
-)
+
+def _upm_group(inst: GicInstance, groups: UserPartition) -> SchemeSolution:
+    rate, _ = upm_rate(inst, groups)
+    return SchemeSolution("upm-group", rate, groups, build_transmissions(inst, groups))
+
+
+def _iupm_group(inst: GicInstance, groups: UserPartition) -> SchemeSolution:
+    rate, basis, label = iupm_rate(inst, groups)
+    return SchemeSolution("iupm-group", rate, groups, basis, policy=label)
+
+
+#: Scheme name -> solver(instance, user groups, enumeration cap).  The group
+#: schemes code over the given user groups; minrank returns its value, every
+#: other scheme a SchemeSolution.
+SOLVERS = {
+    "ppm-exhaustive": lambda inst, groups, cap: exhaustive_ppm(inst, cap),
+    "upm-exhaustive": lambda inst, groups, cap: exhaustive_upm(inst, cap),
+    "iupm-exhaustive": lambda inst, groups, cap: exhaustive_iupm(inst, cap),
+    "upm-group": lambda inst, groups, cap: _upm_group(inst, groups),
+    "iupm-group": lambda inst, groups, cap: _iupm_group(inst, groups),
+    "heuristic-user": lambda inst, groups, cap: run_heuristic(inst, "user"),
+    "heuristic-packet": lambda inst, groups, cap: run_heuristic(inst, "packet"),
+    "minrank": lambda inst, groups, cap: minrank_gf2(inst),
+}
+
+#: What a solver raises when the instance is beyond its cap, budget or field:
+#: `solve` exits 2, `table` prints `-`.
+OUT_OF_REACH = (PartitionCapError, MinrankBudgetError, FieldSizeError)
+
+#: `table` column -> the scheme that fills it.
+COLUMNS = {
+    "ppm_exh": "ppm-exhaustive",
+    "upm_group": "upm-group",
+    "iupm_group": "iupm-group",
+    "heur_user": "heuristic-user",
+    "heur_packet": "heuristic-packet",
+    "minrank": "minrank",
+}
 
 
 @dataclass
@@ -59,56 +87,36 @@ class Record:
 
 def _solve_one(inst: GicInstance, scheme: str, args) -> tuple[Record, bool, SchemeSolution | None]:
     """Run one scheme; returns (record, ok, solution-if-any)."""
-    policy = CoeffPolicy("randomized", seed=args.seed) if args.randomized else CoeffPolicy()
     cap = args.cap_override if args.cap_override is not None else DEFAULT_CAP
     t0 = time.perf_counter()
-    sol: SchemeSolution | None = None
+    result = SOLVERS[scheme](inst, group_partition(inst), cap)
     if scheme == "minrank":
-        value = minrank_gf2(inst)
         ms = round((time.perf_counter() - t0) * 1000)
         rec = Record(
             [
                 ("scheme", "minrank"),
-                ("value", str(value)),
+                ("value", str(result)),
                 ("label", "scalar-linear-gf2-optimum"),
                 ("time_ms", str(ms)),
                 ("verified", "n/a"),
             ]
         )
         return rec, True, None
-    if scheme == "ppm-exhaustive":
-        sol = exhaustive_ppm(inst, cap=cap)
-    elif scheme == "upm-exhaustive":
-        sol = exhaustive_upm(inst, cap=cap)
-    elif scheme == "iupm-exhaustive":
-        sol = exhaustive_iupm(inst, cap=cap, policy=policy)
-    elif scheme == "upm-group":
-        part = group_partition(inst)
-        rate, _ = upm_rate(inst, part)
-        sol = SchemeSolution("upm-group", rate, part, build_transmissions(inst, part))
-    elif scheme == "iupm-group":
-        part = group_partition(inst)
-        rate, basis, label = iupm_rate(inst, part, policy)
-        sol = SchemeSolution("iupm-group", rate, part, basis, policy=label)
-    elif scheme in ("heuristic-user", "heuristic-packet"):
-        sol = run_heuristic(inst, scheme.split("-")[1])
-    else:
-        raise ValueError(f"unknown scheme {scheme}")
-    report = simulate_decode(inst, sol, seed=args.seed)
+    report = simulate_decode(inst, result, seed=args.seed)
     ms = round((time.perf_counter() - t0) * 1000)
     rec = Record(
         [
             ("scheme", scheme),
-            ("rate", str(sol.rate)),
+            ("rate", str(result.rate)),
             ("time_ms", str(ms)),
             ("verified", "pass" if report.passed else "FAIL"),
             ("seed", str(args.seed)),
-            ("policy", sol.policy),
+            ("policy", result.policy),
         ]
     )
     if scheme == "heuristic-packet":
         rec.fields.append(("variant", "CAPM-variant"))
-    return rec, report.passed, sol
+    return rec, report.passed, result
 
 
 def cmd_solve(args) -> int:
@@ -122,7 +130,7 @@ def cmd_solve(args) -> int:
     ok = True
     try:
         rec, passed, sol = _solve_one(inst, args.scheme, args)
-    except (PartitionCapError, MinrankBudgetError) as e:
+    except OUT_OF_REACH as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     ok = ok and passed
@@ -191,47 +199,26 @@ def cmd_table(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     cap = args.cap_override if args.cap_override is not None else DEFAULT_CAP
-    policy = CoeffPolicy("randomized", seed=args.seed) if args.randomized else CoeffPolicy()
-    header = [
-        "k",
-        "m",
-        "ppm_bound",
-        "ppm_exh",
-        "upm_group",
-        "iupm_group",
-        "heur_user",
-        "heur_packet",
-        "minrank",
-    ]
+    header = ["k", "m", "ppm_bound", *COLUMNS]
     rows = []
     all_ok = True
     for inst, gs in family:
         k = gs.k
-        part = UserPartition.of(gs.user_groups())
+        # the generator's groups, not group_partition: at k=2 the two differ
+        groups = UserPartition.of(gs.user_groups())
         bound = k * (k - 1) / 6 + 1
         row = {"k": str(k), "m": str(inst.m), "ppm_bound": f"{bound:g}"}
-        if inst.m <= cap:
-            sol = exhaustive_ppm(inst, cap=cap)
-            all_ok &= simulate_decode(inst, sol, seed=args.seed).passed
-            row["ppm_exh"] = str(sol.rate)
-        else:
-            row["ppm_exh"] = "-"
-        urate, _ = upm_rate(inst, part)
-        irate, basis, label = iupm_rate(inst, part, policy)
-        gsol = SchemeSolution("upm-group", urate, part, build_transmissions(inst, part))
-        isol = SchemeSolution("iupm-group", irate, part, basis, policy=label)
-        all_ok &= simulate_decode(inst, gsol, seed=args.seed).passed
-        all_ok &= simulate_decode(inst, isol, seed=args.seed).passed
-        row["upm_group"] = str(urate)
-        row["iupm_group"] = str(irate)
-        for init in ("user", "packet"):
-            hsol = run_heuristic(inst, init)
-            all_ok &= simulate_decode(inst, hsol, seed=args.seed).passed
-            row[f"heur_{init}"] = str(hsol.rate)
-        try:
-            row["minrank"] = str(minrank_gf2(inst))
-        except MinrankBudgetError:
-            row["minrank"] = "-"
+        for col, scheme in COLUMNS.items():
+            try:
+                result = SOLVERS[scheme](inst, groups, cap)
+            except OUT_OF_REACH:
+                row[col] = "-"
+                continue
+            if scheme == "minrank":
+                row[col] = str(result)
+            else:
+                all_ok &= simulate_decode(inst, result, seed=args.seed).passed
+                row[col] = str(result.rate)
         rows.append(row)
     if args.format == "records":
         lines = [
@@ -266,33 +253,35 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized pieces")
-        p.add_argument("--format", choices=("table", "records"), default="table")
+    def out(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", default=None, help="write output to this file instead of stdout")
+
+    def solving(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--seed", type=int, default=0, help="seed of the decode simulator's payload trials")
+        p.add_argument("--format", choices=("table", "records"), default="table")
+        out(p)
         p.add_argument("--cap-override", type=int, default=None, help="set the enumeration cap of the exhaustive searches")
-        p.add_argument("--trace", action="store_true", help="show heuristic promotion steps")
-        p.add_argument("--randomized", action="store_true", help="resample rank-reduction coefficients")
 
     g = sub.add_parser("gen", help="emit a k-group family instance")
     g.add_argument("--k", required=True)
-    common(g)
+    out(g)
     g.set_defaults(fn=cmd_gen)
 
     s = sub.add_parser("solve", help="run one scheme on an instance file")
     s.add_argument("instance")
-    s.add_argument("--scheme", required=True, choices=SCHEMES)
-    common(s)
+    s.add_argument("--scheme", required=True, choices=tuple(SOLVERS))
+    solving(s)
+    s.add_argument("--trace", action="store_true", help="show heuristic promotion steps")
     s.set_defaults(fn=cmd_solve)
 
     t = sub.add_parser("table", help="rate table across the k-group family")
     t.add_argument("--k", required=True, help="single k or range lo:hi")
-    common(t)
+    solving(t)
     t.set_defaults(fn=cmd_table)
 
     v = sub.add_parser("validate", help="parse and validate an instance file")
     v.add_argument("instance")
-    common(v)
+    out(v)
     v.set_defaults(fn=cmd_validate)
 
     return ap

@@ -29,6 +29,7 @@ __all__ = [
     "scale_row",
     "rank",
     "row_basis",
+    "FieldSizeError",
     "mds_generator",
     "conditional_entropy",
     "solve_decode",
@@ -272,11 +273,16 @@ def row_basis(M: CodingMatrix) -> CodingMatrix:
     return CodingMatrix(M.field, M.ncols, keep)
 
 
+class FieldSizeError(ValueError):
+    """The field has too few elements for the requested MDS code."""
+
+
 def mds_generator(n: int, r: int, fld: Field) -> CodingMatrix:
     """Generator matrix of an (n, r) MDS code: r x n with every r x r
     submatrix invertible.  r=1 gives the all-ones parity row, r=n the
     identity; otherwise the Cauchy rows 1/(a_i + b_j) with a_i = i and
-    b_j = r + j (char 2: + is XOR), which need 2^w >= n + r."""
+    b_j = r + j (char 2: + is XOR), which need 2^w >= n + r; a smaller
+    field raises FieldSizeError."""
     if n < 1 or r < 1:
         raise ValueError("matrix dimensions must be positive")
     if r > n:
@@ -287,7 +293,7 @@ def mds_generator(n: int, r: int, fld: Field) -> CodingMatrix:
         rows = ((1,) * n,)
     else:
         if fld.order < n + r:
-            raise ValueError(f"{fld} too small for a Cauchy matrix: need order >= {n + r}")
+            raise FieldSizeError(f"{fld} too small for a Cauchy matrix: need order >= {n + r}")
         rows = tuple(tuple(fld.inv(i ^ (r + j)) for j in range(n)) for i in range(r))
     return CodingMatrix(fld, n, rows)
 

@@ -13,7 +13,6 @@ restricted-growth-string order, the order `enumerate_partitions` yields.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -22,10 +21,8 @@ from .gf import (
     GF256,
     CodingMatrix,
     Echelon,
-    Field,
     mds_generator,
     pack_row,
-    rank,
     row_basis,
 )
 from .model import GicInstance, UserId
@@ -36,8 +33,6 @@ __all__ = [
     "PacketPartition",
     "UserPartition",
     "SchemeSolution",
-    "CoeffPolicy",
-    "DETERMINISTIC",
     "enumerate_partitions",
     "group_partition",
     "ppm_rate",
@@ -50,8 +45,9 @@ __all__ = [
     "exhaustive_iupm",
 ]
 
-#: Largest ground set searched by default.  Randomized IUPM still scores
-#: every partition, and Bell(13) is ~27.6 million.
+#: Largest ground set searched by default.  `enumerate_partitions` yields
+#: all Bell(n) partitions (Bell(13) is ~27.6 million), the pruned IUPM search
+#: can still take minutes on 13 users, and the PPM/UPM subset DP is O(3^n).
 DEFAULT_CAP = 13
 
 
@@ -124,23 +120,6 @@ class SchemeSolution:
     def __post_init__(self):
         if self.rate != self.matrix.nrows:
             raise ValueError(f"rate {self.rate} != {self.matrix.nrows} transmitted rows")
-
-
-@dataclass(frozen=True)
-class CoeffPolicy:
-    """Coefficient selection for rank reduction: the deterministic matrices
-    alone, or additionally `trials` seeded resamples keeping the best rank."""
-
-    kind: str = "deterministic"
-    trials: int = 32
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("deterministic", "randomized"):
-            raise ValueError(f"unknown policy kind {self.kind!r}")
-
-
-DETERMINISTIC = CoeffPolicy()
 
 
 # ---------------------------------------------------------------- enumeration
@@ -265,50 +244,13 @@ def build_transmissions(inst: GicInstance, part: UserPartition) -> CodingMatrix:
     return CodingMatrix(fld, inst.m, tuple(rows))
 
 
-def _random_block_rows(nY: int, b: int, fld: Field, rng: random.Random) -> list[tuple[int, ...]]:
-    """Random generator rows that are still MDS: nonzero entries for a single
-    parity row, a row/column-scaled Cauchy matrix otherwise."""
-    if b == 1:
-        return [tuple(rng.randrange(1, fld.order) for _ in range(nY))]
-    pts = rng.sample(range(fld.order), b + nY)
-    a, bs = pts[:b], pts[b:]
-    u = [rng.randrange(1, fld.order) for _ in range(b)]
-    v = [rng.randrange(1, fld.order) for _ in range(nY)]
-    return [
-        tuple(fld.mul(u[i], fld.mul(v[j], fld.inv(a[i] ^ bs[j]))) for j in range(nY))
-        for i in range(b)
-    ]
-
-
-def _random_transmissions(
-    inst: GicInstance, plan: Sequence[tuple[list[int], int]], fld: Field, rng: random.Random
-) -> CodingMatrix:
-    rows: list[tuple[int, ...]] = []
-    for Y, b in plan:
-        for coeffs in _random_block_rows(len(Y), b, fld, rng):
-            rows.append(_place(coeffs, Y, inst.m))
-    return CodingMatrix(fld, inst.m, tuple(rows))
-
-
-def iupm_rate(
-    inst: GicInstance, part: UserPartition, policy: CoeffPolicy = DETERMINISTIC
-) -> tuple[int, CodingMatrix, str]:
+def iupm_rate(inst: GicInstance, part: UserPartition) -> tuple[int, CodingMatrix, str]:
     """Rank-reduced rate of a user partition: stack the block transmissions,
     drop dependent rows, transmit the basis.  Returns (rate, basis matrix,
-    label of the coefficient policy that achieved it)."""
-    M = build_transmissions(inst, part)
-    best = (rank(M), M, "deterministic")
-    if policy.kind == "randomized":
-        plan = _block_plan(inst, part)
-        fld = GF256 if any(b > 1 for _, b in plan) or M.field.w > 1 else GF2
-        rng = random.Random(policy.seed)
-        for t in range(policy.trials):
-            Mt = _random_transmissions(inst, plan, fld, rng)
-            r = rank(Mt)
-            if r < best[0]:
-                best = (r, Mt, f"randomized[trial={t},seed={policy.seed}]")
-    r, M, label = best
-    return r, row_basis(M), label
+    coefficient policy label); the coefficients are always the deterministic
+    ones of `build_transmissions`."""
+    basis = row_basis(build_transmissions(inst, part))
+    return basis.nrows, basis, "deterministic"
 
 
 # ---------------------------------------------------------------- exhaustive search
@@ -470,41 +412,23 @@ def exhaustive_upm(inst: GicInstance, cap: int = DEFAULT_CAP) -> SchemeSolution:
 # as blocks are added, which bounds every completion of a partial partition.
 
 
-def _salted(policy: CoeffPolicy, a: Sequence[int]) -> CoeffPolicy:
-    """The policy scoring the partition with RGS a: a randomized policy gets
-    a seed derived from the string, so each partition draws its own rows."""
-    if policy.kind == "deterministic":
-        return policy
-    salt = policy.seed
-    for d in a:
-        salt = salt * 31 + d + 1
-    return CoeffPolicy("randomized", policy.trials, salt)
-
-
-def exhaustive_iupm(
-    inst: GicInstance,
-    cap: int = DEFAULT_CAP,
-    policy: CoeffPolicy = DETERMINISTIC,
-) -> SchemeSolution:
+def exhaustive_iupm(inst: GicInstance, cap: int = DEFAULT_CAP) -> SchemeSolution:
     """Minimum rank-reduced rate over every user partition (the first optimum
     in enumeration order); the witness keeps the reduced basis as its
     transmissions.
 
-    Deterministic coefficients: a depth-first search over blocks that prunes
-    a branch once its rank exceeds the incumbent's, or equals it while the
-    branch's smallest completion (all unassigned users in one block) is
-    already a later string.  Randomized coefficients prune nothing: each
-    partition with a multi-row block is scored by iupm_rate under its own
-    salted seed."""
+    A depth-first search over blocks that prunes a branch once its rank
+    exceeds the incumbent's, or equals it while the branch's smallest
+    completion (all unassigned users in one block) is already a later
+    string."""
     ids = inst.user_ids
     n = len(ids)
     if n > cap:
         raise PartitionCapError(f"{n} users exceed enumeration cap {cap}")
     cost, ymask = _user_cost_table(inst)
     width, ones = _packing(n)
-    prune = policy.kind == "deterministic"
     block_rows: dict[int, list[int]] = {}
-    best: list = [None]  # (score, packed RGS) of the incumbent
+    best: list = [None]  # (rank, packed RGS) of the incumbent
 
     def rows_of(B: int) -> list[int]:
         rows = block_rows.get(B)
@@ -514,14 +438,10 @@ def exhaustive_iupm(
             rows = block_rows[B] = [pack_row(_place(coeffs, Y, inst.m)) for coeffs in gen.rows]
         return rows
 
-    def search(U: int, label: int, code: int, basis: Echelon, wide: bool) -> None:
+    def search(U: int, label: int, code: int, basis: Echelon) -> None:
         if not U:
-            r = len(basis)
-            if not prune and wide:
-                a = _unpack(code, n, width)
-                r = iupm_rate(inst, _user_partition(ids, a), _salted(policy, a))[0]
-            if best[0] is None or (r, code) < best[0]:
-                best[0] = (r, code)
+            if best[0] is None or (len(basis), code) < best[0]:
+                best[0] = (len(basis), code)
             return
         low = U & -U
         rest = U ^ low
@@ -531,7 +451,7 @@ def exhaustive_iupm(
             left = U ^ B
             code2 = code + label * ones[B]
             limit = inst.m  # the highest rank worth extending
-            if prune and best[0] is not None:
+            if best[0] is not None:
                 best_r, best_code = best[0]
                 limit = best_r if code2 + (label + 1) * ones[left] < best_code else best_r - 1
             child = basis.copy()
@@ -540,13 +460,12 @@ def exhaustive_iupm(
                     break
                 child.insert(row)
             if len(child) <= limit:
-                search(left, label + 1, code2, child, wide or cost[B] != 1)
+                search(left, label + 1, code2, child)
             if not sub:
                 break
             sub = (sub - 1) & rest
 
-    search((1 << n) - 1, 0, 0, Echelon(inst.m), False)
-    a = _unpack(best[0][1], n, width)
-    part = _user_partition(ids, a)
-    rate, basis, label = iupm_rate(inst, part, _salted(policy, a))
+    search((1 << n) - 1, 0, 0, Echelon(inst.m))
+    part = _user_partition(ids, _unpack(best[0][1], n, width))
+    rate, basis, label = iupm_rate(inst, part)
     return SchemeSolution("iupm-exhaustive", rate, part, basis, policy=label)

@@ -10,7 +10,6 @@ from itertools import combinations
 
 from gicast import (
     CodingMatrix,
-    CoeffPolicy,
     GF256,
     SchemeSolution,
     UserPartition,
@@ -66,7 +65,7 @@ def test_criterion_02_six_group_family_reduction():
         part = UserPartition.of(gs.user_groups())
         urate, _ = upm_rate(inst, part)
         assert urate == 6
-        irate, basis, _ = iupm_rate(inst, part, CoeffPolicy())
+        irate, basis, _ = iupm_rate(inst, part)
         assert irate == 5
         full = build_transmissions(inst, part)
         kept = set(basis.rows)
@@ -82,7 +81,7 @@ def test_criterion_03_twenty_packet_group_rank(ex3):
     with criterion(3, "20-packet fixture: group-XOR rank 10, 60 receivers decode", 1.0):
         part = group_partition(ex3)
         assert len(part.blocks) == 15
-        rate, basis, _ = iupm_rate(ex3, part, CoeffPolicy())
+        rate, basis, _ = iupm_rate(ex3, part)
         assert rate == 10
         assert basis.nrows == 10
         sol = SchemeSolution("iupm-group", rate, part, basis)
@@ -99,7 +98,7 @@ def test_criterion_04_family_group_rates():
             urate, overlaps = upm_rate(inst, part)
             assert urate == k
             assert all(c == k - 2 for c in overlaps)
-            irate, basis, _ = iupm_rate(inst, part, CoeffPolicy())
+            irate, basis, _ = iupm_rate(inst, part)
             assert irate == k - 1
             # XOR of the first k-1 group rows equals the k-th
             M = build_transmissions(inst, part)
@@ -161,7 +160,7 @@ def test_criterion_09_decode_certification(ex1, ex3):
             (ex1, run_heuristic(ex1, "packet")),
         ]
         part3 = group_partition(ex3)
-        rate3, basis3, _ = iupm_rate(ex3, part3, CoeffPolicy())
+        rate3, basis3, _ = iupm_rate(ex3, part3)
         solutions.append((ex3, SchemeSolution("iupm-group", rate3, part3, basis3)))
         for k in (4, 6):
             inst, gs = generate_k2(k)
@@ -169,7 +168,7 @@ def test_criterion_09_decode_certification(ex1, ex3):
             solutions.append((inst, SchemeSolution(
                 "upm-group", upm_rate(inst, part)[0], part, build_transmissions(inst, part)
             )))
-            rate, basis, _ = iupm_rate(inst, part, CoeffPolicy())
+            rate, basis, _ = iupm_rate(inst, part)
             solutions.append((inst, SchemeSolution("iupm-group", rate, part, basis)))
             solutions.append((inst, run_heuristic(inst, "user")))
             solutions.append((inst, run_heuristic(inst, "packet")))

@@ -119,11 +119,8 @@ def test_solve_heuristic_packet_variant_tag(capsys):
     assert "variant=CAPM-variant" in out
 
 
-def test_solve_randomized_prints_seed(capsys):
-    rc, out, _ = run(
-        capsys, "solve", EX1, "--scheme", "iupm-exhaustive",
-        "--randomized", "--seed", "7", "--format", "records",
-    )
+def test_solve_prints_seed(capsys):
+    rc, out, _ = run(capsys, "solve", EX1, "--scheme", "iupm-exhaustive", "--seed", "7", "--format", "records")
     assert rc == 0
     (rec,) = records(out)
     assert rec["seed"] == "7"
@@ -158,7 +155,7 @@ def test_main_keeps_no_state_between_calls(tmp_path, capsys):
     argvs = [
         ["solve", EX1, "--scheme", "upm-exhaustive", "--cap-override", "0"],
         ["solve", EX1, "--scheme", "upm-exhaustive"],
-        ["solve", EX1, "--scheme", "iupm-exhaustive", "--randomized", "--seed", "7", "--format", "records", "--trace"],
+        ["solve", EX1, "--scheme", "iupm-exhaustive", "--seed", "7", "--format", "records", "--trace"],
         ["solve", EX1, "--scheme", "iupm-exhaustive"],
         ["table", "--k", "2:3", "--out", str(tmp_path / "t.txt")],
         ["gen", "--k", "2"],
@@ -197,6 +194,17 @@ def test_solve_budget_exceeded_exit(tmp_path, capsys):
     rc, _, err = run(capsys, "solve", str(fam), "--scheme", "minrank")
     assert rc == 2
     assert "budget" in err
+
+
+def test_solve_field_too_small_exit(tmp_path, capsys):
+    # at k=17 one heuristic-packet subset needs a (136, 121) Cauchy code
+    fam = tmp_path / "k17.gic"
+    main(["gen", "--k", "17", "--out", str(fam)])
+    capsys.readouterr()
+    rc, out, err = run(capsys, "solve", str(fam), "--scheme", "heuristic-packet")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: GF(2^8) too small for a Cauchy matrix: need order >= 257\n"
 
 
 def test_solve_missing_file_exit(capsys):
@@ -248,6 +256,39 @@ def test_table_k6_row(capsys):
     # both exhaustive columns out of reach at k=6
     assert rec["ppm_exh"] == "-"
     assert rec["minrank"] == "-"
+
+
+def test_table_k17_field_too_small_cell(capsys):
+    rc, out, _ = run(capsys, "table", "--k", "17", "--format", "records")
+    assert rc == 0
+    assert out == (
+        "k=17 m=136 ppm_bound=46.3333 ppm_exh=- upm_group=17 iupm_group=16 "
+        "heur_user=17 heur_packet=- minrank=-\n"
+    )
+
+
+def test_table_cells_equal_solve_rates(tmp_path, capsys):
+    rc, out, _ = run(capsys, "table", "--k", "3:5", "--format", "records")
+    assert rc == 0
+    columns = {
+        "ppm_exh": "ppm-exhaustive",
+        "upm_group": "upm-group",
+        "iupm_group": "iupm-group",
+        "heur_user": "heuristic-user",
+        "heur_packet": "heuristic-packet",
+        "minrank": "minrank",
+    }
+    for row in records(out):
+        fam = tmp_path / f"k{row['k']}.gic"
+        main(["gen", "--k", row["k"], "--out", str(fam)])
+        for col, scheme in columns.items():
+            rc, out, _ = run(capsys, "solve", str(fam), "--scheme", scheme, "--format", "records")
+            if row[col] == "-":
+                assert rc == 2, (row["k"], col)
+                continue
+            assert rc == 0, (row["k"], col)
+            (rec,) = records(out)
+            assert rec["value" if scheme == "minrank" else "rate"] == row[col], (row["k"], col)
 
 
 def test_table_human_format_aligned(capsys):

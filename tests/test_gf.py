@@ -9,6 +9,7 @@ from gicast import GF2, GF256, CodingMatrix, field
 from gicast.gf import (
     Decoding,
     Echelon,
+    FieldSizeError,
     conditional_entropy,
     mds_generator,
     pack_row,
@@ -167,7 +168,7 @@ def test_mds_minors_n4_r2():
 def test_mds_rejects_bad_shapes():
     with pytest.raises(ValueError):
         mds_generator(2, 3, GF256)
-    with pytest.raises(ValueError):
+    with pytest.raises(FieldSizeError):
         mds_generator(200, 100, GF256)  # 2^8 < n + r
 
 

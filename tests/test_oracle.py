@@ -34,7 +34,6 @@ from gicast import (
     upm_rate,
 )
 from gicast.gf import Decoder, Decoding
-from gicast.partition import CoeffPolicy
 
 from conftest import bitmask_rank, random_instance
 
@@ -148,7 +147,7 @@ def test_simulate_flags_undecodable_user():
 def test_simulate_k6_reduced_rows():
     inst, gs = generate_k2(6)
     part = UserPartition.of(gs.user_groups())
-    rate, basis, label = iupm_rate(inst, part, CoeffPolicy())
+    rate, basis, label = iupm_rate(inst, part)
     sol = SchemeSolution("iupm-group", rate, part, basis, policy=label)
     assert simulate_decode(inst, sol).passed
 
@@ -189,7 +188,7 @@ def every_solution(inst: GicInstance) -> list[SchemeSolution]:
     searches only on instances small enough to be quick."""
     part = group_partition(inst)
     urate, _ = upm_rate(inst, part)
-    irate, basis, label = iupm_rate(inst, part, CoeffPolicy())
+    irate, basis, label = iupm_rate(inst, part)
     sols = [
         SchemeSolution("upm-group", urate, part, build_transmissions(inst, part)),
         SchemeSolution("iupm-group", irate, part, basis, policy=label),

@@ -7,7 +7,6 @@ import pytest
 from gicast import (
     GF2,
     GF256,
-    CoeffPolicy,
     PacketPartition,
     PartitionCapError,
     UserId,
@@ -230,7 +229,7 @@ def test_transmissions_wide_block_uses_extension_field(ex1):
 def test_iupm_k6_drops_one_row():
     inst, gs = generate_k2(6)
     part = UserPartition.of(gs.user_groups())
-    rate, basis, label = iupm_rate(inst, part, CoeffPolicy())
+    rate, basis, label = iupm_rate(inst, part)
     assert rate == 5
     assert basis.nrows == 5
     assert label == "deterministic"
@@ -251,16 +250,8 @@ def test_iupm_disjoint_blocks_full_rank():
     P = UserPartition.of([
         {UserId(1, 1), UserId(2, 1)}, {UserId(3, 1), UserId(4, 1)},
     ])
-    rate, basis, _ = iupm_rate(inst, P, CoeffPolicy())
+    rate, basis, _ = iupm_rate(inst, P)
     assert rate == 2 == basis.nrows
-
-
-def test_iupm_randomized_policy_never_worse(ex1):
-    part = group_partition(ex1)
-    det, _, _ = iupm_rate(ex1, part, CoeffPolicy())
-    rnd, _, label = iupm_rate(ex1, part, CoeffPolicy("randomized", trials=8, seed=1))
-    assert rnd <= det
-    assert label == "deterministic" or label.startswith("randomized[")
 
 
 # ------------------------------------------------------------- exhaustive
@@ -327,20 +318,10 @@ def _users(inst, blocks):
     return UserPartition.of([ids[x - 1] for x in blk] for blk in blocks)
 
 
-def _iupm_reference(inst, policy):
-    def salted(rgs):
-        if policy.kind == "deterministic":
-            return policy
-        salt = policy.seed
-        for d in rgs:
-            salt = salt * 31 + d + 1
-        return CoeffPolicy("randomized", policy.trials, salt)
-
-    blocks, rgs = _first_optimum(
-        len(inst.user_ids), lambda b, a: iupm_rate(inst, _users(inst, b), salted(a))[0]
-    )
+def _iupm_reference(inst):
+    blocks, _ = _first_optimum(len(inst.user_ids), lambda b, _: iupm_rate(inst, _users(inst, b))[0])
     part = _users(inst, blocks)
-    r, basis, label = iupm_rate(inst, part, salted(rgs))
+    r, basis, label = iupm_rate(inst, part)
     return r, part, basis.rows, label
 
 
@@ -359,15 +340,7 @@ def test_exhaustive_searches_match_brute_force():
         rows = build_transmissions(inst, part).rows
         assert _summary(exhaustive_upm(inst)) == (upm_rate(inst, part)[0], part, rows, "deterministic")
 
-        assert _summary(exhaustive_iupm(inst)) == _iupm_reference(inst, CoeffPolicy())
-
-
-def test_exhaustive_iupm_randomized_matches_brute_force():
-    rng = random.Random(5)
-    for seed in range(4):
-        inst = random_instance(rng, max_m=4, max_users=6)
-        policy = CoeffPolicy("randomized", trials=4, seed=seed)
-        assert _summary(exhaustive_iupm(inst, policy=policy)) == _iupm_reference(inst, policy)
+        assert _summary(exhaustive_iupm(inst)) == _iupm_reference(inst)
 
 
 def test_exhaustive_iupm_k4_family():
