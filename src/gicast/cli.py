@@ -7,7 +7,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .gf import FieldSizeError
@@ -75,77 +74,44 @@ COLUMNS = {
 }
 
 
-@dataclass
-class Record:
-    """One computed result destined for output."""
-
-    fields: list[tuple[str, str]]
-
-    def line(self) -> str:
-        return " ".join(f"{k}={v}" for k, v in self.fields)
-
-
-def _solve_one(inst: GicInstance, scheme: str, args) -> tuple[Record, bool, SchemeSolution | None]:
-    """Run one scheme; returns (record, ok, solution-if-any)."""
+def _solve_one(inst: GicInstance, scheme: str, args) -> tuple[str, bool, SchemeSolution | None]:
+    """Run one scheme; returns (record line, verdict passed, solution-if-any)."""
     cap = args.cap_override if args.cap_override is not None else DEFAULT_CAP
     t0 = time.perf_counter()
     result = SOLVERS[scheme](inst, group_partition(inst), cap)
-    if scheme == "minrank":
-        ms = round((time.perf_counter() - t0) * 1000)
-        rec = Record(
-            [
-                ("scheme", "minrank"),
-                ("value", str(result)),
-                ("label", "scalar-linear-gf2-optimum"),
-                ("time_ms", str(ms)),
-                ("verified", "n/a"),
-            ]
-        )
-        return rec, True, None
-    report = simulate_decode(inst, result, seed=args.seed)
+    passed = scheme == "minrank" or simulate_decode(inst, result, seed=args.seed).passed
     ms = round((time.perf_counter() - t0) * 1000)
-    rec = Record(
-        [
-            ("scheme", scheme),
-            ("rate", str(result.rate)),
-            ("time_ms", str(ms)),
-            ("verified", "pass" if report.passed else "FAIL"),
-            ("seed", str(args.seed)),
-            ("policy", result.policy),
-        ]
-    )
+    if scheme == "minrank":
+        return f"scheme=minrank value={result} label=scalar-linear-gf2-optimum time_ms={ms} verified=n/a", True, None
+    verdict = "pass" if passed else "FAIL"
+    line = f"scheme={scheme} rate={result.rate} time_ms={ms} verified={verdict} seed={args.seed} policy={result.policy}"
     if scheme == "heuristic-packet":
-        rec.fields.append(("variant", "CAPM-variant"))
-    return rec, report.passed, result
+        line += " variant=CAPM-variant"
+    return line, passed, result
+
+
+def _read_instance(path: str) -> GicInstance:
+    """Load and validate the UTF-8 instance file at path.  An unreadable or
+    undecodable file raises OSError or UnicodeDecodeError, which `main`
+    reports with exit 2."""
+    with open(path, encoding="utf-8") as fh:
+        return load_instance(fh.read())
 
 
 def cmd_solve(args) -> int:
     try:
-        with open(args.instance) as fh:
-            inst = load_instance(fh.read())
-    except (OSError, InstanceFormatError, InvalidInstanceError) as e:
+        inst = _read_instance(args.instance)
+        line, passed, sol = _solve_one(inst, args.scheme, args)
+    except (InstanceFormatError, InvalidInstanceError, *OUT_OF_REACH) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    out = []
-    ok = True
-    try:
-        rec, passed, sol = _solve_one(inst, args.scheme, args)
-    except OUT_OF_REACH as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    ok = ok and passed
-    out.append(rec.line())
+    out = [line]
     if args.format == "table" and sol is not None:
-        out.append("transmissions:")
-        out.append(sol.matrix.dump())
-        if args.trace and sol.trace:
-            out.append("trace:")
-            out.extend(sol.trace)
-    elif args.trace and sol is not None and sol.trace:
-        out.extend(f"trace: {t}" for t in sol.trace)
-    text = "\n".join(out) + "\n"
-    _emit(text, args.out)
-    return 0 if ok else 1
+        out += ["transmissions:", sol.matrix.dump()]
+    if args.trace and sol is not None and sol.trace:
+        out += ["trace:", *sol.trace] if args.format == "table" else [f"trace: {t}" for t in sol.trace]
+    _emit("\n".join(out) + "\n", args.out)
+    return 0 if passed else 1
 
 
 def cmd_gen(args) -> int:
@@ -160,11 +126,7 @@ def cmd_gen(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        with open(args.instance) as fh:
-            load_instance(fh.read())
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        _read_instance(args.instance)
     except InstanceFormatError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 1
@@ -236,6 +198,8 @@ def cmd_table(args) -> int:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write text to the file out, or to stdout; an unwritable file raises
+    OSError, which `main` reports with exit 2."""
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -289,7 +253,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, UnicodeDecodeError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -31,6 +31,8 @@ __all__ = [
     "row_basis",
     "FieldSizeError",
     "mds_generator",
+    "mds_rows",
+    "residual_rank",
     "conditional_entropy",
     "solve_decode",
 ]
@@ -298,6 +300,31 @@ def mds_generator(n: int, r: int, fld: Field) -> CodingMatrix:
     return CodingMatrix(fld, n, rows)
 
 
+def mds_rows(rows: Sequence[int], r: int) -> list[int]:
+    """r MDS-coded rows from n packed 0/1 content rows, combined by the rows
+    of `mds_generator(n, r, GF256)`: the rows themselves when r = n, their
+    XOR when r = 1, the Cauchy combinations in between."""
+    if r == len(rows):
+        return list(rows)
+    out = []
+    for coeffs in mds_generator(len(rows), r, GF256).rows:
+        acc = 0
+        for f, row in zip(coeffs, rows):
+            acc ^= f * row  # every byte of row is 0 or 1, so this scales it by f
+        out.append(acc)
+    return out
+
+
+def residual_rank(rows: Iterable[int], known: Iterable[int], ncols: int) -> int:
+    """Rank of packed rows once the columns of the known packets are zeroed:
+    what the rows still tell a receiver holding those packets."""
+    unknown = ~column_mask(known)
+    ech = Echelon(ncols)
+    for row in rows:
+        ech.insert(row & unknown)
+    return len(ech)
+
+
 def conditional_entropy(M: CodingMatrix, known: Iterable[int]) -> int:
     """Residual information in M's rows for a receiver holding the packets in
     `known` (1-based): rank after zeroing the known columns."""
@@ -305,11 +332,7 @@ def conditional_entropy(M: CodingMatrix, known: Iterable[int]) -> int:
     for p in kset:
         if not 1 <= p <= M.ncols:
             raise ValueError(f"known packet {p} outside 1..{M.ncols}")
-    unknown = ~column_mask(kset)
-    ech = Echelon(M.ncols)
-    for row in M.rows:
-        ech.insert(pack_row(row) & unknown)
-    return len(ech)
+    return residual_rank(M.packed, kset, M.ncols)
 
 
 @dataclass(frozen=True)

@@ -16,16 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf import (
-    GF2,
-    GF256,
-    CodingMatrix,
-    Echelon,
-    column_mask,
-    mds_generator,
-    unit_row,
-    unpack_row,
-)
+from .gf import GF2, GF256, CodingMatrix, mds_rows, residual_rank, unit_row, unpack_row
 from .model import GicInstance, UserId
 from .partition import SchemeSolution
 
@@ -184,29 +175,6 @@ def _subset_rows(ws: WorkingSubset) -> list[int]:
     return rows
 
 
-def _subset_residual(rows: list[int], side: frozenset[int], m: int) -> int:
-    """Rank of the content rows once the side-information columns are zeroed."""
-    unknown = ~column_mask(side)
-    ech = Echelon(m)
-    for row in rows:
-        ech.insert(row & unknown)
-    return len(ech)
-
-
-def _combine(rows: list[int], rho: int) -> list[int]:
-    """rho coded symbols from the given 0/1 content rows: the rows
-    themselves when none can be spared, else the plain MDS combinations."""
-    if rho == len(rows):
-        return rows
-    out = []
-    for coeffs in mds_generator(len(rows), rho, GF256).rows:
-        acc = 0
-        for f, row in zip(coeffs, rows):
-            acc ^= f * row  # every byte of row is 0 or 1, so this scales it by f
-        out.append(acc)
-    return out
-
-
 def step3_rate(
     inst: GicInstance, subsets: dict[SubsetKey, WorkingSubset], scheme: str, trace: tuple[str, ...] = ()
 ) -> SchemeSolution:
@@ -218,9 +186,9 @@ def step3_rate(
     solution_rows = []
     for ws in finals:
         rows = _subset_rows(ws)
-        rho = max(_subset_residual(rows, inst.side_map[u], inst.m) for u in ws.key.members)
+        rho = max(residual_rank(rows, inst.side_map[u], inst.m) for u in ws.key.members)
         if rho:
-            solution_rows += _combine(rows, rho)
+            solution_rows += mds_rows(rows, rho)
     rows = tuple(unpack_row(row, inst.m) for row in solution_rows)
     fld = GF2 if all(e <= 1 for row in rows for e in row) else GF256
     return SchemeSolution(scheme, len(rows), None, CodingMatrix(fld, inst.m, rows), trace=trace)

@@ -16,15 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .gf import (
-    GF2,
-    GF256,
-    CodingMatrix,
-    Echelon,
-    mds_generator,
-    pack_row,
-    row_basis,
-)
+from .gf import GF2, GF256, CodingMatrix, Echelon, mds_rows, row_basis, unit_row, unpack_row
 from .model import GicInstance, UserId
 
 __all__ = [
@@ -161,30 +153,30 @@ def enumerate_partitions(n: int, cap: int = DEFAULT_CAP) -> Iterator[tuple[tuple
 
 # ---------------------------------------------------------------- block rates
 
-def ppm_rate(inst: GicInstance, part: PacketPartition) -> tuple[int, tuple[int, ...]]:
-    """Rate of a packet partition and the per-block guaranteed-overlap counts:
-    block T costs |T| - min over demanders of packets in T of |A cap T|."""
-    part.check(inst.m)
-    overlaps = []
-    for T in part.blocks:
-        d = min(len(side & T) for uid, side in inst.users if uid.packet in T)
-        overlaps.append(d)
-    rate = sum(len(T) - d for T, d in zip(part.blocks, overlaps))
-    return rate, tuple(overlaps)
+def _block_codes(inst: GicInstance, part: UserPartition) -> list[tuple[list[int], int]]:
+    """Per receiver block W: the packets Y it demands, ascending, and its
+    overlap c = min over W of |A cap Y|.  The block is served by an
+    (|Y|, |Y| - c) MDS code."""
+    part.check(inst)
+    codes = []
+    for W in part.blocks:
+        Y = {uid.packet for uid in W}
+        codes.append((sorted(Y), min(len(inst.side_of(uid) & Y) for uid in W)))
+    return codes
 
 
 def upm_rate(inst: GicInstance, part: UserPartition) -> tuple[int, tuple[int, ...]]:
     """Rate of a user partition and the per-block overlap counts: block W
     demands Y = {packets of W} and costs |Y| - min over W of |A cap Y|."""
-    part.check(inst)
-    overlaps = []
-    rate = 0
-    for W in part.blocks:
-        Y = frozenset(uid.packet for uid in W)
-        c = min(len(inst.side_of(uid) & Y) for uid in W)
-        overlaps.append(c)
-        rate += len(Y) - c
-    return rate, tuple(overlaps)
+    codes = _block_codes(inst, part)
+    return sum(len(Y) - c for Y, c in codes), tuple(c for _, c in codes)
+
+
+def ppm_rate(inst: GicInstance, part: PacketPartition) -> tuple[int, tuple[int, ...]]:
+    """Rate of a packet partition and the per-block guaranteed-overlap counts:
+    block T costs |T| - min over demanders of packets in T of |A cap T|.
+    That is the user-partition rate of `ppm_as_upm`, since UPM subsumes PPM."""
+    return upm_rate(inst, ppm_as_upm(inst, part))
 
 
 def ppm_as_upm(inst: GicInstance, part: PacketPartition) -> UserPartition:
@@ -211,37 +203,16 @@ def group_partition(inst: GicInstance) -> UserPartition:
 
 # ---------------------------------------------------------------- transmissions
 
-def _block_plan(inst: GicInstance, part: UserPartition) -> list[tuple[list[int], int]]:
-    """Per block: ascending demanded packets and the number of coded symbols
-    |Y| - c the block needs."""
-    plan = []
-    for W in part.blocks:
-        Y = sorted({uid.packet for uid in W})
-        c = min(len(inst.side_of(uid) & set(Y)) for uid in W)
-        plan.append((Y, len(Y) - c))
-    return plan
-
-
-def _place(coeffs: Sequence[int], cols: Sequence[int], m: int) -> tuple[int, ...]:
-    row = [0] * m
-    for e, p in zip(coeffs, cols):
-        row[p - 1] = e
-    return tuple(row)
-
-
 def build_transmissions(inst: GicInstance, part: UserPartition) -> CodingMatrix:
-    """Stack per-block MDS transmissions.  Everything stays over GF(2) when
-    each block needs a single parity symbol; any wider block switches the
-    whole stack to GF(256) Cauchy rows."""
-    part.check(inst)
-    plan = _block_plan(inst, part)
-    fld = GF2 if all(b == 1 for _, b in plan) else GF256
-    rows: list[tuple[int, ...]] = []
-    for Y, b in plan:
-        gen = mds_generator(len(Y), b, fld)
-        for coeffs in gen.rows:
-            rows.append(_place(coeffs, Y, inst.m))
-    return CodingMatrix(fld, inst.m, tuple(rows))
+    """Stack per-block MDS transmissions: block Y with overlap c sends the
+    `mds_rows` of its unit rows, b = |Y| - c of them.  The stack stays over
+    GF(2) when every block sends exactly one row, its parity; otherwise it is
+    over GF(256), where a block with b = |Y| sends its unit rows and only a
+    block with 1 < b < |Y| sends Cauchy rows."""
+    codes = _block_codes(inst, part)
+    rows = [row for Y, c in codes for row in mds_rows([unit_row(p) for p in Y], len(Y) - c)]
+    fld = GF2 if len(rows) == len(codes) else GF256  # every block sends one row
+    return CodingMatrix(fld, inst.m, tuple(unpack_row(row, inst.m) for row in rows))
 
 
 def iupm_rate(inst: GicInstance, part: UserPartition) -> tuple[int, CodingMatrix, str]:
@@ -433,9 +404,8 @@ def exhaustive_iupm(inst: GicInstance, cap: int = DEFAULT_CAP) -> SchemeSolution
     def rows_of(B: int) -> list[int]:
         rows = block_rows.get(B)
         if rows is None:
-            Y = [p + 1 for p in range(inst.m) if ymask[B] >> p & 1]
-            gen = mds_generator(len(Y), cost[B], GF256)
-            rows = block_rows[B] = [pack_row(_place(coeffs, Y, inst.m)) for coeffs in gen.rows]
+            units = [unit_row(p + 1) for p in range(inst.m) if ymask[B] >> p & 1]
+            rows = block_rows[B] = mds_rows(units, cost[B])
         return rows
 
     def search(U: int, label: int, code: int, basis: Echelon) -> None:

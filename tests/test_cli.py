@@ -58,6 +58,12 @@ def test_gen_out_file(tmp_path, capsys):
     assert target.read_text().startswith("gic 6\n")
 
 
+def test_gen_unwritable_out_exit(tmp_path, capsys):
+    rc, out, err = run(capsys, "gen", "--k", "3", "--out", str(tmp_path / "missing" / "x.gic"))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and "missing" in err
+
+
 # -------------------------------------------------------------------- solve
 
 SCHEME_RATES = {
@@ -212,6 +218,25 @@ def test_solve_missing_file_exit(capsys):
     assert rc == 2
 
 
+def non_utf8_file(tmp_path):
+    bad = tmp_path / "bom.gic"
+    bad.write_bytes(b"\xff\xfegic 1\nuser 1 1 :\n")
+    return str(bad)
+
+
+def test_solve_non_utf8_file_exit(tmp_path, capsys):
+    rc, out, err = run(capsys, "solve", non_utf8_file(tmp_path), "--scheme", "upm-group")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and "utf-8" in err
+    assert "Traceback" not in err
+
+
+def test_solve_unwritable_out_exit(tmp_path, capsys):
+    rc, out, err = run(capsys, "solve", EX1, "--scheme", "upm-group", "--out", str(tmp_path / "missing" / "o.txt"))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and "missing" in err
+
+
 # ----------------------------------------------------------------- validate
 
 def test_validate_ok(capsys):
@@ -226,6 +251,12 @@ def test_validate_violations(tmp_path, capsys):
     rc, _, err = run(capsys, "validate", str(bad))
     assert rc == 1
     assert "violation: self-inclusion" in err
+
+
+def test_validate_non_utf8_file_exit(tmp_path, capsys):
+    rc, out, err = run(capsys, "validate", non_utf8_file(tmp_path))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and "utf-8" in err
 
 
 # -------------------------------------------------------------------- table

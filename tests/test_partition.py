@@ -23,7 +23,7 @@ from gicast import (
     ppm_rate,
     upm_rate,
 )
-from gicast.gf import rank
+from gicast.gf import mds_generator, rank
 
 from conftest import certify, random_instance
 
@@ -222,6 +222,29 @@ def test_transmissions_wide_block_uses_extension_field(ex1):
     M = build_transmissions(ex1, P)
     assert M.field == GF256
     assert M.nrows == rate == 3
+
+
+def test_transmissions_match_placed_generator_rows():
+    # reference: each block's mds_generator(|Y|, b) rows placed on sorted Y
+    rng = random.Random(20261018)
+    for _ in range(300):
+        inst = random_instance(rng, max_m=6, max_users=9)
+        ids = inst.user_ids
+        labels = [rng.randrange(len(ids)) for _ in ids]
+        part = UserPartition.of([u for u, l in zip(ids, labels) if l == b] for b in set(labels))
+        expect, sizes = [], []
+        for W in part.blocks:
+            Y = sorted({u.packet for u in W})
+            b = len(Y) - min(len(inst.side_of(u) & set(Y)) for u in W)
+            sizes.append(b)
+            for coeffs in mds_generator(len(Y), b, GF256).rows:
+                row = [0] * inst.m
+                for p, f in zip(Y, coeffs):
+                    row[p - 1] = f
+                expect.append(tuple(row))
+        M = build_transmissions(inst, part)
+        assert M.rows == tuple(expect)
+        assert (M.field == GF2) == all(b == 1 for b in sizes)
 
 
 # --------------------------------------------------------------------- iupm
