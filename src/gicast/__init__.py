@@ -40,7 +40,6 @@ from .oracle import (
     DEFAULT_FREE_BIT_BUDGET,
     DecodeReport,
     MinrankBudgetError,
-    MinrankTemplate,
     minrank_gf2,
     simulate_decode,
 )

@@ -4,7 +4,9 @@ Coefficients live in GF(2) or GF(2^8), each with log/antilog tables over a
 fixed irreducible polynomial.  GF(2) is a subfield of GF(2^8), and rank does
 not change under a field extension, so one elimination kernel, `Echelon`,
 serves matrices over both: a row is packed into a Python int, one byte per
-column; rows add by XOR and scale through `bytes.translate`.
+column; rows add by XOR and scale through `bytes.translate`.  A coded
+matrix built from packed rows, `CodingMatrix.of_packed`, is over GF(2)
+exactly when its entries are all 0 or 1.
 """
 
 from __future__ import annotations
@@ -143,6 +145,17 @@ class CodingMatrix:
                 if not 0 <= e < self.field.order:
                     raise ValueError(f"row {r} entry {e} outside {self.field}")
 
+    @staticmethod
+    def of_packed(ncols: int, rows: Sequence[int]) -> "CodingMatrix":
+        """The matrix of rows packed as by `pack_row`, over GF(2) exactly
+        when every entry is 0 or 1 and over GF(2^8) otherwise.  The packed
+        rows are kept as `packed`."""
+        high = ((1 << 8 * ncols) - 1) // 0xFF * 0xFE  # 0xFE in every byte
+        fld = GF256 if any(row & high for row in rows) else GF2
+        M = CodingMatrix(fld, ncols, tuple(unpack_row(row, ncols) for row in rows))
+        M.__dict__["packed"] = tuple(rows)  # the `packed` cache, filled in advance
+        return M
+
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -262,17 +275,19 @@ class Echelon:
 def rank(M: CodingMatrix) -> int:
     """Rank of M over its field."""
     ech = Echelon(M.ncols)
-    for row in M.rows:
-        ech.insert(pack_row(row))
+    for row in M.packed:
+        ech.insert(row)
     return len(ech)
 
 
 def row_basis(M: CodingMatrix) -> CodingMatrix:
     """Greedy maximal independent subset of M's rows, kept in original order.
-    Every dropped row is a linear combination of the kept ones."""
+    Every dropped row is a linear combination of the kept ones.  The basis
+    gets its own field from `CodingMatrix.of_packed`: GF(2) when its rows
+    are all 0/1, even when a dropped row was not."""
     ech = Echelon(M.ncols)
-    keep = tuple(row for row in M.rows if ech.insert(pack_row(row)) is not None)
-    return CodingMatrix(M.field, M.ncols, keep)
+    keep = [row for row in M.packed if ech.insert(row) is not None]
+    return CodingMatrix.of_packed(M.ncols, keep)
 
 
 class FieldSizeError(ValueError):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf import GF2, GF256, CodingMatrix, mds_rows, residual_rank, unit_row, unpack_row
+from .gf import CodingMatrix, mds_rows, residual_rank, unit_row
 from .model import GicInstance, UserId
 from .partition import SchemeSolution
 
@@ -180,8 +180,9 @@ def step3_rate(
 ) -> SchemeSolution:
     """Charge each final subset the worst residual information among its key
     members and realize that rate with one deterministic matrix: the plain
-    MDS combinations of each subset's compressed rows.  The matrix is
-    returned as built; nothing retries other coefficients."""
+    MDS combinations of each subset's compressed rows, over the field
+    `CodingMatrix.of_packed` reads off them.  The matrix is returned as
+    built; nothing retries other coefficients."""
     finals = sorted(subsets.values(), key=lambda ws: (ws.key.level, ws.key))
     solution_rows = []
     for ws in finals:
@@ -189,9 +190,8 @@ def step3_rate(
         rho = max(residual_rank(rows, inst.side_map[u], inst.m) for u in ws.key.members)
         if rho:
             solution_rows += mds_rows(rows, rho)
-    rows = tuple(unpack_row(row, inst.m) for row in solution_rows)
-    fld = GF2 if all(e <= 1 for row in rows for e in row) else GF256
-    return SchemeSolution(scheme, len(rows), None, CodingMatrix(fld, inst.m, rows), trace=trace)
+    matrix = CodingMatrix.of_packed(inst.m, solution_rows)
+    return SchemeSolution(scheme, matrix.nrows, None, matrix, trace=trace)
 
 
 def run_heuristic(inst: GicInstance, init: str = "user") -> SchemeSolution:

@@ -94,11 +94,19 @@ def validate(inst: GicInstance) -> list[str]:
     seen: dict[int, list[int]] = {}
     for uid in ids:
         seen.setdefault(uid.packet, []).append(uid.copy)
-    for i in range(1, inst.m + 1):
-        copies = sorted(seen.get(i, []))
-        if not copies:
-            out.append(f"undemanded packet: {i}")
-        elif copies != list(range(1, len(copies) + 1)):
+    # Walk the demanded packets only, so the cost follows the users, not m;
+    # each gap before one of them, or before m + 1, is one violation.
+    prev = 0
+    for i in sorted(p for p in seen if 1 <= p <= inst.m) + [inst.m + 1]:
+        if i == prev + 2:
+            out.append(f"undemanded packet: {prev + 1}")
+        elif i > prev + 2:
+            out.append(f"undemanded packets: {prev + 1}..{i - 1}")
+        prev = i
+        if i > inst.m:
+            break
+        copies = sorted(seen[i])
+        if copies != list(range(1, len(copies) + 1)):
             out.append(f"packet {i}: copy indices {copies} not contiguous from 1")
     for i in seen:
         if not 1 <= i <= inst.m:

@@ -19,7 +19,6 @@ from .partition import SchemeSolution
 __all__ = [
     "DEFAULT_FREE_BIT_BUDGET",
     "MinrankBudgetError",
-    "MinrankTemplate",
     "minrank_gf2",
     "DecodeReport",
     "simulate_decode",
@@ -33,25 +32,6 @@ class MinrankBudgetError(ValueError):
     """Completion space too large for the configured free-bit budget."""
 
 
-@dataclass(frozen=True)
-class MinrankTemplate:
-    """Per receiver: the forced demanded-column bit and the free columns."""
-
-    m: int
-    rows: tuple[tuple[int, tuple[int, ...]], ...]
-
-    @staticmethod
-    def from_instance(inst: GicInstance) -> "MinrankTemplate":
-        rows = tuple(
-            (1 << (uid.packet - 1), tuple(sorted(side))) for uid, side in inst.users
-        )
-        return MinrankTemplate(inst.m, rows)
-
-    @property
-    def free_bits(self) -> int:
-        return sum(len(cols) for _, cols in self.rows)
-
-
 def minrank_gf2(inst: GicInstance, budget: int = DEFAULT_FREE_BIT_BUDGET) -> int:
     """Minimum rank over GF(2) over all completions of the instance template.
 
@@ -59,23 +39,21 @@ def minrank_gf2(inst: GicInstance, budget: int = DEFAULT_FREE_BIT_BUDGET) -> int
     completions while maintaining an echelon basis; branches whose partial
     rank already reaches the incumbent are cut, which prunes without ever
     changing the exact minimum."""
-    tmpl = MinrankTemplate.from_instance(inst)
-    if tmpl.free_bits > budget:
-        raise MinrankBudgetError(
-            f"{tmpl.free_bits} free cells exceed the budget of {budget}"
-        )
+    free = sum(len(side) for _, side in inst.users)
+    if free > budget:
+        raise MinrankBudgetError(f"{free} free cells exceed the budget of {budget}")
     # Packed 0/1 rows: the echelon works over GF(256), whose rank on them is
     # the GF(2) rank.
     candidates: list[list[int]] = []
-    for base, cols in tmpl.rows:
-        opts = [unit_row(base.bit_length())]  # the forced demanded column
-        for p in cols:
+    for uid, side in inst.users:
+        opts = [unit_row(uid.packet)]  # the forced demanded column
+        for p in sorted(side):  # the free side-information columns
             opts = opts + [o | unit_row(p) for o in opts]
         candidates.append(opts)
 
     nrows = len(candidates)
     best = nrows + 1
-    basis = Echelon(tmpl.m)
+    basis = Echelon(inst.m)
 
     def walk(idx: int) -> None:
         nonlocal best

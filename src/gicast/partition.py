@@ -1,9 +1,10 @@
 """Partition-based multicast schemes and exhaustive minimization.
 
-Two scheme families share per-block cost tables: packet partitions (each
-block multicast with an MDS code sized by the worst-informed demander) and
-user partitions (blocks of receivers, coded over the packets the block
-demands).  Stacking the user-partition transmissions and dropping linearly
+Two scheme families share one block-cost table builder: packet partitions
+(each block multicast with an MDS code sized by the worst-informed demander)
+and user partitions (blocks of receivers, coded over the packets the block
+demands); a packet block costs what the user block of its demanders costs.
+Stacking the user-partition transmissions and dropping linearly
 dependent rows gives the rank-reduced variant.  The packet- and
 user-partition rates are sums of block costs, so their exhaustive searches
 are a subset DP in O(3^n); the rank-reduced search is a depth-first search
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .gf import GF2, GF256, CodingMatrix, Echelon, mds_rows, row_basis, unit_row, unpack_row
+from .gf import CodingMatrix, Echelon, mds_rows, row_basis, unit_row
 from .model import GicInstance, UserId
 
 __all__ = [
@@ -205,14 +206,13 @@ def group_partition(inst: GicInstance) -> UserPartition:
 
 def build_transmissions(inst: GicInstance, part: UserPartition) -> CodingMatrix:
     """Stack per-block MDS transmissions: block Y with overlap c sends the
-    `mds_rows` of its unit rows, b = |Y| - c of them.  The stack stays over
-    GF(2) when every block sends exactly one row, its parity; otherwise it is
-    over GF(256), where a block with b = |Y| sends its unit rows and only a
-    block with 1 < b < |Y| sends Cauchy rows."""
+    `mds_rows` of its unit rows, b = |Y| - c of them: its parity when b = 1,
+    its unit rows when b = |Y|, Cauchy rows in between.  The stack is over
+    the field `CodingMatrix.of_packed` reads off its rows: GF(2) unless some
+    block sends Cauchy rows."""
     codes = _block_codes(inst, part)
     rows = [row for Y, c in codes for row in mds_rows([unit_row(p) for p in Y], len(Y) - c)]
-    fld = GF2 if len(rows) == len(codes) else GF256  # every block sends one row
-    return CodingMatrix(fld, inst.m, tuple(unpack_row(row, inst.m) for row in rows))
+    return CodingMatrix.of_packed(inst.m, rows)
 
 
 def iupm_rate(inst: GicInstance, part: UserPartition) -> tuple[int, CodingMatrix, str]:
@@ -281,61 +281,55 @@ def _min_partition_sum(n: int, cost: Sequence[int]) -> tuple[int, list[int]]:
     return key >> shift, _unpack(key & ((1 << shift) - 1), n, width)
 
 
-def _user_cost_table(inst: GicInstance) -> tuple[list[int], list[int]]:
-    """cost[mask] = |Y| - c for the receiver block given by mask over the
-    canonical user order, and ymask[mask] = the packets Y it demands."""
-    ids = inst.user_ids
-    n = len(ids)
-    pmask = [1 << (uid.packet - 1) for uid in ids]
-    smask = []
-    for uid in ids:
-        s = 0
-        for p in inst.side_of(uid):
-            s |= 1 << (p - 1)
-        smask.append(s)
-    cost = [0] * (1 << n)
-    ymask = [0] * (1 << n)
-    for mask in range(1, 1 << n):
+def _cost_table(
+    demand: Sequence[int], holders: Sequence[int], sides: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """Block costs over every subset of members, as bitmasks.  Member t
+    demands the packets in demand[t] and stands for the receivers in
+    holders[t]; receiver h holds the packets in sides[h].  Block mask
+    demands Y = ymask[mask], the union of its members' demands, and costs
+    cost[mask] = |Y| minus the smallest |sides[h] & Y| over the receivers
+    it stands for: the rule of `_block_codes`.  Returns (cost, ymask)."""
+    size = 1 << len(demand)
+    cost = [0] * size
+    ymask = [0] * size
+    hmask = [0] * size
+    for mask in range(1, size):
         low = mask & -mask
         t = low.bit_length() - 1
-        y = ymask[mask ^ low] | pmask[t]
-        ymask[mask] = y
-        c = None
-        mm = mask
-        while mm:
-            lb = mm & -mm
-            u = lb.bit_length() - 1
-            o = (smask[u] & y).bit_count()
-            if c is None or o < c:
+        y = ymask[mask] = ymask[mask ^ low] | demand[t]
+        hs = hmask[mask] = hmask[mask ^ low] | holders[t]
+        ny = c = y.bit_count()
+        while hs:
+            lb = hs & -hs
+            o = (sides[lb.bit_length() - 1] & y).bit_count()
+            if o < c:
                 c = o
-            mm ^= lb
-        cost[mask] = y.bit_count() - c
+            hs ^= lb
+        cost[mask] = ny - c
     return cost, ymask
 
 
+def _side_masks(inst: GicInstance) -> list[int]:
+    """Each receiver's side packets as a bitmask, bit p - 1 for packet p, in
+    the canonical user order."""
+    return [sum(1 << (p - 1) for p in side) for _, side in inst.users]
+
+
+def _user_cost_table(inst: GicInstance) -> tuple[list[int], list[int]]:
+    """`_cost_table` over receiver blocks: member t is user t."""
+    ids = inst.user_ids
+    demand = [1 << (uid.packet - 1) for uid in ids]
+    return _cost_table(demand, [1 << t for t in range(len(ids))], _side_masks(inst))
+
+
 def _packet_cost_table(inst: GicInstance) -> list[int]:
-    """cost[mask] = |T| - d for the packet block given by mask."""
-    m = inst.m
-    sides_by_packet: list[list[int]] = [[] for _ in range(m)]
-    for uid, side in inst.users:
-        s = 0
-        for p in side:
-            s |= 1 << (p - 1)
-        sides_by_packet[uid.packet - 1].append(s)
-    cost = [0] * (1 << m)
-    for mask in range(1, 1 << m):
-        d = None
-        mm = mask
-        while mm:
-            lb = mm & -mm
-            i = lb.bit_length() - 1
-            for s in sides_by_packet[i]:
-                o = (s & mask).bit_count()
-                if d is None or o < d:
-                    d = o
-            mm ^= lb
-        cost[mask] = mask.bit_count() - d
-    return cost
+    """`_cost_table` over packet blocks: member t is packet t + 1 and
+    stands for its demanders, as in `ppm_as_upm`."""
+    holders = [0] * inst.m
+    for t, uid in enumerate(inst.user_ids):
+        holders[uid.packet - 1] |= 1 << t
+    return _cost_table([1 << t for t in range(inst.m)], holders, _side_masks(inst))[0]
 
 
 def _rgs_to_blocks(a: Sequence[int]) -> list[list[int]]:
@@ -377,9 +371,9 @@ def exhaustive_upm(inst: GicInstance, cap: int = DEFAULT_CAP) -> SchemeSolution:
 # IUPM's objective, the rank of the stacked block rows, is not a sum of block
 # costs.  A block's deterministic rows depend only on its users, so each block
 # mask's rows are built once and inserted into an Echelon as the search picks
-# the block of the lowest unassigned user.  Rows that are all 0/1 have the
-# same rank over GF(2) as over GF(256), so the one echelon also scores the
-# partitions that build_transmissions keeps over GF(2).  Rank only grows
+# the block of the lowest unassigned user.  Rank does not change under a
+# field extension, so the one GF(256) echelon scores every partition,
+# whichever field `CodingMatrix.of_packed` gives its rows.  Rank only grows
 # as blocks are added, which bounds every completion of a partial partition.
 
 

@@ -128,6 +128,17 @@ def test_row_basis_keeps_original_rows():
     assert B.rows == ((1, 1, 0, 0), (0, 0, 1, 1))
 
 
+def test_of_packed_field_follows_the_entries():
+    rows = [pack_row((1, 0, 1)), pack_row((0, 1, 1))]
+    M = CodingMatrix.of_packed(3, rows)
+    assert (M.field, M.rows, M.packed) == (GF2, ((1, 0, 1), (0, 1, 1)), tuple(rows))
+    assert CodingMatrix.of_packed(3, [pack_row((1, 0, 2))]).field == GF256
+    assert CodingMatrix.of_packed(3, []).field == GF2
+    # a basis that drops the only entry above 1 is over GF(2)
+    B = row_basis(CodingMatrix(GF256, 2, ((1, 0), (0, 1), (1, 7))))
+    assert (B.field, B.rows) == (GF2, ((1, 0), (0, 1)))
+
+
 def test_row_basis_single_row():
     M = CodingMatrix(GF2, 3, ((0, 1, 1),))
     assert row_basis(M).rows == M.rows

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a gicast module imports is used in it."""
+"""Source hygiene: every name a gicast module imports is used in it, and
+every name it exports is bound in it."""
 
 import ast
 from pathlib import Path
@@ -31,3 +32,32 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unbound_exports(source: str) -> list[str]:
+    """Names listed in the module's `__all__` that no top-level statement
+    of it binds: a def, a class, an assignment or an import."""
+    tree = ast.parse(source)
+    bound, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                exported = [elt.value for elt in node.value.elts]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    return [name for name in exported if name not in bound]
+
+
+def test_unbound_exports_are_found():
+    source = "import os\nfrom a import b\nX: int = 1\nY = Z = 2\ndef f(): pass\nclass C: pass\n"
+    source += "__all__ = ['os', 'b', 'X', 'Z', 'f', 'C', 'Gone', 'g']\n"
+    assert unbound_exports(source) == ["Gone", "g"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_binds_every_export(path):
+    assert unbound_exports(path.read_text()) == []

@@ -52,6 +52,18 @@ def test_validate_undemanded_packet():
     assert "3" in msgs[0]
 
 
+def test_validate_reports_an_undemanded_run_once():
+    # a huge header with one user: one short violation, not one per packet
+    inst = GicInstance.make(10**6, [((1, 1), set())])
+    assert validate(inst) == ["undemanded packets: 2..1000000"]
+    inst = GicInstance.make(6, [((2, 1), set()), ((4, 1), set())])
+    assert validate(inst) == [
+        "undemanded packet: 1",
+        "undemanded packet: 3",
+        "undemanded packets: 5..6",
+    ]
+
+
 def test_validate_copy_gap():
     inst = GicInstance.make(1, [((1, 1), set()), ((1, 3), set())])
     assert any("copy" in v for v in validate(inst))

@@ -14,7 +14,6 @@ from gicast import (
     GF256,
     GicInstance,
     MinrankBudgetError,
-    MinrankTemplate,
     SchemeSolution,
     UserId,
     UserPartition,
@@ -111,13 +110,6 @@ def test_minrank_relabel_invariance():
             copies[p] = copies.get(p, 0) + 1
             relabeled.append(((p, copies[p]), {relabel[s] for s in side}))
         assert minrank_gf2(GicInstance.make(inst.m, relabeled)) == base
-
-
-def test_template_shape(ex1):
-    tpl = MinrankTemplate.from_instance(ex1)
-    assert tpl.m == 4
-    assert len(tpl.rows) == 5
-    assert tpl.free_bits == sum(len(s) for _, s in ex1.users)
 
 
 # ---------------------------------------------------------------- simulator
@@ -222,6 +214,7 @@ def test_simulate_verdicts_match_span_test():
         for sol in every_solution(inst):
             M = sol.matrix
             fields.add(M.field)
+            assert (M.field == GF2) == all(e <= 1 for row in M.rows for e in row), sol.scheme
             report = simulate_decode(inst, sol)
             assert all(t is None for _, t, _ in report.failures), "a correct decoding failed a trial"
             undecodable = [uid for uid, _, _ in report.failures]

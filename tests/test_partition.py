@@ -19,11 +19,14 @@ from gicast import (
     generate_k2,
     group_partition,
     iupm_rate,
+    load_instance,
     ppm_as_upm,
     ppm_rate,
+    run_heuristic,
     upm_rate,
 )
 from gicast.gf import mds_generator, rank
+from gicast.partition import _packet_cost_table, _user_cost_table
 
 from conftest import certify, random_instance
 
@@ -232,11 +235,10 @@ def test_transmissions_match_placed_generator_rows():
         ids = inst.user_ids
         labels = [rng.randrange(len(ids)) for _ in ids]
         part = UserPartition.of([u for u, l in zip(ids, labels) if l == b] for b in set(labels))
-        expect, sizes = [], []
+        expect = []
         for W in part.blocks:
             Y = sorted({u.packet for u in W})
             b = len(Y) - min(len(inst.side_of(u) & set(Y)) for u in W)
-            sizes.append(b)
             for coeffs in mds_generator(len(Y), b, GF256).rows:
                 row = [0] * inst.m
                 for p, f in zip(Y, coeffs):
@@ -244,7 +246,34 @@ def test_transmissions_match_placed_generator_rows():
                 expect.append(tuple(row))
         M = build_transmissions(inst, part)
         assert M.rows == tuple(expect)
-        assert (M.field == GF2) == all(b == 1 for b in sizes)
+        assert (M.field == GF2) == all(e <= 1 for row in M.rows for e in row)
+
+
+def test_identity_rows_are_gf2_for_every_scheme():
+    # one block over both users sends the unit rows: no coefficient above 1
+    inst = load_instance("gic 2\nuser 1 1 :\nuser 2 1 :\n")
+    solvers = [exhaustive_ppm, exhaustive_upm, exhaustive_iupm, run_heuristic]
+    for sol in (certify(inst, solve(inst)) for solve in solvers):
+        assert sol.matrix.rows == ((1, 0), (0, 1)), sol.scheme
+        assert sol.matrix.field == GF2, sol.scheme
+
+
+def test_cost_tables_match_block_rates():
+    # block mask costs its upm_rate / ppm_rate beside singletons, which cost 1 each
+    rng = random.Random(8)
+    for _ in range(40):
+        inst = random_instance(rng, max_m=5, max_users=7)
+        ids = inst.user_ids
+        cost, _ = _user_cost_table(inst)
+        for mask in range(1, 1 << len(ids)):
+            W = [u for t, u in enumerate(ids) if mask >> t & 1]
+            part = UserPartition.of([W] + [[u] for u in ids if u not in W])
+            assert cost[mask] == upm_rate(inst, part)[0] - (len(ids) - len(W))
+        cost = _packet_cost_table(inst)
+        for mask in range(1, 1 << inst.m):
+            T = [p for p in range(1, inst.m + 1) if mask >> (p - 1) & 1]
+            part = PacketPartition.of([T] + [[p] for p in range(1, inst.m + 1) if p not in T])
+            assert cost[mask] == ppm_rate(inst, part)[0] - (inst.m - len(T))
 
 
 # --------------------------------------------------------------------- iupm
