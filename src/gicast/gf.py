@@ -1,8 +1,8 @@
 """Finite-field linear algebra for broadcast coding matrices.
 
-Coefficients live in GF(2) or GF(2^8), each with log/antilog tables over a
-fixed irreducible polynomial.  GF(2) is a subfield of GF(2^8), and rank does
-not change under a field extension, so one elimination kernel, `Echelon`,
+Coefficients live in GF(2) or GF(2^8), both multiplied through one GF(2^8)
+log/antilog table built at import.  GF(2) is a subfield of GF(2^8), and rank
+does not change under a field extension, so one elimination kernel, `Echelon`,
 serves matrices over both: a row is packed into a Python int, one byte per
 column; rows add by XOR and scale through `bytes.translate`.  A coded
 matrix built from packed rows, `CodingMatrix.of_packed`, is over GF(2)
@@ -39,50 +39,38 @@ __all__ = [
     "solve_decode",
 ]
 
-# Irreducible polynomial (bit i = coefficient of x^i) and a generator of the
-# multiplicative group, per supported extension degree.  Degree 8 is
-# x^8 + x^4 + x^3 + x + 1, generated by x + 1.
-_FIELDS = {1: (0b11, 1), 8: (0b100011011, 3)}
+
+def _tables() -> tuple[list[int], list[int]]:
+    """Antilog and log tables of GF(2^8) modulo x^8 + x^4 + x^3 + x + 1,
+    whose multiplicative group x + 1 generates: exp[i] = (x + 1)^i, written
+    out to 510 entries so a sum of two logs needs no reduction."""
+    exp = [0] * 510
+    log = [0] * 256
+    x = 1
+    for i in range(255):
+        exp[i] = exp[i + 255] = x
+        log[x] = i
+        x ^= x << 1  # times x + 1
+        if x & 0x100:
+            x ^= 0x11B
+    return exp, log
+
+
+_EXP, _LOG = _tables()
 
 
 class Field:
     """Arithmetic in GF(2) or GF(2^8).  Elements are ints 0..2^w-1;
-    addition is XOR, multiplication goes through log/antilog tables."""
+    addition is XOR, multiplication goes through the one GF(2^8) log/antilog
+    table, which GF(2) shares as its subfield {0, 1}."""
 
-    __slots__ = ("w", "order", "poly", "_exp", "_log")
+    __slots__ = ("w", "order")
 
     def __init__(self, w: int):
-        if w not in _FIELDS:
+        if w not in (1, 8):
             raise ValueError(f"extension degree must be 1 or 8, got {w}")
         self.w = w
         self.order = 1 << w
-        self.poly, gen = _FIELDS[w]
-        self._exp, self._log = self._build_tables(gen)
-
-    def _mul_noTable(self, a: int, b: int) -> int:
-        """Carry-less multiply modulo the field polynomial (table bootstrap)."""
-        r = 0
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a <<= 1
-            if a & self.order:
-                a ^= self.poly
-        return r
-
-    def _build_tables(self, g: int) -> tuple[list[int], list[int]]:
-        n = self.order - 1
-        exp = [0] * (2 * n if n > 1 else 2)
-        log = [0] * self.order
-        x = 1
-        for i in range(n):
-            exp[i] = x
-            log[x] = i
-            x = self._mul_noTable(x, g)
-        for i in range(n, len(exp)):
-            exp[i] = exp[i - n]
-        return exp, log
 
     @staticmethod
     def add(a: int, b: int) -> int:
@@ -91,12 +79,12 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return self._exp[self._log[a] + self._log[b]]
+        return _EXP[_LOG[a] + _LOG[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self._exp[self.order - 1 - self._log[a]]
+        return _EXP[255 - _LOG[a]]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -104,7 +92,7 @@ class Field:
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             return 0 if e else 1
-        return self._exp[(self._log[a] * e) % (self.order - 1)]
+        return _EXP[_LOG[a] * e % 255]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Field) and other.w == self.w
@@ -195,7 +183,7 @@ def _scale_tables() -> list[bytes]:
     """Table f maps every byte x to f * x in GF(2^8), for `bytes.translate`.
     For x != 0, f * x = exp[log f + log x], so translating the logs of
     1..255 through the powers from exp[log f] on gives the table."""
-    exp, log = bytes(GF256._exp), GF256._log
+    exp, log = bytes(_EXP), _LOG
     logs = bytes(log[1:])
     tables = [bytes(256)]
     for f in range(1, 256):
@@ -219,7 +207,8 @@ class Echelon:
     its first nonzero column, and scaled to 1 there.  Only the first `ncols`
     columns are eliminated.  The bytes above them, up to `width` bytes in
     all, ride along: an identity appended there records how a remainder
-    combines the inserted rows."""
+    combines the inserted rows.  An insert never changes the rows already
+    there, so deleting the pivots it returned undoes it."""
 
     __slots__ = ("pivots", "_data", "_width")
 
@@ -230,13 +219,6 @@ class Echelon:
 
     def __len__(self) -> int:
         return len(self.pivots)
-
-    def copy(self) -> "Echelon":
-        new = Echelon.__new__(Echelon)
-        new.pivots = dict(self.pivots)
-        new._data = self._data
-        new._width = self._width
-        return new
 
     def _reduce(self, row: int) -> tuple[int, int]:
         """Subtract pivot rows until the first nonzero column has no pivot;
@@ -274,10 +256,7 @@ class Echelon:
 
 def rank(M: CodingMatrix) -> int:
     """Rank of M over its field."""
-    ech = Echelon(M.ncols)
-    for row in M.packed:
-        ech.insert(row)
-    return len(ech)
+    return residual_rank(M.packed, (), M.ncols)
 
 
 def row_basis(M: CodingMatrix) -> CodingMatrix:
@@ -298,8 +277,10 @@ def mds_generator(n: int, r: int, fld: Field) -> CodingMatrix:
     """Generator matrix of an (n, r) MDS code: r x n with every r x r
     submatrix invertible.  r=1 gives the all-ones parity row, r=n the
     identity; otherwise the Cauchy rows 1/(a_i + b_j) with a_i = i and
-    b_j = r + j (char 2: + is XOR), which need 2^w >= n + r; a smaller
-    field raises FieldSizeError."""
+    b_j = r + j (char 2: + is XOR) where 2^w >= n + r, and else the
+    Reed-Solomon rows (j + 1)^i, whose columns are Vandermonde columns on
+    distinct nonzero points, so 2^w > n.  A field too small for both
+    raises FieldSizeError."""
     if n < 1 or r < 1:
         raise ValueError("matrix dimensions must be positive")
     if r > n:
@@ -308,17 +289,19 @@ def mds_generator(n: int, r: int, fld: Field) -> CodingMatrix:
         rows = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(r))
     elif r == 1:
         rows = ((1,) * n,)
-    else:
-        if fld.order < n + r:
-            raise FieldSizeError(f"{fld} too small for a Cauchy matrix: need order >= {n + r}")
+    elif n + r <= fld.order:
         rows = tuple(tuple(fld.inv(i ^ (r + j)) for j in range(n)) for i in range(r))
+    elif n < fld.order:
+        rows = tuple(tuple(fld.pow(j + 1, i) for j in range(n)) for i in range(r))
+    else:
+        raise FieldSizeError(f"{fld} too small for an MDS code of length {n}")
     return CodingMatrix(fld, n, rows)
 
 
 def mds_rows(rows: Sequence[int], r: int) -> list[int]:
     """r MDS-coded rows from n packed 0/1 content rows, combined by the rows
     of `mds_generator(n, r, GF256)`: the rows themselves when r = n, their
-    XOR when r = 1, the Cauchy combinations in between."""
+    XOR when r = 1, the Cauchy or Reed-Solomon combinations in between."""
     if r == len(rows):
         return list(rows)
     out = []
@@ -364,34 +347,43 @@ class Decoder:
     """Decodings of one matrix for any number of receivers from a single
     elimination of its rows.
 
-    Row r is inserted into a shared `Echelon` with a 1 in tail slot r, and
-    the unit row of packet p, reduced once against it and cached, carries a
-    1 in tail slot nrows + p - 1; the tail of every remainder then records
-    how it combines the rows and the unit rows.  A receiver copies the shared
-    echelon, inserts the remainders of its side packets, and reduces the
-    remainder of its target.  The copy is needed: `Echelon.reduce` stops at
-    the first column without a pivot, so a remainder may still hold columns
-    that only the shared rows eliminate."""
+    Row r is inserted into an `Echelon` with a 1 in tail slot r, and the
+    unit row of packet p carries a 1 in tail slot nrows + p - 1; the tail of
+    every combination then records how it combines the rows and the unit
+    rows.  The echelon is then reduced once: each pivot row is cleared from
+    every other pivot row, so a pivot row is zero in every other pivot
+    column.  The remainder of e_p is therefore e_p less the pivot row at
+    its column, if any: one XOR, zero in every pivot column.  A receiver
+    inserts the remainders of its side packets into a fresh echelon and
+    reduces the remainder of its target there."""
 
-    __slots__ = ("ncols", "nrows", "_ech", "_units", "_unit_tag")
+    __slots__ = ("ncols", "nrows", "_pivots", "_unit_tag")
 
     def __init__(self, M: CodingMatrix):
         m = self.ncols = M.ncols
         n = self.nrows = M.nrows
-        ech = self._ech = Echelon(m, 2 * m + n)
+        width = 2 * m + n
+        ech = Echelon(m, width)
         tag = unit_row(m + 1)
         for row in M.packed:
             ech.insert(row | tag)
             tag <<= 8
         # e_1 with its tag; shifted up by p - 1 bytes, it is e_p with its tag
         self._unit_tag = tag | 1
-        self._units: dict[int, int] = {}
+        pivots = self._pivots = ech.pivots
+        # A pivot row is zero before its column; clearing the columns from the
+        # right, each pivot row used is already clear of every later pivot.
+        for c in sorted(pivots, reverse=True):
+            p = pivots[c]
+            for d, q in pivots.items():
+                f = (q >> 8 * c) & 0xFF
+                if f and d != c:
+                    pivots[d] = q ^ (p if f == 1 else scale_row(p, f, width))
 
-    def _unit(self, p: int) -> int:
-        """Remainder of the tagged e_p against the rows, cached; never 0,
-        since its tag is set."""
-        rem = self._units[p] = self._ech.reduce(self._unit_tag << 8 * (p - 1))
-        return rem
+    def _remainder(self, p: int) -> int:
+        """The tagged e_p less its column's pivot row: zero in every pivot
+        column, and never 0, since its tag is set."""
+        return (self._unit_tag << 8 * (p - 1)) ^ self._pivots.get(p - 1, 0)
 
     def decode(self, known: Iterable[int], target: int) -> Decoding | None:
         """Express e_target as a combination of the rows and the unit
@@ -405,14 +397,13 @@ class Decoder:
             raise ValueError(f"target packet {target} already known")
         if kcols and not (1 <= kcols[0] and kcols[-1] <= m):
             raise ValueError(f"known packets {kcols} outside 1..{m}")
-        ech = self._ech.copy()
-        insert, units = ech.insert, self._units
+        n = self.nrows
+        ech = Echelon(m, 2 * m + n)
         for p in kcols:
-            insert(units.get(p) or self._unit(p))
-        rem = ech.reduce(units.get(target) or self._unit(target))
+            ech.insert(self._remainder(p))
+        rem = ech.reduce(self._remainder(target))
         if rem & ((1 << 8 * m) - 1):
             return None
-        n = self.nrows
         tail = (rem >> 8 * m).to_bytes(n + m, "little")
         return Decoding(
             target=target,

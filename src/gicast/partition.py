@@ -207,9 +207,9 @@ def group_partition(inst: GicInstance) -> UserPartition:
 def build_transmissions(inst: GicInstance, part: UserPartition) -> CodingMatrix:
     """Stack per-block MDS transmissions: block Y with overlap c sends the
     `mds_rows` of its unit rows, b = |Y| - c of them: its parity when b = 1,
-    its unit rows when b = |Y|, Cauchy rows in between.  The stack is over
-    the field `CodingMatrix.of_packed` reads off its rows: GF(2) unless some
-    block sends Cauchy rows."""
+    its unit rows when b = |Y|, Cauchy or Reed-Solomon rows in between.  The
+    stack is over the field `CodingMatrix.of_packed` reads off its rows:
+    GF(2) unless some block sends rows of the in-between kind."""
     codes = _block_codes(inst, part)
     rows = [row for Y, c in codes for row in mds_rows([unit_row(p) for p in Y], len(Y) - c)]
     return CodingMatrix.of_packed(inst.m, rows)
@@ -370,11 +370,11 @@ def exhaustive_upm(inst: GicInstance, cap: int = DEFAULT_CAP) -> SchemeSolution:
 
 # IUPM's objective, the rank of the stacked block rows, is not a sum of block
 # costs.  A block's deterministic rows depend only on its users, so each block
-# mask's rows are built once and inserted into an Echelon as the search picks
-# the block of the lowest unassigned user.  Rank does not change under a
-# field extension, so the one GF(256) echelon scores every partition,
-# whichever field `CodingMatrix.of_packed` gives its rows.  Rank only grows
-# as blocks are added, which bounds every completion of a partial partition.
+# mask's rows are built once and inserted into one Echelon as the search picks
+# the block of the lowest unassigned user, and undone on the way back.  Rank
+# does not change under a field extension, so the GF(256) echelon scores
+# every partition, whichever field `CodingMatrix.of_packed` gives its rows.
+# Rank only grows as blocks are added, which bounds every completion.
 
 
 def exhaustive_iupm(inst: GicInstance, cap: int = DEFAULT_CAP) -> SchemeSolution:
@@ -394,6 +394,7 @@ def exhaustive_iupm(inst: GicInstance, cap: int = DEFAULT_CAP) -> SchemeSolution
     width, ones = _packing(n)
     block_rows: dict[int, list[int]] = {}
     best: list = [None]  # (rank, packed RGS) of the incumbent
+    basis = Echelon(inst.m)
 
     def rows_of(B: int) -> list[int]:
         rows = block_rows.get(B)
@@ -402,7 +403,7 @@ def exhaustive_iupm(inst: GicInstance, cap: int = DEFAULT_CAP) -> SchemeSolution
             rows = block_rows[B] = mds_rows(units, cost[B])
         return rows
 
-    def search(U: int, label: int, code: int, basis: Echelon) -> None:
+    def search(U: int, label: int, code: int) -> None:
         if not U:
             if best[0] is None or (len(basis), code) < best[0]:
                 best[0] = (len(basis), code)
@@ -418,18 +419,22 @@ def exhaustive_iupm(inst: GicInstance, cap: int = DEFAULT_CAP) -> SchemeSolution
             if best[0] is not None:
                 best_r, best_code = best[0]
                 limit = best_r if code2 + (label + 1) * ones[left] < best_code else best_r - 1
-            child = basis.copy()
+            added = []
             for row in rows_of(B):
-                if len(child) > limit:
+                if len(basis) > limit:
                     break
-                child.insert(row)
-            if len(child) <= limit:
-                search(left, label + 1, code2, child)
+                pivot = basis.insert(row)
+                if pivot is not None:
+                    added.append(pivot)
+            if len(basis) <= limit:
+                search(left, label + 1, code2)
+            for pivot in added:
+                del basis.pivots[pivot]
             if not sub:
                 break
             sub = (sub - 1) & rest
 
-    search((1 << n) - 1, 0, 0, Echelon(inst.m))
+    search((1 << n) - 1, 0, 0)
     part = _user_partition(ids, _unpack(best[0][1], n, width))
     rate, basis, label = iupm_rate(inst, part)
     return SchemeSolution("iupm-exhaustive", rate, part, basis, policy=label)

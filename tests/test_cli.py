@@ -203,14 +203,15 @@ def test_solve_budget_exceeded_exit(tmp_path, capsys):
 
 
 def test_solve_field_too_small_exit(tmp_path, capsys):
-    # at k=17 one heuristic-packet subset needs a (136, 121) Cauchy code
-    fam = tmp_path / "k17.gic"
-    main(["gen", "--k", "17", "--out", str(fam)])
+    # at k=24 one heuristic-packet subset needs an MDS code of length 276,
+    # longer than any over GF(2^8)
+    fam = tmp_path / "k24.gic"
+    main(["gen", "--k", "24", "--out", str(fam)])
     capsys.readouterr()
     rc, out, err = run(capsys, "solve", str(fam), "--scheme", "heuristic-packet")
     assert rc == 2
     assert out == ""
-    assert err == "error: GF(2^8) too small for a Cauchy matrix: need order >= 257\n"
+    assert err == "error: GF(2^8) too small for an MDS code of length 276\n"
 
 
 def test_solve_missing_file_exit(capsys):
@@ -290,11 +291,18 @@ def test_table_k6_row(capsys):
 
 
 def test_table_k17_field_too_small_cell(capsys):
+    # k=17 takes Reed-Solomon rows; from k=24 no MDS code over GF(2^8) fits
     rc, out, _ = run(capsys, "table", "--k", "17", "--format", "records")
     assert rc == 0
     assert out == (
         "k=17 m=136 ppm_bound=46.3333 ppm_exh=- upm_group=17 iupm_group=16 "
-        "heur_user=17 heur_packet=- minrank=-\n"
+        "heur_user=17 heur_packet=121 minrank=-\n"
+    )
+    rc, out, _ = run(capsys, "table", "--k", "24", "--format", "records")
+    assert rc == 0
+    assert out == (
+        "k=24 m=276 ppm_bound=93 ppm_exh=- upm_group=24 iupm_group=23 "
+        "heur_user=24 heur_packet=- minrank=-\n"
     )
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from gicast import GF2, GF256, CodingMatrix, field
 from gicast.gf import (
+    Decoder,
     Decoding,
     Echelon,
     FieldSizeError,
@@ -179,8 +180,19 @@ def test_mds_minors_n4_r2():
 def test_mds_rejects_bad_shapes():
     with pytest.raises(ValueError):
         mds_generator(2, 3, GF256)
-    with pytest.raises(FieldSizeError):
-        mds_generator(200, 100, GF256)  # 2^8 < n + r
+    with pytest.raises(FieldSizeError, match="too small for an MDS code of length 256"):
+        mds_generator(256, 100, GF256)  # 2^8 <= n: no 256 distinct nonzero points
+
+
+def test_mds_reed_solomon_where_cauchy_does_not_fit():
+    # 2^8 < n + r, so the rows are Reed-Solomon: every 100 columns invertible
+    M = mds_generator(200, 100, GF256)
+    assert M.rows[1][:3] == (1, 2, 3)
+    rng = random.Random(17)
+    for _ in range(5):
+        cols = rng.sample(range(200), 100)
+        sub = CodingMatrix(GF256, 100, tuple(tuple(row[c] for c in cols) for row in M.rows))
+        assert rank(sub) == 100
 
 
 # ------------------------------------------------------- conditional entropy
@@ -266,3 +278,63 @@ def test_solve_decode_coefficients_reconstruct_symbol():
     for col, coeff in dec.known_coeffs:
         acc ^= GF256.mul(coeff, payload[col - 1])
     assert acc == payload[0]
+
+
+def fresh_decoding(rows, m, known, target):
+    """e_target over the rows and the known unit vectors, by Gauss-Jordan
+    elimination on lists from scratch: keep each of the rows, then each
+    known unit in ascending order, that is independent of those kept before,
+    and solve for e_target over the kept ones, where the combination is
+    unique.  None when e_target is outside their span."""
+    kcols = sorted(known)
+    vecs = [list(r) for r in rows] + [[int(c == p - 1) for c in range(m)] for p in kcols]
+    basis = []  # (pivot column, vector, its combination of vecs), fully reduced
+
+    def axpy(f, xs, ys):
+        return [y ^ GF256.mul(f, x) for x, y in zip(xs, ys)]
+
+    def reduce(v, comb):
+        for col, bv, bc in basis:
+            if v[col]:
+                v, comb = axpy(v[col], bv, v), axpy(v[col], bc, comb)
+        return v, comb
+
+    for i, vec in enumerate(vecs):
+        v, comb = reduce(vec, [int(j == i) for j in range(len(vecs))])
+        if any(v):
+            col = next(c for c, e in enumerate(v) if e)
+            inv = GF256.inv(v[col])
+            v, comb = [GF256.mul(inv, e) for e in v], [GF256.mul(inv, e) for e in comb]
+            basis[:] = [(c, axpy(bv[col], v, bv), axpy(bv[col], comb, bc)) for c, bv, bc in basis]
+            basis.append((col, v, comb))
+    v, comb = reduce([int(c == target - 1) for c in range(m)], [0] * len(vecs))
+    if any(v):
+        return None
+    n = len(rows)
+    return Decoding(target, tuple(comb[:n]), tuple(zip(kcols, comb[n:])))
+
+
+@pytest.mark.parametrize("fld", [GF2, GF256], ids=["GF2", "GF256"])
+def test_decoder_certificates_match_a_fresh_elimination(fld):
+    # rows may repeat or combine earlier rows, so some are dependent and the
+    # decoder must keep the same greedy rows and side units as the reference
+    rng = random.Random(fld.order)
+    decodable = receivers = 0
+    for _ in range(150):
+        m = rng.randint(1, 8)
+        rows = []
+        for _ in range(rng.randint(0, 8)):
+            if rows and rng.random() < 0.4:
+                a, b = rng.choice(rows), rng.choice(rows)
+                f = rng.randrange(fld.order)
+                rows.append(tuple(x ^ GF256.mul(f, y) for x, y in zip(a, b)))
+            else:
+                rows.append(tuple(rng.randrange(fld.order) if rng.random() < 0.6 else 0 for _ in range(m)))
+        decoder = Decoder(CodingMatrix(fld, m, tuple(rows)))
+        for target in range(1, m + 1):
+            known = {p for p in range(1, m + 1) if p != target and rng.random() < 0.5}
+            expected = fresh_decoding(rows, m, known, target)
+            assert decoder.decode(known, target) == expected, (rows, known, target)
+            decodable += expected is not None
+            receivers += 1
+    assert 100 < decodable < receivers - 100  # both verdicts are checked

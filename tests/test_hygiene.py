@@ -1,5 +1,6 @@
-"""Source hygiene: every name a gicast module imports is used in it, and
-every name it exports is bound in it."""
+"""Source hygiene: every name a gicast module imports is used in it, every
+name it exports is bound in it, and every private name it defines is read
+in it."""
 
 import ast
 from pathlib import Path
@@ -61,3 +62,35 @@ def test_unbound_exports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_binds_every_export(path):
     assert unbound_exports(path.read_text()) == []
+
+
+def unread_private_names(source: str) -> list[str]:
+    """`_private` functions, methods and classes, and module-level names,
+    that the module defines and no expression in it reads, by name or as
+    an attribute.  Dunder names are left out: Python calls them."""
+    tree = ast.parse(source)
+    defined = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    private = [name for name in defined if name.startswith("_") and not name.endswith("__")]
+    return [name for name in private if name not in read]
+
+
+def test_unread_private_names_are_found():
+    source = "_A, B = 1, 2\n_C = _A\ndef _f(): pass\ndef _g(): return _C\nclass _K:\n"
+    source += "    def __init__(self): self._m = 1\n    def _n(self): pass\n    def _o(self): pass\n"
+    source += "def h(k): return _g() + k._o\n"
+    assert unread_private_names(source) == ["_f", "_K", "_n"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_reads_every_private_name(path):
+    assert unread_private_names(path.read_text()) == []
