@@ -243,6 +243,23 @@ class Echelon:
         the span."""
         return self._reduce(row)[0]
 
+    def residue(self, row: int) -> int:
+        """Row less the pivot rows at every pivot column, in ascending order:
+        zero in every pivot column, 0 iff row lies in the span, and the same
+        for two rows iff their difference lies in the span."""
+        pivots = self.pivots
+        rest = self._data
+        while True:
+            v = row & rest
+            if not v:
+                return row
+            c = ((v & -v).bit_length() - 1) >> 3
+            rest &= -1 << 8 * (c + 1)  # a pivot row is zero before its column
+            p = pivots.get(c)
+            if p is not None:
+                f = (v >> 8 * c) & 0xFF
+                row ^= p if f == 1 else scale_row(p, f, self._width)
+
     def insert(self, row: int) -> int | None:
         """Add row's remainder to the basis and return its pivot column;
         None, with the basis unchanged, when row lies in the span."""
@@ -256,7 +273,10 @@ class Echelon:
 
 def rank(M: CodingMatrix) -> int:
     """Rank of M over its field."""
-    return residual_rank(M.packed, (), M.ncols)
+    ech = Echelon(M.ncols)
+    for row in M.packed:
+        ech.insert(row)
+    return len(ech)
 
 
 def row_basis(M: CodingMatrix) -> CodingMatrix:
@@ -298,6 +318,13 @@ def mds_generator(n: int, r: int, fld: Field) -> CodingMatrix:
     return CodingMatrix(fld, n, rows)
 
 
+@lru_cache(maxsize=None)
+def _mds_coeffs(n: int, r: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of `mds_generator(n, r, GF256)`, built and checked once per
+    shape."""
+    return mds_generator(n, r, GF256).rows
+
+
 def mds_rows(rows: Sequence[int], r: int) -> list[int]:
     """r MDS-coded rows from n packed 0/1 content rows, combined by the rows
     of `mds_generator(n, r, GF256)`: the rows themselves when r = n, their
@@ -305,7 +332,7 @@ def mds_rows(rows: Sequence[int], r: int) -> list[int]:
     if r == len(rows):
         return list(rows)
     out = []
-    for coeffs in mds_generator(len(rows), r, GF256).rows:
+    for coeffs in _mds_coeffs(len(rows), r):
         acc = 0
         for f, row in zip(coeffs, rows):
             acc ^= f * row  # every byte of row is 0 or 1, so this scales it by f

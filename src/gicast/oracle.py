@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 from .gf import Decoder, Decoding, Echelon, scale_row, unit_row
 from .model import GicInstance, UserId
-from .partition import SchemeSolution
+from .partition import SchemeSolution, _fresh_bound
 
 __all__ = [
     "DEFAULT_FREE_BIT_BUDGET",
@@ -32,45 +33,63 @@ class MinrankBudgetError(ValueError):
     """Completion space too large for the configured free-bit budget."""
 
 
+def _residues(basis: Echelon, demand: int, side: Sequence[int]) -> list[int]:
+    """`basis.residue` of each completion of a receiver's template row, the
+    demanded unit row plus any sum of its side unit rows, in the order
+    e_d, e_d + e_s1, e_d + e_s2, e_d + e_s1 + e_s2, ...  Residues are
+    linear, so one residue per unit row gives them all by XOR."""
+    rems = [basis.residue(demand)]
+    for p in side:
+        r = basis.residue(unit_row(p))
+        rems += [o ^ r for o in rems]
+    return rems
+
+
 def minrank_gf2(inst: GicInstance, budget: int = DEFAULT_FREE_BIT_BUDGET) -> int:
     """Minimum rank over GF(2) over all completions of the instance template.
 
-    Walks receivers depth-first, choosing each row among its 2^|A| admissible
-    completions while maintaining an echelon basis; branches whose partial
-    rank already reaches the incumbent are cut, which prunes without ever
-    changing the exact minimum."""
+    Walks receivers depth-first, choosing each row among its 2^|A|
+    admissible completions while maintaining an echelon basis.  Only the
+    span matters, so a completion already in the span is taken alone (any
+    other choice gives a larger span), and otherwise one completion per
+    distinct residue mod the span is tried.  A branch is cut once its rank
+    plus `_fresh_bound` of the receivers left reaches the incumbent.  None
+    of these cuts changes the exact minimum."""
     free = sum(len(side) for _, side in inst.users)
     if free > budget:
         raise MinrankBudgetError(f"{free} free cells exceed the budget of {budget}")
     # Packed 0/1 rows: the echelon works over GF(256), whose rank on them is
-    # the GF(2) rank.
-    candidates: list[list[int]] = []
-    for uid, side in inst.users:
-        opts = [unit_row(uid.packet)]  # the forced demanded column
-        for p in sorted(side):  # the free side-information columns
-            opts = opts + [o | unit_row(p) for o in opts]
-        candidates.append(opts)
-
-    nrows = len(candidates)
+    # the GF(2) rank, and keeps them 0/1, so a row's support is a packet mask.
+    users = [(unit_row(uid.packet), sorted(side)) for uid, side in inst.users]
+    masks = [(demand, sum(map(unit_row, side))) for demand, side in users]
+    nrows = len(users)
+    demanded = [0] * (nrows + 1)  # demanded[i]: the packets receivers i.. demand
+    for i in range(nrows - 1, -1, -1):
+        demanded[i] = demanded[i + 1] | masks[i][0]
     best = nrows + 1
     basis = Echelon(inst.m)
+    pivots = basis.pivots
 
-    def walk(idx: int) -> None:
+    def walk(idx: int, touched: int) -> None:
+        # touched: the support of the span, the packets some pivot row is on
         nonlocal best
-        if len(basis) >= best:
+        if len(pivots) + _fresh_bound(demanded[idx] & ~touched, masks[idx:]) >= best:
             return
         if idx == nrows:
-            best = len(basis)
+            best = len(pivots)
             return
-        for row in candidates[idx]:
-            pivot = basis.insert(row)
-            walk(idx + 1)
-            if pivot is not None:
-                del basis.pivots[pivot]
-            if best == 1:
+        rems = _residues(basis, *users[idx])
+        if 0 in rems:
+            walk(idx + 1, touched)
+            return
+        for rem in dict.fromkeys(rems):
+            if len(pivots) + 1 >= best:  # every branch left adds a row
                 return
+            pivot = basis.insert(rem)
+            walk(idx + 1, touched | rem)
+            del pivots[pivot]
 
-    walk(0)
+    walk(0, 0)
     return best
 
 

@@ -16,6 +16,7 @@ from gicast.gf import (
     pack_row,
     rank,
     row_basis,
+    scale_row,
     solve_decode,
     unpack_row,
 )
@@ -113,6 +114,30 @@ def test_echelon_scales_pivot_rows_through_field_mul():
         assert ech.insert(pack_row((f, *range(256)))) == 0
         inv = GF256.inv(f)
         assert unpack_row(ech.pivots[0], 257) == (1, *(GF256.mul(inv, x) for x in range(256)))
+
+
+@pytest.mark.parametrize("order", [2, 256], ids=["GF2", "GF256"])
+def test_echelon_residue_is_one_per_coset(order):
+    # residue(x) is zero in every pivot column, unchanged by adding a span
+    # element, and 0 exactly for the rows the span holds
+    rng = random.Random(order)
+    for _ in range(40):
+        ncols = rng.randint(1, 7)
+        rows = [pack_row([rng.randrange(order) for _ in range(ncols)]) for _ in range(rng.randint(0, 6))]
+        ech = Echelon(ncols)
+        for row in rows:
+            ech.insert(row)
+        for _ in range(5):
+            x = pack_row([rng.randrange(order) for _ in range(ncols)])
+            s = 0
+            for row in rows:
+                s ^= scale_row(row, rng.randrange(order), ncols)
+            res = ech.residue(x)
+            assert all(unpack_row(res, ncols)[c] == 0 for c in ech.pivots)
+            assert ech.residue(x ^ s) == res
+            assert ech.residue(s) == 0
+            in_span = rank(CodingMatrix.of_packed(ncols, rows + [x])) == len(ech)
+            assert (res == 0) == in_span
 
 
 def test_gf2_rank_masks_matches_matrix_rank():

@@ -3,7 +3,7 @@
 import random
 from functools import reduce
 from itertools import product
-from operator import xor
+from operator import or_, xor
 
 import pytest
 
@@ -33,6 +33,7 @@ from gicast import (
     upm_rate,
 )
 from gicast.gf import Decoder, Decoding
+from gicast.partition import _fresh_bound
 
 from conftest import bitmask_rank, random_instance
 
@@ -65,12 +66,80 @@ def test_minrank_example1(ex1):
     assert minrank_gf2(ex1) == 2
 
 
-def test_minrank_matches_brute_force(ex1):
+def test_minrank_matches_brute_force(ex1, monkeypatch):
     assert brute_force_minrank(ex1) == 2
     rng = random.Random(23)
     for _ in range(15):
         inst = random_instance(rng, max_m=3, max_users=4)
         assert minrank_gf2(inst) == brute_force_minrank(inst)
+
+    # Larger draws, on which every cut of the search happens: a completion
+    # already in the span (dominance), completions sharing a residue
+    # (dedupe), and the fresh-packet bound.  Each search is run with the
+    # bound and with the bound replaced by 0, counting nodes (one bound per
+    # node); both must equal the brute force.
+    seen = {"dominance": 0, "dedupe": 0, "bound": 0}
+    residues = gicast.oracle._residues
+
+    def spy_residues(*args):
+        rems = residues(*args)
+        if 0 in rems:
+            seen["dominance"] += 1
+        elif len(set(rems)) < len(rems):
+            seen["dedupe"] += 1
+        return rems
+
+    nodes = [0]
+
+    def counted(bound):
+        def spy(fresh, pending):
+            nodes[0] += 1
+            return bound(fresh, pending)
+        return spy
+
+    with_bound = counted(gicast.oracle._fresh_bound)
+    without_bound = counted(lambda fresh, pending: 0)
+    monkeypatch.setattr(gicast.oracle, "_residues", spy_residues)
+    rng = random.Random(5)
+    draws = 0
+    while draws < 40:
+        inst = random_instance(rng, max_m=5, max_users=6)
+        if sum(len(side) for _, side in inst.users) > 12:
+            continue
+        draws += 1
+        expected = brute_force_minrank(inst)
+        counts = []
+        for spy in (with_bound, without_bound):
+            monkeypatch.setattr(gicast.oracle, "_fresh_bound", spy)
+            nodes[0] = 0
+            assert minrank_gf2(inst) == expected
+            counts.append(nodes[0])
+        assert counts[0] <= counts[1]
+        seen["bound"] += counts[0] < counts[1]
+    assert all(seen.values()), seen
+
+
+def test_minrank_fresh_bound_holds_on_completion_prefixes():
+    """On random completions of the template, the bound `minrank_gf2` gives
+    every prefix of the rows is at most the rank the remaining rows add.
+    Some prefixes are cut by the bound alone: their rank is below the
+    minimum, their rank plus the bound is not."""
+    rng = random.Random(13)
+    cuts = 0
+    for _ in range(40):
+        inst = random_instance(rng, max_m=5, max_users=6)
+        best = minrank_gf2(inst)
+        users = [(1 << (uid.packet - 1), sum(1 << (p - 1) for p in side)) for uid, side in inst.users]
+        for _ in range(10):
+            rows = [demand | side & rng.getrandbits(inst.m) for demand, side in users]
+            total = bitmask_rank(rows)
+            for i in range(len(rows)):
+                r = bitmask_rank(rows[:i])
+                fresh = reduce(or_, (demand for demand, _ in users[i:])) & ~reduce(or_, rows[:i], 0)
+                b = _fresh_bound(fresh, users[i:])
+                assert b <= total - r
+                cuts += r < best <= r + b
+    assert cuts
 
 
 def test_minrank_everyone_knows_everything():

@@ -25,8 +25,8 @@ from gicast import (
     run_heuristic,
     upm_rate,
 )
-from gicast.gf import mds_generator, rank
-from gicast.partition import _packet_cost_table, _user_cost_table
+from gicast.gf import Echelon, mds_generator, rank
+from gicast.partition import _fresh_bounds, _packet_cost_table, _user_cost_table
 
 from conftest import certify, random_instance
 
@@ -398,3 +398,36 @@ def test_exhaustive_searches_match_brute_force():
 def test_exhaustive_iupm_k4_family():
     inst, _ = generate_k2(4)  # 12 users
     assert certify(inst, exhaustive_iupm(inst)).rate == 3
+
+
+def test_fresh_bound_holds_for_every_block_prefix():
+    """For every user partition, in enumeration order, and every prefix of
+    its blocks, the bound `exhaustive_iupm` gives the users left is at most
+    the rank the remaining blocks add.  Some prefixes are cut by the bound
+    alone: their rank is within the optimum, their rank plus the bound is
+    not."""
+    rng = random.Random(11)
+    cuts = 0
+    for _ in range(25):
+        inst = random_instance(rng, max_m=5, max_users=6)
+        n = len(inst.user_ids)
+        bound = _fresh_bounds(inst, _user_cost_table(inst)[1])
+        prefixes = []  # (rank of the prefix, bound of the users left, rank of the partition)
+        for blocks in enumerate_partitions(n):
+            part = _users(inst, blocks)
+            rows = iter(build_transmissions(inst, part).packed)
+            _, overlaps = upm_rate(inst, part)
+            ech = Echelon(inst.m)
+            left = (1 << n) - 1
+            steps = []
+            for blk, c in zip(blocks, overlaps):
+                for _ in range(len({inst.user_ids[x - 1].packet for x in blk}) - c):
+                    ech.insert(next(rows))
+                left ^= sum(1 << (x - 1) for x in blk)
+                steps.append((len(ech), bound[left]))
+            prefixes += [(r, b, len(ech)) for r, b in steps]
+        best = min(total for _, _, total in prefixes)
+        for r, b, total in prefixes:
+            assert b <= total - r
+            cuts += r <= best < r + b
+    assert cuts
