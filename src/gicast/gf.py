@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
     "Field",
@@ -360,8 +360,7 @@ def conditional_entropy(M: CodingMatrix, known: Iterable[int]) -> int:
     return residual_rank(M.packed, kset, M.ncols)
 
 
-@dataclass(frozen=True)
-class Decoding:
+class Decoding(NamedTuple):
     """Certificate that a unit vector lies in span(rows + known units):
     e_target = sum(row_coeffs[r] * rows[r]) + sum(c * e_p for (p, c))."""
 
@@ -370,34 +369,66 @@ class Decoding:
     known_coeffs: tuple[tuple[int, int], ...]
 
 
+def _receiver(m: int, known: Iterable[int], target: int) -> list[int]:
+    """A receiver's known packets, ascending, once checked against 1..m."""
+    if not 1 <= target <= m:
+        raise ValueError(f"target packet {target} outside 1..{m}")
+    kcols = sorted(set(known))
+    if target in kcols:
+        raise ValueError(f"target packet {target} already known")
+    if kcols and not (1 <= kcols[0] and kcols[-1] <= m):
+        raise ValueError(f"known packets {kcols} outside 1..{m}")
+    return kcols
+
+
+def _tagged(M: CodingMatrix) -> tuple[Echelon, int]:
+    """An echelon of M's rows, row r inserted with a 1 in tail slot r, and
+    the unit row e_1 with a 1 in tail slot nrows: shifted up by p - 1
+    bytes, it is e_p with its tag, a 1 in tail slot nrows + p - 1.  The
+    tail of every combination then records how it combines the rows and
+    the unit rows."""
+    m = M.ncols
+    ech = Echelon(m, 2 * m + M.nrows)
+    tag = unit_row(m + 1)
+    for row in M.packed:
+        ech.insert(row | tag)
+        tag <<= 8
+    return ech, tag | 1
+
+
+def _certificate(rem: int, m: int, n: int, target: int, kcols: list[int]) -> Decoding | None:
+    """The decoding a remainder of the tagged e_target records: None unless
+    its m packet columns are all zero."""
+    if rem & ((1 << 8 * m) - 1):
+        return None
+    tail = (rem >> 8 * m).to_bytes(n + m, "little")
+    return Decoding(target, tuple(tail[:n]), tuple([(p, tail[n + p - 1]) for p in kcols]))
+
+
 class Decoder:
     """Decodings of one matrix for any number of receivers from a single
     elimination of its rows.
 
-    Row r is inserted into an `Echelon` with a 1 in tail slot r, and the
-    unit row of packet p carries a 1 in tail slot nrows + p - 1; the tail of
-    every combination then records how it combines the rows and the unit
-    rows.  The echelon is then reduced once: each pivot row is cleared from
-    every other pivot row, so a pivot row is zero in every other pivot
-    column.  The remainder of e_p is therefore e_p less the pivot row at
-    its column, if any: one XOR, zero in every pivot column.  A receiver
-    inserts the remainders of its side packets into a fresh echelon and
-    reduces the remainder of its target there."""
+    The rows go into one `_tagged` echelon, which is then reduced once:
+    each pivot row is cleared from every other pivot row, so a pivot row
+    is zero in every other pivot column.  The remainder of e_p is
+    therefore e_p less the pivot row at its column, if any: one XOR, zero
+    in every pivot column.  A receiver inserts the remainders of its side
+    packets into a fresh echelon, in ascending order, and reduces the
+    remainder of its target there.  It stops inserting once that echelon
+    holds a pivot in each of the m - rank columns without a pivot row: the
+    side units then span every remainder, so each later one is dependent,
+    and the greedy certificate gives it coefficient 0 anyway."""
 
-    __slots__ = ("ncols", "nrows", "_pivots", "_unit_tag")
+    __slots__ = ("ncols", "nrows", "_pivots", "_unit_tag", "_free")
 
     def __init__(self, M: CodingMatrix):
         m = self.ncols = M.ncols
         n = self.nrows = M.nrows
         width = 2 * m + n
-        ech = Echelon(m, width)
-        tag = unit_row(m + 1)
-        for row in M.packed:
-            ech.insert(row | tag)
-            tag <<= 8
-        # e_1 with its tag; shifted up by p - 1 bytes, it is e_p with its tag
-        self._unit_tag = tag | 1
+        ech, self._unit_tag = _tagged(M)
         pivots = self._pivots = ech.pivots
+        self._free = m - len(pivots)
         # A pivot row is zero before its column; clearing the columns from the
         # right, each pivot row used is already clear of every later pivot.
         for c in sorted(pivots, reverse=True):
@@ -407,40 +438,35 @@ class Decoder:
                 if f and d != c:
                     pivots[d] = q ^ (p if f == 1 else scale_row(p, f, width))
 
-    def _remainder(self, p: int) -> int:
-        """The tagged e_p less its column's pivot row: zero in every pivot
-        column, and never 0, since its tag is set."""
-        return (self._unit_tag << 8 * (p - 1)) ^ self._pivots.get(p - 1, 0)
-
     def decode(self, known: Iterable[int], target: int) -> Decoding | None:
         """Express e_target as a combination of the rows and the unit
         vectors of the known packets; None when the target is outside the
         span."""
-        m = self.ncols
-        if not 1 <= target <= m:
-            raise ValueError(f"target packet {target} outside 1..{m}")
-        kcols = sorted(set(known))
-        if target in kcols:
-            raise ValueError(f"target packet {target} already known")
-        if kcols and not (1 <= kcols[0] and kcols[-1] <= m):
-            raise ValueError(f"known packets {kcols} outside 1..{m}")
-        n = self.nrows
+        m, n = self.ncols, self.nrows
+        kcols = _receiver(m, known, target)
         ech = Echelon(m, 2 * m + n)
+        held, insert = ech.pivots, ech.insert
+        pivots, unit, free = self._pivots, self._unit_tag, self._free
         for p in kcols:
-            ech.insert(self._remainder(p))
-        rem = ech.reduce(self._remainder(target))
-        if rem & ((1 << 8 * m) - 1):
-            return None
-        tail = (rem >> 8 * m).to_bytes(n + m, "little")
-        return Decoding(
-            target=target,
-            row_coeffs=tuple(tail[:n]),
-            known_coeffs=tuple((p, tail[n + p - 1]) for p in kcols),
-        )
+            if len(held) == free:
+                break
+            insert(unit << 8 * (p - 1) ^ pivots.get(p - 1, 0))
+        rem = ech.reduce(unit << 8 * (target - 1) ^ pivots.get(target - 1, 0))
+        return _certificate(rem, m, n, target, kcols)
 
 
 def solve_decode(M: CodingMatrix, known: Iterable[int], target: int) -> Decoding | None:
     """Express e_target as a combination of M's rows and the unit vectors of
-    the known packets; None when the target is outside the span.  One
-    receiver's `Decoder.decode`."""
-    return Decoder(M).decode(known, target)
+    the known packets; None when the target is outside the span.
+
+    One forward elimination: the `_tagged` rows, then the tagged unit rows
+    of the known packets in ascending order, then the reduction of the
+    tagged e_target.  It keeps the same greedy rows and units as
+    `Decoder.decode`, so it gives the same certificate, without the
+    back-substitution that serves many receivers."""
+    m = M.ncols
+    kcols = _receiver(m, known, target)
+    ech, unit = _tagged(M)
+    for p in kcols:
+        ech.insert(unit << 8 * (p - 1))
+    return _certificate(ech.reduce(unit << 8 * (target - 1)), m, M.nrows, target, kcols)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 from .gf import Decoder, Decoding, Echelon, scale_row, unit_row
@@ -117,21 +118,49 @@ def _combine(terms, width: int) -> int:
     return acc
 
 
+#: Per top byte of a 32-bit word: 1 when the word's top bit is clear.
+_ACCEPT = bytes(b < 0x80 for b in range(256))
+#: Per extension degree w: each byte reduced to its low w bits.
+_LOW_BITS = {w: bytes(b & ((1 << w) - 1) for b in range(256)) for w in (1, 8)}
+
+
+def _payloads(rng: random.Random, w: int, count: int) -> bytes:
+    """`count` draws of rng.randrange(2^w), w 1 or 8, as bytes: the values
+    the calls one at a time return, drawn in bulk.
+
+    Each attempt of randrange(2^w) takes one 32-bit Mersenne Twister word
+    and keeps its top w + 1 bits: it rejects the word when its top bit is
+    set and otherwise returns the w bits below it.  getrandbits(32 n)
+    returns the next n words, the first one lowest, so a batch keeps its
+    accepted words in order, and a short batch is followed by the next."""
+    out = b""
+    while len(out) < count:
+        n = 2 * (count - len(out)) + 32  # about half the words are accepted
+        words = rng.getrandbits(32 * n)
+        tops = words.to_bytes(4 * n, "little")[3::4]
+        # bits 31 - w .. 30 of each word, moved to the bottom of its top byte
+        values = (words << 1 >> 8 - w).to_bytes(4 * n + 1, "little")[3::4]
+        out += bytes(compress(values.translate(_LOW_BITS[w]), tops.translate(_ACCEPT)))
+    return out[:count]
+
+
 def simulate_decode(
     inst: GicInstance, solution: SchemeSolution, trials: int = 16, seed: int = 0
 ) -> DecodeReport:
     """Check that every receiver can recover its packet from the solution's
     transmissions plus its own side information: first symbolically (span
-    membership with explicit coefficients, from one shared elimination of
-    the rows), then on `trials` random payload vectors drawn from the
-    solution's field, all trials at once."""
+    membership with explicit coefficients, from one shared `Decoder`
+    elimination of the rows), then on `trials` random payload vectors drawn
+    from the solution's field, all trials at once.  The payloads are
+    `random.Random(seed).randrange(order)` taken trial by trial and packet
+    by packet, drawn in bulk by `_payloads`."""
     M = solution.matrix
     m = inst.m
     failures: list[tuple[UserId, int | None, str]] = []
     decodings: dict[UserId, Decoding] = {}
-    decoder = Decoder(M)
+    decode = Decoder(M).decode
     for uid, side in inst.users:
-        dec = decoder.decode(side, uid.packet)
+        dec = decode(side, uid.packet)
         if dec is None:
             failures.append(
                 (uid, None, f"packet {uid.packet} outside span of rows + side info; rows:\n{M.dump()}")
@@ -142,8 +171,7 @@ def simulate_decode(
     # Payloads are packed like `Echelon` rows, one byte per trial: byte t of
     # x[p - 1] is packet p in trial t.  GF(2) payloads are 0/1 bytes, on
     # which GF(2^8) arithmetic agrees with GF(2).
-    rng = random.Random(seed)
-    draws = bytes(rng.randrange(M.field.order) for _ in range(trials * m))
+    draws = _payloads(random.Random(seed), M.field.w, trials * m)
     x = [int.from_bytes(draws[p::m], "little") for p in range(m)]
     y = [_combine(zip(row, x), trials) for row in M.rows]
     wrong = []

@@ -41,8 +41,8 @@ __all__ = [
 
 #: Largest ground set searched by default.  `enumerate_partitions` yields
 #: all Bell(n) partitions (Bell(13) is ~27.6 million) and the PPM/UPM subset
-#: DP is O(3^n).  The bound-pruned IUPM search took 0.3-2.7 s on random
-#: 12-user instances over 7 packets and 0.4-7.8 s on 13-user ones over 6
+#: DP is O(3^n).  The bound-pruned IUPM search took 0.15-1.4 s on random
+#: 12-user instances over 7 packets and 0.1-4.3 s on 13-user ones over 6
 #: packets (2-vCPU VM).
 DEFAULT_CAP = 13
 
@@ -427,13 +427,19 @@ def exhaustive_iupm(inst: GicInstance, cap: int = DEFAULT_CAP) -> SchemeSolution
     branch gets a rank limit: the incumbent's rank, or one less once the
     branch's smallest completion (all unassigned users in one block) is
     already a later string, less `_fresh_bound` of the users left.  The
-    branch is cut as soon as its rank exceeds that limit."""
+    block is skipped before its first insert when the rank plus the least
+    its rows add exceeds the limit: they are MDS rows, of rank min(rows,
+    |S|) on any set S of its packets, earlier rows are zero on its packets
+    that no placed block demands, and the users left count none of those
+    as fresh, so the two bounds add.  Otherwise the branch is cut as soon
+    as its rank exceeds the limit."""
     ids = inst.user_ids
     n = len(ids)
     if n > cap:
         raise PartitionCapError(f"{n} users exceed enumeration cap {cap}")
     cost, ymask = _user_cost_table(inst)
     bound = _fresh_bounds(inst, ymask)
+    full = (1 << n) - 1
     width, ones = _packing(n)
     block_rows: dict[int, list[int]] = {}
     best: list = [None]  # (rank, packed RGS) of the incumbent
@@ -454,6 +460,7 @@ def exhaustive_iupm(inst: GicInstance, cap: int = DEFAULT_CAP) -> SchemeSolution
             return
         low = U & -U
         rest = U ^ low
+        untouched = ~ymask[full ^ U]  # the packets no placed block demands
         sub = rest
         while True:
             B = sub | low
@@ -464,22 +471,23 @@ def exhaustive_iupm(inst: GicInstance, cap: int = DEFAULT_CAP) -> SchemeSolution
                 best_r, best_code = best[0]
                 limit = best_r if code2 + (label + 1) * ones[left] < best_code else best_r - 1
             limit -= bound[left]
-            added = []
-            for row in rows_of(B):
-                if len(pivots) > limit:
-                    break
-                pivot = insert(row)
-                if pivot is not None:
-                    added.append(pivot)
-            if len(pivots) <= limit:
-                search(left, label + 1, code2)
-            for pivot in added:
-                del pivots[pivot]
+            if len(pivots) + min(cost[B], (ymask[B] & untouched).bit_count()) <= limit:
+                added = []
+                for row in rows_of(B):
+                    if len(pivots) > limit:
+                        break
+                    pivot = insert(row)
+                    if pivot is not None:
+                        added.append(pivot)
+                if len(pivots) <= limit:
+                    search(left, label + 1, code2)
+                for pivot in added:
+                    del pivots[pivot]
             if not sub:
                 break
             sub = (sub - 1) & rest
 
-    search((1 << n) - 1, 0, 0)
+    search(full, 0, 0)
     part = _user_partition(ids, _unpack(best[0][1], n, width))
     rate, basis, label = iupm_rate(inst, part)
     return SchemeSolution("iupm-exhaustive", rate, part, basis, policy=label)

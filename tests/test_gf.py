@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from gicast import GF2, GF256, CodingMatrix, field
+from gicast import GF2, GF256, CodingMatrix, field, gf
 from gicast.gf import (
     Decoder,
     Decoding,
@@ -339,12 +339,12 @@ def fresh_decoding(rows, m, known, target):
     return Decoding(target, tuple(comb[:n]), tuple(zip(kcols, comb[n:])))
 
 
-@pytest.mark.parametrize("fld", [GF2, GF256], ids=["GF2", "GF256"])
-def test_decoder_certificates_match_a_fresh_elimination(fld):
-    # rows may repeat or combine earlier rows, so some are dependent and the
-    # decoder must keep the same greedy rows and side units as the reference
+def decoder_draws(fld):
+    """150 matrices of up to 8 rows over 1..8 packets, each with one known
+    set per target: (rows, m, [(known, target), ...]).  Rows may repeat or
+    combine earlier rows, so some are dependent and a decoder must keep the
+    same greedy rows and side units as `fresh_decoding`."""
     rng = random.Random(fld.order)
-    decodable = receivers = 0
     for _ in range(150):
         m = rng.randint(1, 8)
         rows = []
@@ -355,11 +355,79 @@ def test_decoder_certificates_match_a_fresh_elimination(fld):
                 rows.append(tuple(x ^ GF256.mul(f, y) for x, y in zip(a, b)))
             else:
                 rows.append(tuple(rng.randrange(fld.order) if rng.random() < 0.6 else 0 for _ in range(m)))
-        decoder = Decoder(CodingMatrix(fld, m, tuple(rows)))
+        receivers = []
         for target in range(1, m + 1):
             known = {p for p in range(1, m + 1) if p != target and rng.random() < 0.5}
+            receivers.append((known, target))
+        yield rows, m, receivers
+
+
+@pytest.mark.parametrize("fld", [GF2, GF256], ids=["GF2", "GF256"])
+def test_decoder_certificates_match_a_fresh_elimination(fld):
+    decodable = receivers = 0
+    for rows, m, draws in decoder_draws(fld):
+        decoder = Decoder(CodingMatrix(fld, m, tuple(rows)))
+        for known, target in draws:
             expected = fresh_decoding(rows, m, known, target)
             assert decoder.decode(known, target) == expected, (rows, known, target)
             decodable += expected is not None
             receivers += 1
     assert 100 < decodable < receivers - 100  # both verdicts are checked
+
+
+@pytest.mark.parametrize("fld", [GF2, GF256], ids=["GF2", "GF256"])
+def test_solve_decode_matches_the_shared_decoder(fld):
+    for rows, m, draws in decoder_draws(fld):
+        M = CodingMatrix(fld, m, tuple(rows))
+        decoder = Decoder(M)
+        for known, target in draws:
+            assert solve_decode(M, known, target) == decoder.decode(known, target), (rows, known, target)
+
+
+def receiver_inserts(monkeypatch, M, known, target):
+    """Decoder(M).decode(known, target) and the number of side units the
+    receiver's echelon was offered."""
+    decoder = Decoder(M)
+    offered = []
+
+    class CountingEchelon(Echelon):
+        def insert(self, row):
+            offered.append(row)
+            return super().insert(row)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gf, "Echelon", CountingEchelon)
+        dec = decoder.decode(known, target)
+    return dec, len(offered)
+
+
+@pytest.mark.parametrize("fld", [GF2, GF256], ids=["GF2", "GF256"])
+def test_decoder_stops_once_the_side_units_span_the_free_columns(monkeypatch, fld):
+    rng = random.Random(fld.order + 5)
+    # full rank: every side unit is dependent, so none is offered
+    full = 0
+    while full < 20:
+        m = rng.randint(1, 6)
+        rows = [tuple(rng.randrange(fld.order) for _ in range(m)) for _ in range(m)]
+        M = CodingMatrix(fld, m, tuple(rows))
+        if rank(M) < m:
+            continue
+        full += 1
+        target = rng.randint(1, m)
+        known = {p for p in range(1, m + 1) if p != target}
+        dec, offered = receiver_inserts(monkeypatch, M, known, target)
+        assert dec == fresh_decoding(rows, m, known, target)
+        assert offered == 0
+    # rank deficient: the first side units of some receivers already span
+    # the columns without a pivot, and the later ones are never offered
+    stopped = 0
+    for _ in range(200):
+        m = rng.randint(2, 7)
+        rows = [tuple(rng.randrange(fld.order) for _ in range(m)) for _ in range(rng.randint(0, m - 1))]
+        target = rng.randint(1, m)
+        known = {p for p in range(1, m + 1) if p != target and rng.random() < 0.8}
+        dec, offered = receiver_inserts(monkeypatch, CodingMatrix(fld, m, tuple(rows)), known, target)
+        assert dec == fresh_decoding(rows, m, known, target), (rows, known, target)
+        assert offered <= len(known)
+        stopped += offered < len(known)
+    assert stopped > 20

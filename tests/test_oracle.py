@@ -366,6 +366,27 @@ def test_simulate_reports_wrong_coefficients_in_every_trial(monkeypatch, wrong):
     assert (empty.passed, empty.trials, empty.failures) == (True, 0, ())
 
 
+@pytest.mark.parametrize("w", [1, 8])
+def test_payloads_are_the_randrange_draws_trial_by_trial(w):
+    class CountingRandom(random.Random):
+        batches = 0
+
+        def getrandbits(self, k):
+            self.batches += 1
+            return super().getrandbits(k)
+
+    m = 5
+    refills = 0
+    for seed in range(40):
+        for trials in (0, 1, 3, 16, 400):
+            rng = random.Random(seed)
+            expected = bytes(rng.randrange(1 << w) for _ in range(trials) for _ in range(m))
+            bulk = CountingRandom(seed)
+            assert gicast.oracle._payloads(bulk, w, trials * m) == expected, (seed, trials)
+            refills += bulk.batches > 1
+    assert refills  # some draws came up short and needed a second batch
+
+
 @pytest.mark.parametrize("trials", [0, 16])
 def test_simulate_matrix_without_rows(trials):
     sol = SchemeSolution("upm-group", 0, None, CodingMatrix(GF256, 4, ()))

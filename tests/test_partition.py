@@ -403,16 +403,20 @@ def test_exhaustive_iupm_k4_family():
 def test_fresh_bound_holds_for_every_block_prefix():
     """For every user partition, in enumeration order, and every prefix of
     its blocks, the bound `exhaustive_iupm` gives the users left is at most
-    the rank the remaining blocks add.  Some prefixes are cut by the bound
-    alone: their rank is within the optimum, their rank plus the bound is
-    not."""
+    the rank the remaining blocks add, and so is that bound plus the check
+    it makes before a block's first insert: min(cost, the block's packets
+    no earlier block demands).  Some prefixes are cut by the bound alone:
+    their rank is within the optimum, their rank plus the bound is not.
+    Some blocks are cut by the check alone: the rank before them plus the
+    bound is within the optimum, plus the check it is not."""
     rng = random.Random(11)
-    cuts = 0
+    cuts = block_cuts = 0
     for _ in range(25):
         inst = random_instance(rng, max_m=5, max_users=6)
         n = len(inst.user_ids)
-        bound = _fresh_bounds(inst, _user_cost_table(inst)[1])
-        prefixes = []  # (rank of the prefix, bound of the users left, rank of the partition)
+        cost, ymask = _user_cost_table(inst)
+        bound = _fresh_bounds(inst, ymask)
+        prefixes = []  # (rank before a block, the check, rank after, bound of the users left, total)
         for blocks in enumerate_partitions(n):
             part = _users(inst, blocks)
             rows = iter(build_transmissions(inst, part).packed)
@@ -421,13 +425,19 @@ def test_fresh_bound_holds_for_every_block_prefix():
             left = (1 << n) - 1
             steps = []
             for blk, c in zip(blocks, overlaps):
+                B = sum(1 << (x - 1) for x in blk)
+                before = len(ech)
+                check = min(cost[B], (ymask[B] & ~ymask[(1 << n) - 1 ^ left]).bit_count())
                 for _ in range(len({inst.user_ids[x - 1].packet for x in blk}) - c):
                     ech.insert(next(rows))
-                left ^= sum(1 << (x - 1) for x in blk)
-                steps.append((len(ech), bound[left]))
-            prefixes += [(r, b, len(ech)) for r, b in steps]
-        best = min(total for _, _, total in prefixes)
-        for r, b, total in prefixes:
+                left ^= B
+                steps.append((before, check, len(ech), bound[left]))
+            prefixes += [(*step, len(ech)) for step in steps]
+        best = min(total for *_, total in prefixes)
+        for before, check, r, b, total in prefixes:
             assert b <= total - r
+            assert check + b <= total - before
             cuts += r <= best < r + b
+            block_cuts += before + b <= best < before + check + b
     assert cuts
+    assert block_cuts
