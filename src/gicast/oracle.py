@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress
 from typing import Sequence
 
@@ -144,6 +145,14 @@ def _payloads(rng: random.Random, w: int, count: int) -> bytes:
     return out[:count]
 
 
+@lru_cache(maxsize=64)
+def _seeded_payloads(seed: int, w: int, count: int) -> bytes:
+    """`_payloads` of a fresh `random.Random(seed)`.  The bytes depend on
+    (seed, w, count) alone, so each is drawn once, and a repeat pays for
+    neither the draws nor the Mersenne Twister key schedule of seeding."""
+    return _payloads(random.Random(seed), w, count)
+
+
 def simulate_decode(
     inst: GicInstance, solution: SchemeSolution, trials: int = 16, seed: int = 0
 ) -> DecodeReport:
@@ -153,7 +162,7 @@ def simulate_decode(
     elimination of the rows), then on `trials` random payload vectors drawn
     from the solution's field, all trials at once.  The payloads are
     `random.Random(seed).randrange(order)` taken trial by trial and packet
-    by packet, drawn in bulk by `_payloads`."""
+    by packet, drawn in bulk by `_payloads` once per (seed, field, count)."""
     M = solution.matrix
     m = inst.m
     failures: list[tuple[UserId, int | None, str]] = []
@@ -171,7 +180,7 @@ def simulate_decode(
     # Payloads are packed like `Echelon` rows, one byte per trial: byte t of
     # x[p - 1] is packet p in trial t.  GF(2) payloads are 0/1 bytes, on
     # which GF(2^8) arithmetic agrees with GF(2).
-    draws = _payloads(random.Random(seed), M.field.w, trials * m)
+    draws = _seeded_payloads(seed, M.field.w, trials * m)
     x = [int.from_bytes(draws[p::m], "little") for p in range(m)]
     y = [_combine(zip(row, x), trials) for row in M.rows]
     wrong = []

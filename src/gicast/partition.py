@@ -7,7 +7,9 @@ demands); a packet block costs what the user block of its demanders costs.
 Stacking the user-partition transmissions and dropping linearly
 dependent rows gives the rank-reduced variant.  The packet- and
 user-partition rates are sums of block costs, so their exhaustive searches
-are a subset DP in O(3^n); the rank-reduced search is a depth-first search
+are a subset DP in O(3^n), in two passes: small-int totals, each set's scan
+cut at a lower bound it cannot beat, then the witness, read top-down along
+the optimal blocks only.  The rank-reduced search is a depth-first search
 over blocks, pruned by rank plus a lower bound on what the rest must add.
 All three return the first optimum in restricted-growth-string order, the
 order `enumerate_partitions` yields.
@@ -16,6 +18,7 @@ order `enumerate_partitions` yields.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .gf import CodingMatrix, Echelon, mds_rows, row_basis, unit_row
@@ -41,9 +44,11 @@ __all__ = [
 
 #: Largest ground set searched by default.  `enumerate_partitions` yields
 #: all Bell(n) partitions (Bell(13) is ~27.6 million) and the PPM/UPM subset
-#: DP is O(3^n).  The bound-pruned IUPM search took 0.15-1.4 s on random
-#: 12-user instances over 7 packets and 0.1-4.3 s on 13-user ones over 6
-#: packets (2-vCPU VM).
+#: DP is O(3^n); on random instances of 13/14/15/16 users over 8 packets,
+#: the two-pass DP's `exhaustive_upm` takes 0.03/0.05/0.12/0.43 s (the
+#: single-pass one took 0.05-0.08/0.19/0.46-0.60/1.4-1.8 s).  The
+#: bound-pruned IUPM search took 0.15-1.4 s on random 12-user instances
+#: over 7 packets and 0.1-4.3 s on 13-user ones over 6 packets (2-vCPU VM).
 DEFAULT_CAP = 13
 
 
@@ -236,16 +241,18 @@ def iupm_rate(inst: GicInstance, part: UserPartition) -> tuple[int, CodingMatrix
 # string leaves its unassigned elements at digit 0.
 
 
-def _packing(n: int) -> tuple[int, list[int]]:
+@lru_cache(maxsize=None)
+def _packing(n: int) -> tuple[int, tuple[int, ...]]:
     """Digit width for labels 0..n-1 and ones[mask], the packed string with
-    digit 1 at every element of mask."""
+    digit 1 at every element of mask.  Depends on n alone, so it is built
+    once per n."""
     width = max(1, (n - 1).bit_length())
     ones = [0] * (1 << n)
     for mask in range(1, 1 << n):
         low = mask & -mask
         t = low.bit_length() - 1
         ones[mask] = ones[mask ^ low] + (1 << (width * (n - 1 - t)))
-    return width, ones
+    return width, tuple(ones)
 
 
 def _unpack(code: int, n: int, width: int) -> list[int]:
@@ -257,31 +264,83 @@ def _min_partition_sum(n: int, cost: Sequence[int]) -> tuple[int, list[int]]:
     """Minimize the sum of cost[block] over all set partitions of n elements;
     returns the total and the lexicographically first optimal RGS.
 
-    Subset DP, f(S) = min over blocks B holding min(S) of cost[B] + f(S - B).
-    Each subset keeps the key total * 2^(width*n) + its packed lex-first
-    optimal RGS, so one integer minimum settles ties by the string.  With B
-    fixed at label 0, the string of S is the rest's string with every label
-    raised by one, packed(rest) + ones[rest], so the order among the rest's
-    strings carries over.  Only the full set and the subsets without element
-    0 are ever a rest, so only those are solved."""
+    Precondition: cost is monotone, cost[B | t] >= cost[B] for every block B
+    and element t, and every singleton costs at most 1.  Both cost tables
+    are: a block's worst-served receiver only loses by a wider block.
+
+    Pass 1, the totals: f(S) = min over blocks B holding low = min(S) of
+    cost[B] + f(S - B), for the full set and every set without element 0,
+    the only ones that are ever a rest.  f(S) lies in [f(S - low),
+    f(S - low) + cost[low]]: cost[B] >= cost[B - low] >= f(B - low) and
+    f(B - low) + f(S - B) >= f(S - low), while the block {low} alone gives
+    the upper end.  As cost[low] <= 1, the scan over B stops at the first
+    block that reaches f(S - low), and f(S) is one more when none does.
+    Sets are taken by lowest element, highest first; the sets low | R with
+    R above low read only final values, cost[low::2*low] and f[0::2*low],
+    both indexed by R / (2*low).
+
+    Pass 2, the witness, top-down from the full set: with block B at label
+    0, the string of R is the rest's string with every label raised by one,
+    packed(rest) + ones[rest], so the order among the rest's strings carries
+    over.  R's lex-first optimal string is the least of these over the
+    tight blocks, cost[B] + f(R - B) = f(R), the candidates of the keyed
+    single-pass DP that tie at its minimum.  A rest is solved, and
+    memoized, only while ones[rest], a lower bound on its candidate, is
+    below the best candidate so far."""
     width, ones = _packing(n)
-    shift = width * n
-    ckey = [c << shift for c in cost]
     full = (1 << n) - 1
-    lifted = [0] * (1 << n)  # key[S] + ones[S]: S as the rest beside a label-0 block
-    for S in (*range(2, full, 2), full):
-        low = S & -S
-        rest = S ^ low
-        best = ckey[S]  # B = S, nothing left
-        sub = rest
-        while sub:
-            sub = (sub - 1) & rest
-            k = ckey[sub | low] + lifted[rest ^ sub]
-            if k < best:
-                best = k
-        lifted[S] = best + ones[S]
-    key = lifted[full] - ones[full]
-    return key >> shift, _unpack(key & ((1 << shift) - 1), n, width)
+    f = [0] * (1 << n)
+    for t in range(n - 1, -1, -1):
+        low = 1 << t
+        step = low << 1
+        c = cost[low::step]
+        g = f[0::step]
+        h = g  # a free singleton: f(low | R) = f(R)
+        if c[0]:
+            h = [1] * len(g)
+            # the group of element 0 needs only the full set
+            for k in range(1, len(g)) if t else (len(g) - 1,):
+                lo = g[k]
+                sub = k & -k  # the subsets of k, ascending
+                while sub:
+                    if c[sub] + g[k ^ sub] == lo:
+                        break
+                    sub = (sub - k) & k
+                else:
+                    lo += 1
+                h[k] = lo
+        if t:
+            f[low::step] = h
+        else:
+            f[full] = h[-1]
+    lexfirst = {0: 0}  # packed lex-first optimal string of each set solved
+
+    def solve(R: int) -> int:
+        code = lexfirst.get(R)
+        if code is None:
+            low = R & -R
+            rest = R ^ low
+            target = f[R]
+            tight = []
+            sub = rest
+            while True:
+                left = rest ^ sub
+                if cost[sub | low] + f[left] == target:
+                    tight.append((ones[left], left))
+                if not sub:
+                    break
+                sub = (sub - 1) & rest
+            tight.sort()
+            for lift, left in tight:
+                if code is not None and lift >= code:
+                    break
+                cand = solve(left) + lift
+                if code is None or cand < code:
+                    code = cand
+            lexfirst[R] = code
+        return code
+
+    return f[full], _unpack(solve(full), n, width)
 
 
 def _cost_table(

@@ -58,3 +58,34 @@ def bitmask_rank(masks) -> int:
                 break
             row ^= basis[low]
     return len(basis)
+
+
+def reference_min_partition_sum(n: int, cost) -> tuple[int, list[int]]:
+    """Single-pass subset DP over keyed totals: a reference kept apart from
+    the two-pass `gicast.partition._min_partition_sum` that the tests check.
+
+    f(S) = min over blocks B holding min(S) of cost[B] + f(S - B).  Each set
+    keeps the key total * 2^(width*n) + its packed lex-first optimal RGS, so
+    one integer minimum settles ties by the string; with B at label 0, the
+    string of S is the rest's string with every label raised by one."""
+    width = max(1, (n - 1).bit_length())
+    shift = width * n
+    ones = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        ones[mask] = ones[mask ^ low] + (1 << (width * (n - low.bit_length())))
+    full = (1 << n) - 1
+    lifted = [0] * (1 << n)  # key[S] + ones[S]: S as the rest beside a label-0 block
+    for S in (*range(2, full, 2), full):  # only these are ever a rest
+        low = S & -S
+        rest = S ^ low
+        best = cost[S] << shift  # B = S, nothing left
+        sub = rest
+        while sub:
+            sub = (sub - 1) & rest
+            best = min(best, (cost[sub | low] << shift) + lifted[rest ^ sub])
+        lifted[S] = best + ones[S]
+    key = lifted[full] - ones[full]
+    code = key & ((1 << shift) - 1)
+    digit = (1 << width) - 1
+    return key >> shift, [(code >> (width * (n - 1 - t))) & digit for t in range(n)]

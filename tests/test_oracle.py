@@ -387,6 +387,24 @@ def test_payloads_are_the_randrange_draws_trial_by_trial(w):
     assert refills  # some draws came up short and needed a second batch
 
 
+def test_simulate_draws_the_payloads_once_per_field_and_count(ex1, monkeypatch):
+    draws = []
+    payloads = gicast.oracle._payloads
+
+    def counting(rng, w, count):
+        draws.append((w, count))
+        return payloads(rng, w, count)
+
+    monkeypatch.setattr(gicast.oracle, "_payloads", counting)
+    gicast.oracle._seeded_payloads.cache_clear()
+    upm, ppm = exhaustive_upm(ex1), exhaustive_ppm(ex1)
+    assert (upm.matrix.field, ppm.matrix.field) == (GF2, GF256)
+    reports = [simulate_decode(ex1, sol, seed=3) for sol in (upm, ppm, upm, ppm)]
+    assert draws == [(1, 16 * ex1.m), (8, 16 * ex1.m)]  # the repeats draw no new words
+    assert reports[:2] == reports[2:]
+    assert all(r.passed for r in reports)
+
+
 @pytest.mark.parametrize("trials", [0, 16])
 def test_simulate_matrix_without_rows(trials):
     sol = SchemeSolution("upm-group", 0, None, CodingMatrix(GF256, 4, ()))

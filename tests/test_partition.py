@@ -26,9 +26,14 @@ from gicast import (
     upm_rate,
 )
 from gicast.gf import Echelon, mds_generator, rank
-from gicast.partition import _fresh_bounds, _packet_cost_table, _user_cost_table
+from gicast.partition import (
+    _fresh_bounds,
+    _min_partition_sum,
+    _packet_cost_table,
+    _user_cost_table,
+)
 
-from conftest import certify, random_instance
+from conftest import certify, random_instance, reference_min_partition_sum
 
 
 def bell_numbers(n: int) -> list[int]:
@@ -276,6 +281,19 @@ def test_cost_tables_match_block_rates():
             assert cost[mask] == ppm_rate(inst, part)[0] - (inst.m - len(T))
 
 
+def test_cost_tables_are_monotone_with_unit_singletons():
+    # the precondition of `_min_partition_sum`
+    rng = random.Random(12)
+    for _ in range(60):
+        inst = random_instance(rng, max_m=5, max_users=7)
+        for cost in (_user_cost_table(inst)[0], _packet_cost_table(inst)):
+            n = len(cost).bit_length() - 1
+            for t in range(n):
+                assert cost[1 << t] <= 1
+                for B in range(len(cost)):
+                    assert cost[B | 1 << t] >= cost[B], (B, t)
+
+
 # --------------------------------------------------------------------- iupm
 
 def test_iupm_k6_drops_one_row():
@@ -393,6 +411,38 @@ def test_exhaustive_searches_match_brute_force():
         assert _summary(exhaustive_upm(inst)) == (upm_rate(inst, part)[0], part, rows, "deterministic")
 
         assert _summary(exhaustive_iupm(inst)) == _iupm_reference(inst)
+
+
+def test_min_partition_sum_matches_the_keyed_single_pass_dp():
+    """Same total and lex-first string as the reference DP, on random cost
+    tables of 9-12 elements and on tie-heavy ones: the family's packet
+    tables, and instances where every receiver knows every other packet,
+    so that every block costs 1."""
+    from gicast import GicInstance
+
+    rng = random.Random(17)
+    tables = []
+    for n in range(9, 13):
+        inst = random_instance(rng, max_m=n, max_users=n)
+        while len(inst.user_ids) < 9:
+            inst = random_instance(rng, max_m=n, max_users=n)
+        tables.append(_user_cost_table(inst)[0])
+        sides = [{q for q in range(1, n + 1) if q != p and rng.random() < 0.5} for p in range(1, n + 1)]
+        tables.append(_packet_cost_table(GicInstance.make(n, [((p, 1), sides[p - 1]) for p in range(1, n + 1)])))
+    for k in (3, 4, 5):
+        tables.append(_packet_cost_table(generate_k2(k)[0]))
+    for m, n in ((3, 9), (5, 12)):
+        everyone = {(i % m + 1, i // m + 1): set(range(1, m + 1)) - {i % m + 1} for i in range(n)}
+        inst = GicInstance.make(m, everyone)
+        tables += [_user_cost_table(inst)[0], _packet_cost_table(inst)]
+    # Tables on which the tight block whose rest has the least lifted string
+    # is not the lex-first string's block 0: the rests' own strings decide.
+    for seed in (1031, 1085):
+        inst = random_instance(random.Random(seed), max_m=6, max_users=9)
+        tables += [_user_cost_table(inst)[0], _packet_cost_table(inst)]
+    for cost in tables:
+        n = len(cost).bit_length() - 1
+        assert _min_partition_sum(n, cost) == reference_min_partition_sum(n, cost), n
 
 
 def test_exhaustive_iupm_k4_family():
