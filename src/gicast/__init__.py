@@ -7,7 +7,6 @@ from .gf import (
     Decoding,
     Field,
     FieldSizeError,
-    conditional_entropy,
     field,
     mds_generator,
     rank,
@@ -16,7 +15,6 @@ from .gf import (
 )
 from .heuristic import (
     SubsetKey,
-    WorkingSubset,
     initial_subsets_packet,
     initial_subsets_user,
     run_heuristic,

@@ -27,7 +27,6 @@ __all__ = [
     "pack_row",
     "unpack_row",
     "unit_row",
-    "column_mask",
     "scale_row",
     "rank",
     "row_basis",
@@ -35,7 +34,6 @@ __all__ = [
     "mds_generator",
     "mds_rows",
     "residual_rank",
-    "conditional_entropy",
     "solve_decode",
 ]
 
@@ -72,10 +70,6 @@ class Field:
         self.w = w
         self.order = 1 << w
 
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -85,9 +79,6 @@ class Field:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return _EXP[255 - _LOG[a]]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -174,11 +165,6 @@ def unit_row(p: int) -> int:
     return 1 << 8 * (p - 1)
 
 
-def column_mask(packets: Iterable[int]) -> int:
-    """Packed row with byte 0xFF at the column of every packet."""
-    return 0xFF * sum(unit_row(p) for p in set(packets))
-
-
 def _scale_tables() -> list[bytes]:
     """Table f maps every byte x to f * x in GF(2^8), for `bytes.translate`.
     For x != 0, f * x = exp[log f + log x], so translating the logs of
@@ -237,12 +223,6 @@ class Echelon:
             f = (v >> 8 * c) & 0xFF
             row ^= p if f == 1 else scale_row(p, f, self._width)
 
-    def reduce(self, row: int) -> int:
-        """Row less the pivot rows subtracted until its first nonzero column
-        has no pivot; its first `ncols` columns are all zero iff row lies in
-        the span."""
-        return self._reduce(row)[0]
-
     def residue(self, row: int) -> int:
         """Row less the pivot rows at every pivot column, in ascending order:
         zero in every pivot column, 0 iff row lies in the span, and the same
@@ -254,9 +234,10 @@ class Echelon:
             if not v:
                 return row
             c = ((v & -v).bit_length() - 1) >> 3
-            rest &= -1 << 8 * (c + 1)  # a pivot row is zero before its column
             p = pivots.get(c)
-            if p is not None:
+            if p is None:  # skip a column without a pivot
+                rest &= -1 << 8 * (c + 1)
+            else:  # clears column c: a pivot row is zero before its column
                 f = (v >> 8 * c) & 0xFF
                 row ^= p if f == 1 else scale_row(p, f, self._width)
 
@@ -343,21 +324,11 @@ def mds_rows(rows: Sequence[int], r: int) -> list[int]:
 def residual_rank(rows: Iterable[int], known: Iterable[int], ncols: int) -> int:
     """Rank of packed rows once the columns of the known packets are zeroed:
     what the rows still tell a receiver holding those packets."""
-    unknown = ~column_mask(known)
+    unknown = ~(0xFF * sum(unit_row(p) for p in set(known)))
     ech = Echelon(ncols)
     for row in rows:
         ech.insert(row & unknown)
     return len(ech)
-
-
-def conditional_entropy(M: CodingMatrix, known: Iterable[int]) -> int:
-    """Residual information in M's rows for a receiver holding the packets in
-    `known` (1-based): rank after zeroing the known columns."""
-    kset = set(known)
-    for p in kset:
-        if not 1 <= p <= M.ncols:
-            raise ValueError(f"known packet {p} outside 1..{M.ncols}")
-    return residual_rank(M.packed, kset, M.ncols)
 
 
 class Decoding(NamedTuple):
@@ -414,11 +385,13 @@ class Decoder:
     is zero in every other pivot column.  The remainder of e_p is
     therefore e_p less the pivot row at its column, if any: one XOR, zero
     in every pivot column.  A receiver inserts the remainders of its side
-    packets into a fresh echelon, in ascending order, and reduces the
-    remainder of its target there.  It stops inserting once that echelon
-    holds a pivot in each of the m - rank columns without a pivot row: the
-    side units then span every remainder, so each later one is dependent,
-    and the greedy certificate gives it coefficient 0 anyway."""
+    packets into a fresh echelon, in ascending order, and takes the
+    `residue` there of its target's remainder, whose packet columns are
+    all zero exactly when the target decodes.  It stops inserting once
+    that echelon holds a pivot in each of the m - rank columns without a
+    pivot row: the side units then span every remainder, so each later
+    one is dependent, and the greedy certificate gives it coefficient 0
+    anyway."""
 
     __slots__ = ("ncols", "nrows", "_pivots", "_unit_tag", "_free")
 
@@ -451,7 +424,7 @@ class Decoder:
             if len(held) == free:
                 break
             insert(unit << 8 * (p - 1) ^ pivots.get(p - 1, 0))
-        rem = ech.reduce(unit << 8 * (target - 1) ^ pivots.get(target - 1, 0))
+        rem = ech.residue(unit << 8 * (target - 1) ^ pivots.get(target - 1, 0))
         return _certificate(rem, m, n, target, kcols)
 
 
@@ -460,7 +433,7 @@ def solve_decode(M: CodingMatrix, known: Iterable[int], target: int) -> Decoding
     the known packets; None when the target is outside the span.
 
     One forward elimination: the `_tagged` rows, then the tagged unit rows
-    of the known packets in ascending order, then the reduction of the
+    of the known packets in ascending order, then the `residue` of the
     tagged e_target.  It keeps the same greedy rows and units as
     `Decoder.decode`, so it gives the same certificate, without the
     back-substitution that serves many receivers."""
@@ -469,4 +442,4 @@ def solve_decode(M: CodingMatrix, known: Iterable[int], target: int) -> Decoding
     ech, unit = _tagged(M)
     for p in kcols:
         ech.insert(unit << 8 * (p - 1))
-    return _certificate(ech.reduce(unit << 8 * (target - 1)), m, M.nrows, target, kcols)
+    return _certificate(ech.residue(unit << 8 * (target - 1)), m, M.nrows, target, kcols)

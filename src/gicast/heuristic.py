@@ -22,7 +22,6 @@ from .partition import SchemeSolution
 
 __all__ = [
     "SubsetKey",
-    "WorkingSubset",
     "initial_subsets_user",
     "initial_subsets_packet",
     "step2_merge",
@@ -53,20 +52,9 @@ class SubsetKey:
         return "".join(u.label() for u in self.members)
 
 
-@dataclass(frozen=True)
-class WorkingSubset:
-    """Subset contents as packet groups; packets of one group shared a Step-1
-    key and will collapse to a single XOR row in Step 3."""
-
-    key: SubsetKey
-    groups: tuple[frozenset[int], ...]
-
-    @property
-    def packets(self) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
-        for g in self.groups:
-            out |= g
-        return out
+#: A working subset's contents as packet groups: packets of one group shared
+#: a Step-1 key and will collapse to a single XOR row in Step 3.
+Groups = tuple[frozenset[int], ...]
 
 
 def _receiver_keys(inst: GicInstance) -> dict[UserId, SubsetKey]:
@@ -83,16 +71,16 @@ def _receiver_keys(inst: GicInstance) -> dict[UserId, SubsetKey]:
     return keys
 
 
-def initial_subsets_user(inst: GicInstance) -> dict[SubsetKey, WorkingSubset]:
+def initial_subsets_user(inst: GicInstance) -> dict[SubsetKey, Groups]:
     """One insertion of packet i per receiver of i, under that receiver's
     key; packets meeting at a key form a single group."""
     buckets: dict[SubsetKey, set[int]] = {}
     for uid, key in _receiver_keys(inst).items():
         buckets.setdefault(key, set()).add(uid.packet)
-    return {k: WorkingSubset(k, (frozenset(v),)) for k, v in buckets.items()}
+    return {k: (frozenset(v),) for k, v in buckets.items()}
 
 
-def initial_subsets_packet(inst: GicInstance) -> dict[SubsetKey, WorkingSubset]:
+def initial_subsets_packet(inst: GicInstance) -> dict[SubsetKey, Groups]:
     """Packet-initialized variant: each packet inserted once, keyed by the
     union of its receivers' keys."""
     rkeys = _receiver_keys(inst)
@@ -102,12 +90,12 @@ def initial_subsets_packet(inst: GicInstance) -> dict[SubsetKey, WorkingSubset]:
         for uid in inst.users_of_packet.get(i, ()):
             merged |= set(rkeys[uid].members)
         buckets.setdefault(SubsetKey.of(merged), set()).add(i)
-    return {k: WorkingSubset(k, (frozenset(v),)) for k, v in buckets.items()}
+    return {k: (frozenset(v),) for k, v in buckets.items()}
 
 
 def step2_merge(
-    inst: GicInstance, subsets: dict[SubsetKey, WorkingSubset]
-) -> tuple[dict[SubsetKey, WorkingSubset], tuple[str, ...]]:
+    inst: GicInstance, subsets: dict[SubsetKey, Groups]
+) -> tuple[dict[SubsetKey, Groups], tuple[str, ...]]:
     """Promote subsets until, for every subset, all key members see the same
     strictly positive residual information.
 
@@ -117,9 +105,7 @@ def step2_merge(
     are processed in ascending (level, key) order, zero-residual subsets
     first; a subset whose key already spans every receiver cannot grow and is
     left as is."""
-    subs: dict[SubsetKey, tuple[frozenset[int], ...]] = {
-        k: ws.groups for k, ws in subsets.items()
-    }
+    subs = dict(subsets)
     all_users = inst.user_ids
     side = inst.side_map
     trace: list[str] = []
@@ -161,14 +147,14 @@ def step2_merge(
         else:
             subs[grown] = groups
             trace.append(f"promote {key.fmt()} level {v} -> {v + 1}")
-    return {k: WorkingSubset(k, g) for k, g in subs.items()}, tuple(trace)
+    return subs, tuple(trace)
 
 
-def _subset_rows(ws: WorkingSubset) -> list[int]:
+def _subset_rows(groups: Groups) -> list[int]:
     """Post-compression content rows, packed as by `pack_row`: one XOR row
     per packet group, duplicates dropped."""
     rows: list[int] = []
-    for g in ws.groups:
+    for g in groups:
         row = sum(unit_row(p) for p in g)
         if row not in rows:
             rows.append(row)
@@ -176,18 +162,17 @@ def _subset_rows(ws: WorkingSubset) -> list[int]:
 
 
 def step3_rate(
-    inst: GicInstance, subsets: dict[SubsetKey, WorkingSubset], scheme: str, trace: tuple[str, ...] = ()
+    inst: GicInstance, subsets: dict[SubsetKey, Groups], scheme: str, trace: tuple[str, ...] = ()
 ) -> SchemeSolution:
     """Charge each final subset the worst residual information among its key
     members and realize that rate with one deterministic matrix: the plain
     MDS combinations of each subset's compressed rows, over the field
     `CodingMatrix.of_packed` reads off them.  The matrix is returned as
     built; nothing retries other coefficients."""
-    finals = sorted(subsets.values(), key=lambda ws: (ws.key.level, ws.key))
     solution_rows = []
-    for ws in finals:
-        rows = _subset_rows(ws)
-        rho = max(residual_rank(rows, inst.side_map[u], inst.m) for u in ws.key.members)
+    for key in sorted(subsets, key=lambda k: (k.level, k)):
+        rows = _subset_rows(subsets[key])
+        rho = max(residual_rank(rows, inst.side_map[u], inst.m) for u in key.members)
         if rho:
             solution_rows += mds_rows(rows, rho)
     matrix = CodingMatrix.of_packed(inst.m, solution_rows)

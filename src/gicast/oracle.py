@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
 from typing import Sequence
 
 from .gf import Decoder, Decoding, Echelon, scale_row, unit_row
@@ -119,38 +118,14 @@ def _combine(terms, width: int) -> int:
     return acc
 
 
-#: Per top byte of a 32-bit word: 1 when the word's top bit is clear.
-_ACCEPT = bytes(b < 0x80 for b in range(256))
-#: Per extension degree w: each byte reduced to its low w bits.
-_LOW_BITS = {w: bytes(b & ((1 << w) - 1) for b in range(256)) for w in (1, 8)}
-
-
-def _payloads(rng: random.Random, w: int, count: int) -> bytes:
-    """`count` draws of rng.randrange(2^w), w 1 or 8, as bytes: the values
-    the calls one at a time return, drawn in bulk.
-
-    Each attempt of randrange(2^w) takes one 32-bit Mersenne Twister word
-    and keeps its top w + 1 bits: it rejects the word when its top bit is
-    set and otherwise returns the w bits below it.  getrandbits(32 n)
-    returns the next n words, the first one lowest, so a batch keeps its
-    accepted words in order, and a short batch is followed by the next."""
-    out = b""
-    while len(out) < count:
-        n = 2 * (count - len(out)) + 32  # about half the words are accepted
-        words = rng.getrandbits(32 * n)
-        tops = words.to_bytes(4 * n, "little")[3::4]
-        # bits 31 - w .. 30 of each word, moved to the bottom of its top byte
-        values = (words << 1 >> 8 - w).to_bytes(4 * n + 1, "little")[3::4]
-        out += bytes(compress(values.translate(_LOW_BITS[w]), tops.translate(_ACCEPT)))
-    return out[:count]
-
-
 @lru_cache(maxsize=64)
 def _seeded_payloads(seed: int, w: int, count: int) -> bytes:
-    """`_payloads` of a fresh `random.Random(seed)`.  The bytes depend on
-    (seed, w, count) alone, so each is drawn once, and a repeat pays for
-    neither the draws nor the Mersenne Twister key schedule of seeding."""
-    return _payloads(random.Random(seed), w, count)
+    """`count` draws of `random.Random(seed).randrange(2^w)`, w 1 or 8, as
+    bytes.  They depend on (seed, w, count) alone, so each is drawn once,
+    and a repeat pays for neither the draws nor the Mersenne Twister key
+    schedule of seeding."""
+    rng = random.Random(seed)
+    return bytes(rng.randrange(1 << w) for _ in range(count))
 
 
 def simulate_decode(
@@ -162,7 +137,7 @@ def simulate_decode(
     elimination of the rows), then on `trials` random payload vectors drawn
     from the solution's field, all trials at once.  The payloads are
     `random.Random(seed).randrange(order)` taken trial by trial and packet
-    by packet, drawn in bulk by `_payloads` once per (seed, field, count)."""
+    by packet, drawn once per (seed, field, count) by `_seeded_payloads`."""
     M = solution.matrix
     m = inst.m
     failures: list[tuple[UserId, int | None, str]] = []

@@ -45,10 +45,9 @@ __all__ = [
 #: Largest ground set searched by default.  `enumerate_partitions` yields
 #: all Bell(n) partitions (Bell(13) is ~27.6 million) and the PPM/UPM subset
 #: DP is O(3^n); on random instances of 13/14/15/16 users over 8 packets,
-#: the two-pass DP's `exhaustive_upm` takes 0.03/0.05/0.12/0.43 s (the
-#: single-pass one took 0.05-0.08/0.19/0.46-0.60/1.4-1.8 s).  The
-#: bound-pruned IUPM search took 0.15-1.4 s on random 12-user instances
-#: over 7 packets and 0.1-4.3 s on 13-user ones over 6 packets (2-vCPU VM).
+#: `exhaustive_upm` takes 0.03/0.05/0.12/0.43 s.  The bound-pruned IUPM
+#: search took 0.15-1.4 s on random 12-user instances over 7 packets and
+#: 0.1-4.3 s on 13-user ones over 6 packets (2-vCPU VM).
 DEFAULT_CAP = 13
 
 
@@ -351,11 +350,15 @@ def _cost_table(
     holders[t]; receiver h holds the packets in sides[h].  Block mask
     demands Y = ymask[mask], the union of its members' demands, and costs
     cost[mask] = |Y| minus the smallest |sides[h] & Y| over the receivers
-    it stands for: the rule of `_block_codes`.  Returns (cost, ymask)."""
+    it stands for: the rule of `_block_codes`.  Returns (cost, ymask).
+    Tables too large to allocate raise PartitionCapError."""
     size = 1 << len(demand)
-    cost = [0] * size
-    ymask = [0] * size
-    hmask = [0] * size
+    try:
+        cost = [0] * size
+        ymask = [0] * size
+        hmask = [0] * size
+    except (MemoryError, OverflowError):
+        raise PartitionCapError(f"block tables of 2^{len(demand)} entries do not fit in memory") from None
     for mask in range(1, size):
         low = mask & -mask
         t = low.bit_length() - 1

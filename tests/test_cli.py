@@ -156,6 +156,13 @@ def test_solve_cap_override_zero(capsys):
     assert "exceed enumeration cap 0" in err
 
 
+def test_solve_cap_override_beyond_memory(capsys):
+    # 60 users: the 2^60-entry block tables are refused before any allocation
+    rc, out, err = run(capsys, "solve", EX3, "--scheme", "upm-exhaustive", "--cap-override", "64")
+    assert (rc, out) == (2, "")
+    assert err == "error: block tables of 2^60 entries do not fit in memory\n"
+
+
 def test_main_keeps_no_state_between_calls(tmp_path, capsys):
     # main reuses one parser per process; each call must see only its own options
     argvs = [
@@ -303,6 +310,16 @@ def test_table_k17_field_too_small_cell(capsys):
     assert out == (
         "k=24 m=276 ppm_bound=93 ppm_exh=- upm_group=24 iupm_group=23 "
         "heur_user=24 heur_packet=- minrank=-\n"
+    )
+
+
+def test_table_cap_override_beyond_memory_cell(capsys):
+    # 66 packets: a 2^66-entry table does not even have an index-sized length
+    rc, out, _ = run(capsys, "table", "--k", "12", "--cap-override", "100", "--format", "records")
+    assert rc == 0
+    assert out == (
+        "k=12 m=66 ppm_bound=23 ppm_exh=- upm_group=12 iupm_group=11 "
+        "heur_user=12 heur_packet=56 minrank=-\n"
     )
 
 

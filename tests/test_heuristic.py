@@ -41,7 +41,7 @@ def test_user_seed_keys_match_naive(ex1):
     for uid, key_members in naive.items():
         key = SubsetKey.of(key_members)
         assert key in subsets
-        assert any(uid.packet in grp for grp in subsets[key].groups)
+        assert any(uid.packet in grp for grp in subsets[key])
 
 
 def test_user_seed_keys_k2_family():
@@ -52,7 +52,7 @@ def test_user_seed_keys_k2_family():
     for grp_users, pkts in zip(gs.user_groups(), gs.packet_sets):
         key = SubsetKey.of(grp_users)
         assert key in subsets
-        assert subsets[key].packets == set(pkts)
+        assert frozenset().union(*subsets[key]) == set(pkts)
 
 
 def test_user_seed_isolated_user():
@@ -68,8 +68,8 @@ def test_packet_seed_keys_k2_family():
     subsets = initial_subsets_packet(inst)
     # one singleton subset per packet, keyed by the union of its two groups
     assert len(subsets) == 6
-    for key, ws in subsets.items():
-        pkts = ws.packets
+    for key, groups in subsets.items():
+        pkts = frozenset().union(*groups)
         assert len(pkts) == 1
         (i,) = pkts
         touching = [g for g, Y in zip(gs.user_groups(), gs.packet_sets) if i in Y]
@@ -84,7 +84,7 @@ def test_packet_seed_unicast_matches_user_seed():
 
 def test_example1_packet_seed_keys(ex1):
     subsets = initial_subsets_packet(ex1)
-    keys = {frozenset(map(tuple, k.members)): frozenset(ws.packets) for k, ws in subsets.items()}
+    keys = {frozenset(map(tuple, k.members)): frozenset().union(*groups) for k, groups in subsets.items()}
     assert keys == {
         frozenset({(1, 1), (1, 2), (2, 1), (3, 1), (4, 1)}): frozenset({1}),
         frozenset({(1, 2), (2, 1), (3, 1)}): frozenset({2, 3}),
@@ -118,10 +118,10 @@ def test_step2_k2_packet_seeds_collapse():
     inst, _ = generate_k2(k)
     merged, trace = step2_merge(inst, initial_subsets_packet(inst))
     assert len(merged) == 1
-    ((key, ws),) = merged.items()
+    ((key, groups),) = merged.items()
     assert key.level == 2 * (k - 1) + 1
-    assert ws.packets == set(range(1, inst.m + 1))
-    assert all(len(g) == 1 for g in ws.groups)
+    assert frozenset().union(*groups) == set(range(1, inst.m + 1))
+    assert all(len(g) == 1 for g in groups)
     assert len(trace) == inst.m
 
 

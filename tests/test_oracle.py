@@ -368,39 +368,20 @@ def test_simulate_reports_wrong_coefficients_in_every_trial(monkeypatch, wrong):
 
 @pytest.mark.parametrize("w", [1, 8])
 def test_payloads_are_the_randrange_draws_trial_by_trial(w):
-    class CountingRandom(random.Random):
-        batches = 0
-
-        def getrandbits(self, k):
-            self.batches += 1
-            return super().getrandbits(k)
-
     m = 5
-    refills = 0
     for seed in range(40):
         for trials in (0, 1, 3, 16, 400):
             rng = random.Random(seed)
             expected = bytes(rng.randrange(1 << w) for _ in range(trials) for _ in range(m))
-            bulk = CountingRandom(seed)
-            assert gicast.oracle._payloads(bulk, w, trials * m) == expected, (seed, trials)
-            refills += bulk.batches > 1
-    assert refills  # some draws came up short and needed a second batch
+            assert gicast.oracle._seeded_payloads(seed, w, trials * m) == expected, (seed, trials)
 
 
-def test_simulate_draws_the_payloads_once_per_field_and_count(ex1, monkeypatch):
-    draws = []
-    payloads = gicast.oracle._payloads
-
-    def counting(rng, w, count):
-        draws.append((w, count))
-        return payloads(rng, w, count)
-
-    monkeypatch.setattr(gicast.oracle, "_payloads", counting)
+def test_simulate_draws_the_payloads_once_per_field_and_count(ex1):
     gicast.oracle._seeded_payloads.cache_clear()
     upm, ppm = exhaustive_upm(ex1), exhaustive_ppm(ex1)
     assert (upm.matrix.field, ppm.matrix.field) == (GF2, GF256)
     reports = [simulate_decode(ex1, sol, seed=3) for sol in (upm, ppm, upm, ppm)]
-    assert draws == [(1, 16 * ex1.m), (8, 16 * ex1.m)]  # the repeats draw no new words
+    assert gicast.oracle._seeded_payloads.cache_info().misses == 2  # the repeats draw nothing
     assert reports[:2] == reports[2:]
     assert all(r.passed for r in reports)
 
