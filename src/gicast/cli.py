@@ -91,10 +91,10 @@ def _solve_one(inst: GicInstance, scheme: str, args) -> tuple[str, bool, SchemeS
 
 
 def _read_instance(path: str) -> GicInstance:
-    """Load and validate the UTF-8 instance file at path.  An unreadable or
-    undecodable file raises OSError or UnicodeDecodeError, which `main`
-    reports with exit 2."""
-    with open(path, encoding="utf-8") as fh:
+    """Load and validate the UTF-8 instance file at path, less a leading
+    byte-order mark if it has one.  An unreadable or undecodable file
+    raises OSError or UnicodeDecodeError, which `main` reports with exit 2."""
+    with open(path, encoding="utf-8-sig") as fh:
         return load_instance(fh.read())
 
 

@@ -340,58 +340,26 @@ class Decoding(NamedTuple):
     known_coeffs: tuple[tuple[int, int], ...]
 
 
-def _receiver(m: int, known: Iterable[int], target: int) -> list[int]:
-    """A receiver's known packets, ascending, once checked against 1..m."""
-    if not 1 <= target <= m:
-        raise ValueError(f"target packet {target} outside 1..{m}")
-    kcols = sorted(set(known))
-    if target in kcols:
-        raise ValueError(f"target packet {target} already known")
-    if kcols and not (1 <= kcols[0] and kcols[-1] <= m):
-        raise ValueError(f"known packets {kcols} outside 1..{m}")
-    return kcols
-
-
-def _tagged(M: CodingMatrix) -> tuple[Echelon, int]:
-    """An echelon of M's rows, row r inserted with a 1 in tail slot r, and
-    the unit row e_1 with a 1 in tail slot nrows: shifted up by p - 1
-    bytes, it is e_p with its tag, a 1 in tail slot nrows + p - 1.  The
-    tail of every combination then records how it combines the rows and
-    the unit rows."""
-    m = M.ncols
-    ech = Echelon(m, 2 * m + M.nrows)
-    tag = unit_row(m + 1)
-    for row in M.packed:
-        ech.insert(row | tag)
-        tag <<= 8
-    return ech, tag | 1
-
-
-def _certificate(rem: int, m: int, n: int, target: int, kcols: list[int]) -> Decoding | None:
-    """The decoding a remainder of the tagged e_target records: None unless
-    its m packet columns are all zero."""
-    if rem & ((1 << 8 * m) - 1):
-        return None
-    tail = (rem >> 8 * m).to_bytes(n + m, "little")
-    return Decoding(target, tuple(tail[:n]), tuple([(p, tail[n + p - 1]) for p in kcols]))
-
-
 class Decoder:
     """Decodings of one matrix for any number of receivers from a single
     elimination of its rows.
 
-    The rows go into one `_tagged` echelon, which is then reduced once:
-    each pivot row is cleared from every other pivot row, so a pivot row
-    is zero in every other pivot column.  The remainder of e_p is
-    therefore e_p less the pivot row at its column, if any: one XOR, zero
-    in every pivot column.  A receiver inserts the remainders of its side
-    packets into a fresh echelon, in ascending order, and takes the
+    Row r of the matrix goes into one echelon with a 1 in tail slot r, so
+    the tail of every combination records how it combines the rows.  The
+    echelon is then reduced once: each pivot row is cleared from every
+    other pivot row, so a pivot row is zero in every other pivot column.
+    The unit row e_p goes in with a 1 in tail slot nrows + p - 1, and its
+    remainder is e_p less the pivot row at its column, if any: one XOR,
+    zero in every pivot column.  A receiver inserts the remainders of its
+    side packets into a fresh echelon, in ascending order, and takes the
     `residue` there of its target's remainder, whose packet columns are
-    all zero exactly when the target decodes.  It stops inserting once
-    that echelon holds a pivot in each of the m - rank columns without a
-    pivot row: the side units then span every remainder, so each later
-    one is dependent, and the greedy certificate gives it coefficient 0
-    anyway."""
+    all zero exactly when the target decodes; the tail then holds the
+    coefficients on the rows and on the side packets.  It stops inserting
+    once that echelon holds a pivot in each of the m - rank columns
+    without a pivot row: the side units then span every remainder, so each
+    later one is dependent, and the greedy certificate gives it
+    coefficient 0 anyway.  A receiver leaves the shared pivot rows as they
+    were, so any number of receivers can share one decoder."""
 
     __slots__ = ("ncols", "nrows", "_pivots", "_unit_tag", "_free")
 
@@ -399,7 +367,12 @@ class Decoder:
         m = self.ncols = M.ncols
         n = self.nrows = M.nrows
         width = 2 * m + n
-        ech, self._unit_tag = _tagged(M)
+        ech = Echelon(m, width)
+        tag = unit_row(m + 1)
+        for row in M.packed:
+            ech.insert(row | tag)
+            tag <<= 8
+        self._unit_tag = tag | 1  # e_1 tagged in slot nrows; shift by p - 1 for e_p
         pivots = self._pivots = ech.pivots
         self._free = m - len(pivots)
         # A pivot row is zero before its column; clearing the columns from the
@@ -416,7 +389,13 @@ class Decoder:
         vectors of the known packets; None when the target is outside the
         span."""
         m, n = self.ncols, self.nrows
-        kcols = _receiver(m, known, target)
+        if not 1 <= target <= m:
+            raise ValueError(f"target packet {target} outside 1..{m}")
+        kcols = sorted(set(known))
+        if target in kcols:
+            raise ValueError(f"target packet {target} already known")
+        if kcols and not (1 <= kcols[0] and kcols[-1] <= m):
+            raise ValueError(f"known packets {kcols} outside 1..{m}")
         ech = Echelon(m, 2 * m + n)
         held, insert = ech.pivots, ech.insert
         pivots, unit, free = self._pivots, self._unit_tag, self._free
@@ -425,21 +404,14 @@ class Decoder:
                 break
             insert(unit << 8 * (p - 1) ^ pivots.get(p - 1, 0))
         rem = ech.residue(unit << 8 * (target - 1) ^ pivots.get(target - 1, 0))
-        return _certificate(rem, m, n, target, kcols)
+        if rem & ((1 << 8 * m) - 1):
+            return None
+        tail = (rem >> 8 * m).to_bytes(n + m, "little")
+        return Decoding(target, tuple(tail[:n]), tuple([(p, tail[n + p - 1]) for p in kcols]))
 
 
 def solve_decode(M: CodingMatrix, known: Iterable[int], target: int) -> Decoding | None:
     """Express e_target as a combination of M's rows and the unit vectors of
-    the known packets; None when the target is outside the span.
-
-    One forward elimination: the `_tagged` rows, then the tagged unit rows
-    of the known packets in ascending order, then the `residue` of the
-    tagged e_target.  It keeps the same greedy rows and units as
-    `Decoder.decode`, so it gives the same certificate, without the
-    back-substitution that serves many receivers."""
-    m = M.ncols
-    kcols = _receiver(m, known, target)
-    ech, unit = _tagged(M)
-    for p in kcols:
-        ech.insert(unit << 8 * (p - 1))
-    return _certificate(ech.residue(unit << 8 * (target - 1)), m, M.nrows, target, kcols)
+    the known packets; None when the target is outside the span.  One
+    receiver of `Decoder(M)`: build the decoder once to certify many."""
+    return Decoder(M).decode(known, target)

@@ -1,20 +1,19 @@
 """Three-step partition heuristic.
 
-Step 1 buckets packets into subsets keyed by receiver tuples: a receiver's
-key is itself plus everyone who both demands one of its side-information
-packets and already holds the receiver's own packet.  (The packet-initialized
-variant gives each packet one key, the union over its receivers.)  Step 2
-repeatedly promotes any subset that is worthless to one of its key members —
-zero residual information — into higher-level subsets until every subset is
-equally useful to all its key members.  Step 3 compresses co-bucketed packet
-groups to single XOR rows and charges each subset its worst-case residual
-information, realized with one deterministic matrix of MDS-combined
-transmissions; no other coefficients are tried.
+Step 1 buckets packets into subsets keyed by sorted receiver tuples: a
+receiver's key is itself plus everyone who both demands one of its
+side-information packets and already holds the receiver's own packet.  (The
+packet-initialized variant gives each packet one key, the union over its
+receivers.)  A key's level is its length, and keys order lexicographically
+as tuples.  Step 2 repeatedly promotes any subset that is worthless to one
+of its key members — zero residual information — into higher-level subsets
+until every subset is equally useful to all its key members.  Step 3
+compresses co-bucketed packet groups to single XOR rows and charges each
+subset its worst-case residual information, realized with one deterministic
+matrix of MDS-combined transmissions; no other coefficients are tried.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .gf import CodingMatrix, mds_rows, residual_rank, unit_row
 from .model import GicInstance, UserId
@@ -30,27 +29,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class SubsetKey:
-    """Sorted tuple of receivers owning a working subset; level is the tuple
-    length, and ordering is lexicographic on the members."""
-
-    members: tuple[UserId, ...]
-
-    @staticmethod
-    def of(users) -> "SubsetKey":
-        return SubsetKey(tuple(sorted(set(users))))
-
-    @property
-    def level(self) -> int:
-        return len(self.members)
-
-    def extended(self, uid: UserId) -> "SubsetKey":
-        return SubsetKey(tuple(sorted(self.members + (uid,))))
-
-    def fmt(self) -> str:
-        return "".join(u.label() for u in self.members)
-
+#: The sorted receivers owning a working subset.
+SubsetKey = tuple[UserId, ...]
 
 #: A working subset's contents as packet groups: packets of one group shared
 #: a Step-1 key and will collapse to a single XOR row in Step 3.
@@ -67,7 +47,7 @@ def _receiver_keys(inst: GicInstance) -> dict[UserId, SubsetKey]:
     keys = {}
     for uid, side in inst.users:
         demanders = {v for p in side for v in inst.users_of_packet.get(p, ())}
-        keys[uid] = SubsetKey.of({uid} | (demanders & holders[uid.packet]))
+        keys[uid] = tuple(sorted({uid} | (demanders & holders[uid.packet])))
     return keys
 
 
@@ -88,8 +68,8 @@ def initial_subsets_packet(inst: GicInstance) -> dict[SubsetKey, Groups]:
     for i in range(1, inst.m + 1):
         merged: set[UserId] = set()
         for uid in inst.users_of_packet.get(i, ()):
-            merged |= set(rkeys[uid].members)
-        buckets.setdefault(SubsetKey.of(merged), set()).add(i)
+            merged.update(rkeys[uid])
+        buckets.setdefault(tuple(sorted(merged)), set()).add(i)
     return {k: (frozenset(v),) for k, v in buckets.items()}
 
 
@@ -114,39 +94,36 @@ def step2_merge(
         zero: list[SubsetKey] = []
         unequal: list[SubsetKey] = []
         for key, groups in subs.items():
-            pkts: set[int] = set()
-            for g in groups:
-                pkts |= g
-            ents = [len(pkts - side[u]) for u in key.members]
-            if any(e == 0 for e in ents):
+            if key in stuck:
+                continue
+            pkts = frozenset().union(*groups)
+            ents = {len(pkts - side[u]) for u in key}
+            if 0 in ents:
                 zero.append(key)
-            elif len(set(ents)) > 1:
+            elif len(ents) > 1:
                 unequal.append(key)
-        zero = [k for k in zero if k not in stuck]
-        unequal = [k for k in unequal if k not in stuck]
         cands = zero or unequal
         if not cands:
             break
-        key = min(cands, key=lambda k: (k.level, k))
-        v = key.level
+        key = min(cands, key=lambda k: (len(k), k))
+        v = len(key)
         if v == len(all_users):
             stuck.add(key)
             continue
-        higher = [k2 for k2 in subs if k2 != key and k2.level == v + 1]
-        if higher:
-            target = min(higher)
-            subs[target] = subs[target] + subs.pop(key)
-            trace.append(f"promote {key.fmt()} level {v} -> {v + 1} merge into {target.fmt()}")
-            continue
-        missing = next(u for u in all_users if u not in key.members)
-        grown = key.extended(missing)
         groups = subs.pop(key)
+        higher = [k for k in subs if len(k) == v + 1]
+        if higher:
+            grown = min(higher)
+        else:
+            missing = next(u for u in all_users if u not in key)
+            grown = tuple(sorted(key + (missing,)))
+        step = f"promote {''.join(u.label() for u in key)} level {v} -> {v + 1}"
         if grown in subs:
-            subs[grown] = subs[grown] + groups
-            trace.append(f"promote {key.fmt()} level {v} -> {v + 1} merge into {grown.fmt()}")
+            subs[grown] += groups
+            step += f" merge into {''.join(u.label() for u in grown)}"
         else:
             subs[grown] = groups
-            trace.append(f"promote {key.fmt()} level {v} -> {v + 1}")
+        trace.append(step)
     return subs, tuple(trace)
 
 
@@ -170,9 +147,9 @@ def step3_rate(
     `CodingMatrix.of_packed` reads off them.  The matrix is returned as
     built; nothing retries other coefficients."""
     solution_rows = []
-    for key in sorted(subsets, key=lambda k: (k.level, k)):
+    for key in sorted(subsets, key=lambda k: (len(k), k)):
         rows = _subset_rows(subsets[key])
-        rho = max(residual_rank(rows, inst.side_map[u], inst.m) for u in key.members)
+        rho = max(residual_rank(rows, inst.side_map[u], inst.m) for u in key)
         if rho:
             solution_rows += mds_rows(rows, rho)
     matrix = CodingMatrix.of_packed(inst.m, solution_rows)

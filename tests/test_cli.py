@@ -239,6 +239,20 @@ def test_solve_non_utf8_file_exit(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def utf8_bom_file(tmp_path):
+    path = tmp_path / "utf8-bom.gic"
+    path.write_bytes(b"\xef\xbb\xbf" + Path(EX1).read_bytes())
+    return str(path)
+
+
+def test_solve_accepts_a_bom(tmp_path, capsys):
+    argv = ("--scheme", "upm-group", "--format", "records")
+    plain, bom = run(capsys, "solve", EX1, *argv), run(capsys, "solve", utf8_bom_file(tmp_path), *argv)
+    untimed = lambda rc, out, err: (rc, [{k: v for k, v in r.items() if k != "time_ms"} for r in records(out)], err)
+    assert untimed(*bom) == untimed(*plain)
+    assert bom[0] == 0
+
+
 def test_solve_unwritable_out_exit(tmp_path, capsys):
     rc, out, err = run(capsys, "solve", EX1, "--scheme", "upm-group", "--out", str(tmp_path / "missing" / "o.txt"))
     assert (rc, out) == (2, "")
@@ -259,6 +273,10 @@ def test_validate_violations(tmp_path, capsys):
     rc, _, err = run(capsys, "validate", str(bad))
     assert rc == 1
     assert "violation: self-inclusion" in err
+
+
+def test_validate_accepts_a_bom(tmp_path, capsys):
+    assert run(capsys, "validate", utf8_bom_file(tmp_path)) == (0, "ok\n", "")
 
 
 def test_validate_non_utf8_file_exit(tmp_path, capsys):

@@ -376,6 +376,8 @@ def test_decoder_certificates_match_a_fresh_elimination(fld):
 
 @pytest.mark.parametrize("fld", [GF2, GF256], ids=["GF2", "GF256"])
 def test_solve_decode_matches_the_shared_decoder(fld):
+    # solve_decode builds a decoder per call; the shared one must keep no
+    # state from one receiver to the next
     for rows, m, draws in decoder_draws(fld):
         M = CodingMatrix(fld, m, tuple(rows))
         decoder = Decoder(M)

@@ -4,7 +4,6 @@ import pytest
 
 from gicast import (
     GicInstance,
-    SubsetKey,
     UserId,
     generate_k2,
     initial_subsets_packet,
@@ -39,7 +38,7 @@ def test_user_seed_keys_match_naive(ex1):
     naive = naive_user_keys(ex1)
     # every receiver's packet must sit in the subset keyed by its naive key
     for uid, key_members in naive.items():
-        key = SubsetKey.of(key_members)
+        key = tuple(sorted(key_members))
         assert key in subsets
         assert any(uid.packet in grp for grp in subsets[key])
 
@@ -50,7 +49,7 @@ def test_user_seed_keys_k2_family():
     # one subset per group, keyed by the full group, holding its packet set
     assert len(subsets) == 4
     for grp_users, pkts in zip(gs.user_groups(), gs.packet_sets):
-        key = SubsetKey.of(grp_users)
+        key = tuple(sorted(set(grp_users)))
         assert key in subsets
         assert frozenset().union(*subsets[key]) == set(pkts)
 
@@ -58,9 +57,9 @@ def test_user_seed_keys_k2_family():
 def test_user_seed_isolated_user():
     inst = GicInstance.make(2, [((1, 1), set()), ((2, 1), {1})])
     subsets = initial_subsets_user(inst)
-    key = SubsetKey.of({UserId(1, 1)})
+    key = (UserId(1, 1),)
     assert key in subsets
-    assert key.level == 1
+    assert len(key) == 1
 
 
 def test_packet_seed_keys_k2_family():
@@ -73,7 +72,7 @@ def test_packet_seed_keys_k2_family():
         assert len(pkts) == 1
         (i,) = pkts
         touching = [g for g, Y in zip(gs.user_groups(), gs.packet_sets) if i in Y]
-        assert key == SubsetKey.of(set().union(*touching))
+        assert key == tuple(sorted(set().union(*touching)))
 
 
 def test_packet_seed_unicast_matches_user_seed():
@@ -84,7 +83,7 @@ def test_packet_seed_unicast_matches_user_seed():
 
 def test_example1_packet_seed_keys(ex1):
     subsets = initial_subsets_packet(ex1)
-    keys = {frozenset(map(tuple, k.members)): frozenset().union(*groups) for k, groups in subsets.items()}
+    keys = {frozenset(map(tuple, k)): frozenset().union(*groups) for k, groups in subsets.items()}
     assert keys == {
         frozenset({(1, 1), (1, 2), (2, 1), (3, 1), (4, 1)}): frozenset({1}),
         frozenset({(1, 2), (2, 1), (3, 1)}): frozenset({2, 3}),
@@ -119,7 +118,7 @@ def test_step2_k2_packet_seeds_collapse():
     merged, trace = step2_merge(inst, initial_subsets_packet(inst))
     assert len(merged) == 1
     ((key, groups),) = merged.items()
-    assert key.level == 2 * (k - 1) + 1
+    assert len(key) == 2 * (k - 1) + 1
     assert frozenset().union(*groups) == set(range(1, inst.m + 1))
     assert all(len(g) == 1 for g in groups)
     assert len(trace) == inst.m
@@ -133,6 +132,16 @@ def test_step2_example1_trace(ex1):
         "promote (1,1)(1,2)(2,1)(3,1) level 4 -> 5 merge into (1,1)(1,2)(2,1)(3,1)(4,1)",
     )
     assert len(merged) == 1
+
+
+@pytest.mark.parametrize("init", [initial_subsets_user, initial_subsets_packet], ids=["user", "packet"])
+def test_subset_keys_are_sorted_receiver_tuples(ex1, init):
+    for inst in (ex1, generate_k2(4)[0]):
+        start = init(inst)
+        merged, _ = step2_merge(inst, start)
+        for key in [*start, *merged]:
+            assert key == tuple(sorted(set(key)))
+            assert all(isinstance(u, UserId) for u in key)
 
 
 # -------------------------------------------------------------------- step 3

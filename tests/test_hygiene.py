@@ -1,6 +1,6 @@
-"""Source hygiene: every name a gicast module imports is used in it, every
-name it exports is bound in it, and every private name it defines is read
-in it."""
+"""Source hygiene: every name a gicast module or test file imports is used
+in it, every name a gicast module exports is bound in it, and every private
+name it defines is read in it."""
 
 import ast
 from pathlib import Path
@@ -10,6 +10,7 @@ import pytest
 import gicast
 
 MODULES = sorted(p for p in Path(gicast.__file__).parent.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -30,7 +31,7 @@ def test_unused_imports_are_found():
     assert unused_imports("import os, sys\nfrom a import b as c, d\nprint(sys, d)\n") == ["os", "c"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 

@@ -395,6 +395,7 @@ def test_simulate_matrix_without_rows(trials):
 
 
 def test_solve_decode_is_one_receiver_of_the_shared_decoder():
+    # every receiver of one shared decoder gets what a fresh decoder gives it
     inst, _ = generate_k2(5)
     M = run_heuristic(inst, "user").matrix
     shared = Decoder(M)

@@ -25,7 +25,7 @@ from gicast import (
     run_heuristic,
     upm_rate,
 )
-from gicast.gf import Echelon, mds_generator, rank
+from gicast.gf import Echelon, mds_generator
 from gicast.partition import (
     _fresh_bounds,
     _min_partition_sum,
