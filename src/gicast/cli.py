@@ -59,6 +59,9 @@ SOLVERS = {
     "minrank": lambda inst, groups, cap: minrank_gf2(inst),
 }
 
+#: The schemes that read the user groups; `solve` builds them for these only.
+GROUP_SCHEMES = ("upm-group", "iupm-group")
+
 #: What a solver raises when the instance is beyond its cap, budget or field:
 #: `solve` exits 2, `table` prints `-`.
 OUT_OF_REACH = (PartitionCapError, MinrankBudgetError, FieldSizeError)
@@ -78,7 +81,8 @@ def _solve_one(inst: GicInstance, scheme: str, args) -> tuple[str, bool, SchemeS
     """Run one scheme; returns (record line, verdict passed, solution-if-any)."""
     cap = args.cap_override if args.cap_override is not None else DEFAULT_CAP
     t0 = time.perf_counter()
-    result = SOLVERS[scheme](inst, group_partition(inst), cap)
+    groups = group_partition(inst) if scheme in GROUP_SCHEMES else None
+    result = SOLVERS[scheme](inst, groups, cap)
     passed = scheme == "minrank" or simulate_decode(inst, result, seed=args.seed).passed
     ms = round((time.perf_counter() - t0) * 1000)
     if scheme == "minrank":
@@ -116,7 +120,12 @@ def cmd_solve(args) -> int:
 
 def cmd_gen(args) -> int:
     try:
-        inst, _ = generate_k2(int(args.k))
+        k = int(args.k)
+    except ValueError:
+        print(f"error: --k expects an integer k, got {args.k!r}", file=sys.stderr)
+        return 2
+    try:
+        inst, _ = generate_k2(k)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

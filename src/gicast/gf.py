@@ -147,7 +147,7 @@ class CodingMatrix:
 
     def dump(self) -> str:
         """One row per line, space-separated field elements in decimal."""
-        return "\n".join(" ".join(str(e) for e in row) for row in self.rows)
+        return "\n".join(" ".join(map(str, row)) for row in self.rows)
 
 
 def pack_row(row: Sequence[int]) -> int:
@@ -351,15 +351,22 @@ class Decoder:
     The unit row e_p goes in with a 1 in tail slot nrows + p - 1, and its
     remainder is e_p less the pivot row at its column, if any: one XOR,
     zero in every pivot column.  A receiver inserts the remainders of its
-    side packets into a fresh echelon, in ascending order, and takes the
-    `residue` there of its target's remainder, whose packet columns are
+    side packets into an echelon of its own, in ascending order, and takes
+    the `residue` there of its target's remainder, whose packet columns are
     all zero exactly when the target decodes; the tail then holds the
     coefficients on the rows and on the side packets.  It stops inserting
     once that echelon holds a pivot in each of the m - rank columns
     without a pivot row: the side units then span every remainder, so each
     later one is dependent, and the greedy certificate gives it
     coefficient 0 anyway.  A receiver leaves the shared pivot rows as they
-    were, so any number of receivers can share one decoder."""
+    were, so any number of receivers can share one decoder.
+
+    `decode_all` takes the receivers in the order of their sorted side
+    lists and shares one receiver echelon among them: it keeps the inserts
+    of the longest common prefix with the receiver before and undoes the
+    rest by deleting the pivots they returned.  An echelon depends only on
+    the rows inserted so far, so each receiver gets what an echelon of its
+    own would give it."""
 
     __slots__ = ("ncols", "nrows", "_pivots", "_unit_tag", "_free")
 
@@ -387,27 +394,53 @@ class Decoder:
     def decode(self, known: Iterable[int], target: int) -> Decoding | None:
         """Express e_target as a combination of the rows and the unit
         vectors of the known packets; None when the target is outside the
-        span."""
+        span.  One receiver of `decode_all`."""
+        return self.decode_all([(known, target)])[0]
+
+    def decode_all(self, receivers: Iterable[tuple[Iterable[int], int]]) -> list[Decoding | None]:
+        """`decode(known, target)` of every (known, target) pair, in input
+        order.  Every receiver is checked before any is decoded."""
         m, n = self.ncols, self.nrows
-        if not 1 <= target <= m:
-            raise ValueError(f"target packet {target} outside 1..{m}")
-        kcols = sorted(set(known))
-        if target in kcols:
-            raise ValueError(f"target packet {target} already known")
-        if kcols and not (1 <= kcols[0] and kcols[-1] <= m):
-            raise ValueError(f"known packets {kcols} outside 1..{m}")
+        jobs = []
+        for i, (known, target) in enumerate(receivers):
+            if not 1 <= target <= m:
+                raise ValueError(f"target packet {target} outside 1..{m}")
+            kcols = sorted(set(known))
+            if target in kcols:
+                raise ValueError(f"target packet {target} already known")
+            if kcols and not (1 <= kcols[0] and kcols[-1] <= m):
+                raise ValueError(f"known packets {kcols} outside 1..{m}")
+            jobs.append((kcols, i, target))
+        out: list[Decoding | None] = [None] * len(jobs)
         ech = Echelon(m, 2 * m + n)
-        held, insert = ech.pivots, ech.insert
+        held, insert, residue = ech.pivots, ech.insert, ech.residue
         pivots, unit, free = self._pivots, self._unit_tag, self._free
-        for p in kcols:
-            if len(held) == free:
-                break
-            insert(unit << 8 * (p - 1) ^ pivots.get(p - 1, 0))
-        rem = ech.residue(unit << 8 * (target - 1) ^ pivots.get(target - 1, 0))
-        if rem & ((1 << 8 * m) - 1):
-            return None
-        tail = (rem >> 8 * m).to_bytes(n + m, "little")
-        return Decoding(target, tuple(tail[:n]), tuple([(p, tail[n + p - 1]) for p in kcols]))
+        data = (1 << 8 * m) - 1
+        sides: list[int] = []  # the side packets in the echelon, in insert order
+        added: list[int | None] = []  # what insert returned for each
+        # without a free column no receiver inserts anything, so order is moot
+        for kcols, i, target in sorted(jobs) if free else jobs:
+            keep = 0
+            for p, q in zip(kcols, sides):
+                if p != q:
+                    break
+                keep += 1
+            if keep < len(sides):
+                for c in added[keep:]:
+                    if c is not None:
+                        del held[c]
+                del sides[keep:], added[keep:]
+            if len(held) < free:
+                for p in kcols[keep:]:
+                    sides.append(p)
+                    added.append(insert(unit << 8 * (p - 1) ^ pivots.get(p - 1, 0)))
+                    if len(held) == free:
+                        break
+            rem = residue(unit << 8 * (target - 1) ^ pivots.get(target - 1, 0))
+            if not rem & data:
+                tail = (rem >> 8 * m).to_bytes(n + m, "little")
+                out[i] = Decoding(target, tuple(tail[:n]), tuple([(p, tail[n + p - 1]) for p in kcols]))
+        return out
 
 
 def solve_decode(M: CodingMatrix, known: Iterable[int], target: int) -> Decoding | None:

@@ -15,6 +15,8 @@ matrix of MDS-combined transmissions; no other coefficients are tried.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+
 from .gf import CodingMatrix, mds_rows, residual_rank, unit_row
 from .model import GicInstance, UserId
 from .partition import SchemeSolution
@@ -84,36 +86,58 @@ def step2_merge(
     the smallest absent receiver tuple, merging on key collision.  Candidates
     are processed in ascending (level, key) order, zero-residual subsets
     first; a subset whose key already spans every receiver cannot grow and is
-    left as is."""
+    left as is.
+
+    A promotion changes only the subset it grows or merges into, so only
+    that one is classified again (zero-residual, unequal or settled).  The
+    candidates sit in one heap per class and the keys in one heap per level,
+    all ordered by (level, key); an entry whose key has since left or
+    changed class is dropped when it reaches the top.  Each promotion costs
+    one classification and a few heap operations, not a scan of every
+    subset."""
     subs = dict(subsets)
     all_users = inst.user_ids
     side = inst.side_map
     trace: list[str] = []
-    stuck: set[SubsetKey] = set()
+    ZERO, UNEQUAL = 0, 1
+    cls: dict[SubsetKey, int | None] = {}
+    cands: tuple[list, list] = ([], [])  # (level, key) heaps of ZERO and UNEQUAL keys
+    levels: dict[int, list[SubsetKey]] = {}  # level -> heap of the keys there
+
+    def classify(key: SubsetKey) -> None:
+        pkts = frozenset().union(*subs[key])
+        ents = {len(pkts - side[u]) for u in key}
+        c = ZERO if 0 in ents else UNEQUAL if len(ents) > 1 else None
+        cls[key] = c
+        if c is not None:
+            heappush(cands[c], (len(key), key))
+
+    def top(c: int) -> SubsetKey | None:
+        heap = cands[c]
+        while heap and cls.get(heap[0][1]) != c:
+            heappop(heap)
+        return heap[0][1] if heap else None
+
+    for key in subs:
+        classify(key)
+        heappush(levels.setdefault(len(key), []), key)
     while True:
-        zero: list[SubsetKey] = []
-        unequal: list[SubsetKey] = []
-        for key, groups in subs.items():
-            if key in stuck:
-                continue
-            pkts = frozenset().union(*groups)
-            ents = {len(pkts - side[u]) for u in key}
-            if 0 in ents:
-                zero.append(key)
-            elif len(ents) > 1:
-                unequal.append(key)
-        cands = zero or unequal
-        if not cands:
-            break
-        key = min(cands, key=lambda k: (len(k), k))
+        key = top(ZERO)
+        if key is None:
+            key = top(UNEQUAL)
+            if key is None:
+                break
         v = len(key)
         if v == len(all_users):
-            stuck.add(key)
+            cls[key] = None  # it cannot grow; taking it again would change nothing
             continue
         groups = subs.pop(key)
-        higher = [k for k in subs if len(k) == v + 1]
+        del cls[key]
+        higher = levels.get(v + 1, [])
+        while higher and higher[0] not in subs:
+            heappop(higher)
         if higher:
-            grown = min(higher)
+            grown = higher[0]
         else:
             missing = next(u for u in all_users if u not in key)
             grown = tuple(sorted(key + (missing,)))
@@ -123,6 +147,8 @@ def step2_merge(
             step += f" merge into {''.join(u.label() for u in grown)}"
         else:
             subs[grown] = groups
+            heappush(levels.setdefault(v + 1, []), grown)
+        classify(grown)
         trace.append(step)
     return subs, tuple(trace)
 

@@ -85,12 +85,14 @@ def validate(inst: GicInstance) -> list[str]:
     for a, b in zip(ids, ids[1:]):
         if not a < b:
             out.append(f"users out of order: {a.label()} before {b.label()}")
+    m = inst.m
     for uid, side in inst.users:
         if uid.packet in side:
             out.append(f"self-inclusion: user {uid.label()} lists its own packet {uid.packet}")
-        for p in side:
-            if not 1 <= p <= inst.m:
-                out.append(f"user {uid.label()}: side-info packet {p} outside 1..{inst.m}")
+        if side and not (1 <= min(side) and max(side) <= m):
+            for p in side:
+                if not 1 <= p <= m:
+                    out.append(f"user {uid.label()}: side-info packet {p} outside 1..{m}")
     seen: dict[int, list[int]] = {}
     for uid in ids:
         seen.setdefault(uid.packet, []).append(uid.copy)
@@ -224,13 +226,16 @@ def parse_instance(text: str) -> GicInstance:
             raise InstanceFormatError(lineno, f"expected 'user <i> <j> : ...', got {line!r}")
         try:
             i, j = int(parts[1]), int(parts[2])
-            side = frozenset(int(tok) for tok in tail.split())
+            side = frozenset(map(int, tail.split()))
         except ValueError:
             raise InstanceFormatError(lineno, f"non-integer index on user line: {line!r}") from None
         uid = UserId(i, j)
         if users and not users[-1][0] < uid:
+            last = users[-1][0]
             raise InstanceFormatError(
-                lineno, f"user {uid.label()} out of order after {users[-1][0].label()}"
+                lineno,
+                f"duplicate user {uid.label()}" if uid == last
+                else f"user {uid.label()} out of order after {last.label()}",
             )
         users.append((uid, side))
     if m is None:

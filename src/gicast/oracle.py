@@ -133,8 +133,8 @@ def simulate_decode(
 ) -> DecodeReport:
     """Check that every receiver can recover its packet from the solution's
     transmissions plus its own side information: first symbolically (span
-    membership with explicit coefficients, from one shared `Decoder`
-    elimination of the rows), then on `trials` random payload vectors drawn
+    membership with explicit coefficients, from one `Decoder.decode_all`
+    pass over the receivers), then on `trials` random payload vectors drawn
     from the solution's field, all trials at once.  The payloads are
     `random.Random(seed).randrange(order)` taken trial by trial and packet
     by packet, drawn once per (seed, field, count) by `_seeded_payloads`."""
@@ -142,9 +142,8 @@ def simulate_decode(
     m = inst.m
     failures: list[tuple[UserId, int | None, str]] = []
     decodings: dict[UserId, Decoding] = {}
-    decode = Decoder(M).decode
-    for uid, side in inst.users:
-        dec = decode(side, uid.packet)
+    found = Decoder(M).decode_all([(side, uid.packet) for uid, side in inst.users])
+    for (uid, _), dec in zip(inst.users, found):
         if dec is None:
             failures.append(
                 (uid, None, f"packet {uid.packet} outside span of rows + side info; rows:\n{M.dump()}")

@@ -89,3 +89,48 @@ def reference_min_partition_sum(n: int, cost) -> tuple[int, list[int]]:
     code = key & ((1 << shift) - 1)
     digit = (1 << width) - 1
     return key >> shift, [(code >> (width * (n - 1 - t))) & digit for t in range(n)]
+
+
+def reference_step2_merge(inst: GicInstance, subsets: dict) -> tuple[dict, tuple[str, ...]]:
+    """Step 2 by rescanning every subset after each promotion: a reference
+    kept apart from the incremental `gicast.heuristic.step2_merge` that the
+    tests check, with the same promotions, trace and dict order."""
+    subs = dict(subsets)
+    all_users = inst.user_ids
+    side = inst.side_map
+    trace: list[str] = []
+    stuck: set = set()
+    while True:
+        zero, unequal = [], []
+        for key, groups in subs.items():
+            if key in stuck:
+                continue
+            pkts = frozenset().union(*groups)
+            ents = {len(pkts - side[u]) for u in key}
+            if 0 in ents:
+                zero.append(key)
+            elif len(ents) > 1:
+                unequal.append(key)
+        cands = zero or unequal
+        if not cands:
+            break
+        key = min(cands, key=lambda k: (len(k), k))
+        v = len(key)
+        if v == len(all_users):
+            stuck.add(key)
+            continue
+        groups = subs.pop(key)
+        higher = [k for k in subs if len(k) == v + 1]
+        if higher:
+            grown = min(higher)
+        else:
+            missing = next(u for u in all_users if u not in key)
+            grown = tuple(sorted(key + (missing,)))
+        step = f"promote {''.join(u.label() for u in key)} level {v} -> {v + 1}"
+        if grown in subs:
+            subs[grown] += groups
+            step += f" merge into {''.join(u.label() for u in grown)}"
+        else:
+            subs[grown] = groups
+        trace.append(step)
+    return subs, tuple(trace)

@@ -50,6 +50,13 @@ def test_gen_rejects_k1(capsys):
     assert "k >= 2" in err
 
 
+@pytest.mark.parametrize("k", ["abc", "2.5", ""])
+def test_gen_rejects_a_non_integer_k(capsys, k):
+    rc, out, err = run(capsys, "gen", "--k", k)
+    assert (rc, out) == (2, "")
+    assert err == f"error: --k expects an integer k, got {k!r}\n"
+
+
 def test_gen_out_file(tmp_path, capsys):
     target = tmp_path / "fam.gic"
     rc, out, _ = run(capsys, "gen", "--k", "4", "--out", str(target))
@@ -273,6 +280,16 @@ def test_validate_violations(tmp_path, capsys):
     rc, _, err = run(capsys, "validate", str(bad))
     assert rc == 1
     assert "violation: self-inclusion" in err
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("user 2 1 : 1\nuser 2 1 : 1\n", "line 4: duplicate user (2,1)"),
+    ("user 2 1 : 1\nuser 1 2 : 2\n", "line 4: user (1,2) out of order after (2,1)"),
+], ids=["duplicate", "inversion"])
+def test_validate_names_a_duplicate_user(tmp_path, capsys, lines, message):
+    path = tmp_path / "dup.gic"
+    path.write_text("gic 2\nuser 1 1 : 2\n" + lines)
+    assert run(capsys, "validate", str(path)) == (1, "", f"parse error: {message}\n")
 
 
 def test_validate_accepts_a_bom(tmp_path, capsys):

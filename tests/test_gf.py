@@ -267,11 +267,27 @@ def test_solve_decode_reduces_side_packets_against_every_row():
     assert dec == Decoding(1, (1, 1), ((2, 1),))
 
 
-@pytest.mark.parametrize("known,target", [(set(), 0), (set(), 4), ({2}, 2), ({0}, 1), ({4}, 1)])
+BAD_RECEIVERS = [(set(), 0), (set(), 4), ({2}, 2), ({0}, 1), ({4}, 1)]
+
+
+@pytest.mark.parametrize("known,target", BAD_RECEIVERS)
 def test_solve_decode_rejects_packets_outside_the_matrix(known, target):
     M = CodingMatrix(GF2, 3, ((1, 1, 1),))
     with pytest.raises(ValueError):
         solve_decode(M, known, target)
+
+
+@pytest.mark.parametrize("known,target", BAD_RECEIVERS)
+def test_decode_all_checks_every_receiver_before_decoding(monkeypatch, known, target):
+    decoder = Decoder(CodingMatrix(GF2, 3, ((1, 1, 1),)))
+
+    class Untouched(Echelon):
+        def insert(self, row):
+            raise AssertionError("a receiver was decoded before every receiver was checked")
+
+    monkeypatch.setattr(gf, "Echelon", Untouched)
+    with pytest.raises(ValueError):
+        decoder.decode_all([({2}, 1), ({3}, 2), (known, target)])
 
 
 def test_solve_decode_mds_any_erasure_pattern():
@@ -385,10 +401,9 @@ def test_solve_decode_matches_the_shared_decoder(fld):
             assert solve_decode(M, known, target) == decoder.decode(known, target), (rows, known, target)
 
 
-def receiver_inserts(monkeypatch, M, known, target):
-    """Decoder(M).decode(known, target) and the number of side units the
-    receiver's echelon was offered."""
-    decoder = Decoder(M)
+def with_offered(monkeypatch, decode):
+    """decode() and the number of side units offered to receiver echelons
+    while it ran."""
     offered = []
 
     class CountingEchelon(Echelon):
@@ -398,8 +413,37 @@ def receiver_inserts(monkeypatch, M, known, target):
 
     with monkeypatch.context() as patch:
         patch.setattr(gf, "Echelon", CountingEchelon)
-        dec = decoder.decode(known, target)
-    return dec, len(offered)
+        out = decode()
+    return out, len(offered)
+
+
+def receiver_inserts(monkeypatch, M, known, target):
+    """Decoder(M).decode(known, target) and the number of side units the
+    receiver's echelon was offered."""
+    decoder = Decoder(M)
+    return with_offered(monkeypatch, lambda: decoder.decode(known, target))
+
+
+@pytest.mark.parametrize("fld", [GF2, GF256], ids=["GF2", "GF256"])
+def test_decode_all_matches_a_fresh_elimination_per_receiver(monkeypatch, fld):
+    # each draw's receivers, plus one whose side list is a prefix of each
+    # one's and one with the same side list and any target, shuffled
+    rng = random.Random(fld.order + 9)
+    shared = stopped = 0
+    for rows, m, draws in decoder_draws(fld):
+        M = CodingMatrix(fld, m, tuple(rows))
+        receivers = list(draws)
+        for known, target in draws:
+            receivers.append((set(sorted(known)[:rng.randint(0, len(known))]), target))
+            receivers.append((known, rng.choice([t for t in range(1, m + 1) if t not in known])))
+        rng.shuffle(receivers)
+        decoder = Decoder(M)
+        found, offered = with_offered(monkeypatch, lambda: decoder.decode_all(receivers))
+        assert found == [fresh_decoding(rows, m, known, target) for known, target in receivers], rows
+        alone = [receiver_inserts(monkeypatch, M, known, target)[1] for known, target in receivers]
+        shared += offered < sum(alone)
+        stopped += any(n < len(known) for n, (known, _) in zip(alone, receivers))
+    assert shared > 50 and stopped > 20
 
 
 @pytest.mark.parametrize("fld", [GF2, GF256], ids=["GF2", "GF256"])

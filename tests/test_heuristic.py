@@ -1,5 +1,7 @@
 """Three-step merge heuristic, both seeding variants."""
 
+import random
+
 import pytest
 
 from gicast import (
@@ -12,7 +14,7 @@ from gicast import (
     step2_merge,
 )
 
-from conftest import certify
+from conftest import certify, random_instance, reference_step2_merge
 
 
 def naive_user_keys(inst: GicInstance) -> dict[UserId, frozenset[UserId]]:
@@ -142,6 +144,28 @@ def test_subset_keys_are_sorted_receiver_tuples(ex1, init):
         for key in [*start, *merged]:
             assert key == tuple(sorted(set(key)))
             assert all(isinstance(u, UserId) for u in key)
+
+
+@pytest.mark.parametrize("init", [initial_subsets_user, initial_subsets_packet], ids=["user", "packet"])
+def test_step2_matches_the_rescanning_reference(init):
+    cases = [generate_k2(k)[0] for k in range(2, 20)]
+    for seed, max_m, max_users in ((7, 5, 7), (8, 6, 9)):
+        rng = random.Random(seed)
+        cases += [random_instance(rng, max_m, max_users) for _ in range(600)]
+    stuck = 0
+    for inst in cases:
+        start = init(inst)
+        merged, trace = step2_merge(inst, start)
+        expected, expected_trace = reference_step2_merge(inst, start)
+        assert trace == expected_trace
+        assert list(merged.items()) == list(expected.items())  # dict order too
+        # a subset keyed by every receiver that still needs promoting stays put
+        side, everyone = inst.side_map, inst.user_ids
+        if everyone in merged:
+            pkts = frozenset().union(*merged[everyone])
+            ents = {len(pkts - side[u]) for u in everyone}
+            stuck += 0 in ents or len(ents) > 1
+    assert stuck > 50
 
 
 # -------------------------------------------------------------------- step 3

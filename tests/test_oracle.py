@@ -332,11 +332,14 @@ def test_simulate_reports_wrong_coefficients_in_every_trial(monkeypatch, wrong):
     sides = {(uid.packet, frozenset(side)): uid for uid, side in MDS_INST.users}
 
     class WrongDecoder(Decoder):
-        def decode(self, known, target):
-            dec = super().decode(known, target)
-            if sides[target, frozenset(known)] in wrong:
-                dec = Decoding(dec.target, (dec.row_coeffs[0] ^ 0x35, *dec.row_coeffs[1:]), dec.known_coeffs)
-            return dec
+        def decode_all(self, receivers):
+            receivers = list(receivers)
+            found = super().decode_all(receivers)
+            for j, (known, target) in enumerate(receivers):
+                if sides[target, frozenset(known)] in wrong:
+                    dec = found[j]
+                    found[j] = Decoding(dec.target, (dec.row_coeffs[0] ^ 0x35, *dec.row_coeffs[1:]), dec.known_coeffs)
+            return found
 
     monkeypatch.setattr(gicast.oracle, "Decoder", WrongDecoder)
     M = MDS_SOL.matrix
