@@ -47,8 +47,8 @@ from .partition import (
     PartitionCapError,
     SchemeSolution,
     UserPartition,
+    acyclic_bound,
     build_transmissions,
-    enumerate_partitions,
     exhaustive_iupm,
     exhaustive_ppm,
     exhaustive_upm,

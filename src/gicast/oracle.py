@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .gf import Decoder, Decoding, Echelon, scale_row, unit_row
 from .model import GicInstance, UserId
-from .partition import SchemeSolution, _fresh_bound
+from .partition import SchemeSolution, acyclic_bound, acyclic_lower_bound
 
 __all__ = [
     "DEFAULT_FREE_BIT_BUDGET",
@@ -54,8 +54,10 @@ def minrank_gf2(inst: GicInstance, budget: int = DEFAULT_FREE_BIT_BUDGET) -> int
     span matters, so a completion already in the span is taken alone (any
     other choice gives a larger span), and otherwise one completion per
     distinct residue mod the span is tried.  A branch is cut once its rank
-    plus `_fresh_bound` of the receivers left reaches the incumbent.  None
-    of these cuts changes the exact minimum."""
+    plus `acyclic_lower_bound` of the receivers left reaches the incumbent,
+    and the walk ends at the first leaf whose rank is the root bound,
+    `acyclic_bound`, which no completion goes below.  None of these cuts
+    changes the exact minimum."""
     free = sum(len(side) for _, side in inst.users)
     if free > budget:
         raise MinrankBudgetError(f"{free} free cells exceed the budget of {budget}")
@@ -67,28 +69,32 @@ def minrank_gf2(inst: GicInstance, budget: int = DEFAULT_FREE_BIT_BUDGET) -> int
     demanded = [0] * (nrows + 1)  # demanded[i]: the packets receivers i.. demand
     for i in range(nrows - 1, -1, -1):
         demanded[i] = demanded[i + 1] | masks[i][0]
+    floor = acyclic_bound(inst)
     best = nrows + 1
     basis = Echelon(inst.m)
     pivots = basis.pivots
 
-    def walk(idx: int, touched: int) -> None:
-        # touched: the support of the span, the packets some pivot row is on
+    def walk(idx: int, touched: int) -> bool:
+        # touched: the support of the span, the packets some pivot row is on;
+        # returns True once a leaf reaches the floor, the minimum
         nonlocal best
-        if len(pivots) + _fresh_bound(demanded[idx] & ~touched, masks[idx:]) >= best:
-            return
+        if len(pivots) + acyclic_lower_bound(demanded[idx] & ~touched, masks[idx:]) >= best:
+            return False
         if idx == nrows:
             best = len(pivots)
-            return
+            return best == floor
         rems = _residues(basis, *users[idx])
         if 0 in rems:
-            walk(idx + 1, touched)
-            return
+            return walk(idx + 1, touched)
         for rem in dict.fromkeys(rems):
             if len(pivots) + 1 >= best:  # every branch left adds a row
-                return
+                return False
             pivot = basis.insert(rem)
-            walk(idx + 1, touched | rem)
+            found = walk(idx + 1, touched | rem)
             del pivots[pivot]
+            if found:
+                return True
+        return False
 
     walk(0, 0)
     return best

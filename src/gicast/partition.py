@@ -11,15 +11,14 @@ are a subset DP in O(3^n), in two passes: small-int totals, each set's scan
 cut at a lower bound it cannot beat, then the witness, read top-down along
 the optimal blocks only.  The rank-reduced search is a depth-first search
 over blocks, pruned by rank plus a lower bound on what the rest must add.
-All three return the first optimum in restricted-growth-string order, the
-order `enumerate_partitions` yields.
+All three return the first optimum in restricted-growth-string order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .gf import CodingMatrix, Echelon, mds_rows, row_basis, unit_row
 from .model import GicInstance, UserId
@@ -30,24 +29,26 @@ __all__ = [
     "PacketPartition",
     "UserPartition",
     "SchemeSolution",
-    "enumerate_partitions",
     "group_partition",
     "ppm_rate",
     "upm_rate",
     "ppm_as_upm",
     "build_transmissions",
     "iupm_rate",
+    "acyclic_lower_bound",
+    "acyclic_bound",
     "exhaustive_ppm",
     "exhaustive_upm",
     "exhaustive_iupm",
 ]
 
-#: Largest ground set searched by default.  `enumerate_partitions` yields
-#: all Bell(n) partitions (Bell(13) is ~27.6 million) and the PPM/UPM subset
-#: DP is O(3^n); on random instances of 13/14/15/16 users over 8 packets,
-#: `exhaustive_upm` takes 0.03/0.05/0.12/0.43 s.  The bound-pruned IUPM
-#: search took 0.15-1.4 s on random 12-user instances over 7 packets and
-#: 0.1-4.3 s on 13-user ones over 6 packets (2-vCPU VM).
+#: Largest ground set searched by default.  There are Bell(n) partitions
+#: (Bell(13) is ~27.6 million) and the PPM/UPM subset DP is O(3^n); on
+#: random instances of 13/14/15/16 users over 8 packets, `exhaustive_upm`
+#: takes 0.03/0.05/0.12/0.43 s.  The bound-pruned IUPM search took
+#: 0.005-0.08 s (median 0.02 s) on 20 random 12-user instances over 7
+#: packets and 0.01-0.27 s (median 0.07 s) on 20 13-user ones over 6
+#: packets (2-vCPU VM).
 DEFAULT_CAP = 13
 
 
@@ -120,43 +121,6 @@ class SchemeSolution:
     def __post_init__(self):
         if self.rate != self.matrix.nrows:
             raise ValueError(f"rate {self.rate} != {self.matrix.nrows} transmitted rows")
-
-
-# ---------------------------------------------------------------- enumeration
-
-def _rgs_stream(n: int) -> Iterator[list[int]]:
-    """Restricted growth strings of length n in lexicographic order; the
-    yielded list is reused, callers must copy."""
-    a = [0] * n
-    maxes = [0] * (n + 1)  # maxes[t] = max(a[:t]); position t may rise to maxes[t]+1
-    t = n - 1
-    yield a
-    while t > 0:
-        if a[t] <= maxes[t]:
-            a[t] += 1
-            maxes[t + 1] = max(maxes[t], a[t])
-            for s in range(t + 1, n):
-                a[s] = 0
-                maxes[s + 1] = maxes[s]
-            t = n - 1
-            yield a
-        else:
-            t -= 1
-
-
-def enumerate_partitions(n: int, cap: int = DEFAULT_CAP) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Every set partition of {1..n} exactly once, in restricted-growth
-    lexicographic order, as tuples of ascending blocks."""
-    if n < 1:
-        raise ValueError(f"ground set must be nonempty, got n={n}")
-    if n > cap:
-        raise PartitionCapError(f"ground set of {n} exceeds enumeration cap {cap}")
-    for a in _rgs_stream(n):
-        nblocks = max(a) + 1
-        blocks: list[list[int]] = [[] for _ in range(nblocks)]
-        for x, b in enumerate(a, 1):
-            blocks[b].append(x)
-        yield tuple(tuple(b) for b in blocks)
 
 
 # ---------------------------------------------------------------- block rates
@@ -439,69 +403,87 @@ def exhaustive_upm(inst: GicInstance, cap: int = DEFAULT_CAP) -> SchemeSolution:
 # the block of the lowest unassigned user, and undone on the way back.  Rank
 # does not change under a field extension, so the GF(256) echelon scores
 # every partition, whichever field `CodingMatrix.of_packed` gives its rows.
-# Rank only grows as blocks are added, by at least `_fresh_bound` of the
-# users left, which bounds every completion.
+# Rank only grows as blocks are added, by at least `acyclic_lower_bound` of
+# the users left, which bounds every completion.
 
 
-def _fresh_bound(fresh: int, pending: Iterable[tuple[int, int]]) -> int:
+def acyclic_lower_bound(fresh: int, pending: Iterable[tuple[int, int]]) -> int:
     """Lower bound on the rank that any completion of a partial code still
     adds.  `pending` holds the (demand, side) packet masks of the receivers
     not yet served, and `fresh` masks the packets they demand on which no
-    row sent so far is nonzero.  With fresh packets the bound is max(1, t),
-    where t counts the fresh packets demanded by a pending receiver whose
-    side set holds no fresh packet; without, it is 0.
+    row sent so far is nonzero.  A mask may give each packet any fixed bit:
+    the searches here use bit p - 1, `minrank_gf2` its packed unit rows.
 
-    Project the final span onto the fresh columns: the rows sent so far
-    project to 0, so the rank grows by at least the projection's dimension.
-    Such a receiver decodes its packet p from the span and its side set,
-    which projects to 0, so e_p lies in the projection; and a fresh packet
-    is demanded, so the rows still to come are nonzero on it."""
-    if not fresh:
-        return 0
-    forced = 0
-    for demand, side in pending:
-        if demand & fresh and not side & fresh:
-            forced |= demand
-    return max(1, forced.bit_count())
+    Grows a set D of fresh packets in ascending packet order, keeping packet
+    q when D | q stays acyclic: its packets can be peeled one at a time, each
+    by a pending demander whose side set misses the packets not yet peeled.
+    Returns |D|: 0 without fresh packets, else at least 1, as a fresh packet
+    alone is acyclic.
+
+    The maximum-acyclic-induced-subgraph bound (Bar-Yossef, Birk, Jayram &
+    Kol 2006), on the fresh columns: project the final span onto D, where
+    the rows sent so far are zero.  The demander of the j-th packet peeled
+    decodes it from the span and a side set that misses the packets peeled
+    after it, so the projection holds e_j plus a combination of the packets
+    peeled before: a triangular set of |D| vectors, all from the rows still
+    to come."""
+    kept = fresh & -fresh  # the lowest fresh packet alone is acyclic
+    rest = fresh ^ kept
+    if not rest:
+        return 1 if fresh else 0
+    demanders = [(demand, side & fresh) for demand, side in pending if demand & fresh]
+    while rest:
+        q = rest & -rest
+        rest ^= q
+        left = kept | q  # peel it: the order packets peel in does not matter
+        while left:
+            for demand, side in demanders:
+                if demand & left and not side & left:
+                    left ^= demand
+                    break
+            else:
+                break
+        if not left:
+            kept |= q
+    return kept.bit_count()
 
 
-def _fresh_bounds(inst: GicInstance, ymask: Sequence[int]) -> list[int]:
-    """`_fresh_bound` for every mask of unassigned users, once the other
-    users' blocks are placed: their MDS rows are nonzero on exactly the
-    packets those users demand, ymask of the placed mask."""
-    users = list(zip((1 << (uid.packet - 1) for uid in inst.user_ids), _side_masks(inst)))
-    full = len(ymask) - 1
-    bound = [0] * len(ymask)
-    for left in range(1, full + 1):
-        fresh = ymask[left] & ~ymask[full ^ left]
-        if fresh:
-            pending = [u for t, u in enumerate(users) if left >> t & 1]
-            bound[left] = _fresh_bound(fresh, pending)
-    return bound
+def acyclic_bound(inst: GicInstance) -> int:
+    """`acyclic_lower_bound` with every packet fresh and every receiver
+    pending: the size of a maximal acyclic packet set grown in packet order.
+    Every index code for the instance, linear or not and over any field,
+    sends at least this many symbols."""
+    demand = [1 << (uid.packet - 1) for uid in inst.user_ids]
+    return acyclic_lower_bound((1 << inst.m) - 1, zip(demand, _side_masks(inst)))
 
 
 def exhaustive_iupm(inst: GicInstance, cap: int = DEFAULT_CAP) -> SchemeSolution:
     """Minimum rank-reduced rate over every user partition (the first optimum
-    in enumeration order); the witness keeps the reduced basis as its
+    in restricted-growth order); the witness keeps the reduced basis as its
     transmissions.
 
     A depth-first search over blocks.  Before a block's rows go in, the
     branch gets a rank limit: the incumbent's rank, or one less once the
     branch's smallest completion (all unassigned users in one block) is
-    already a later string, less `_fresh_bound` of the users left.  The
-    block is skipped before its first insert when the rank plus the least
-    its rows add exceeds the limit: they are MDS rows, of rank min(rows,
-    |S|) on any set S of its packets, earlier rows are zero on its packets
-    that no placed block demands, and the users left count none of those
-    as fresh, so the two bounds add.  Otherwise the branch is cut as soon
-    as its rank exceeds the limit."""
+    already a later string.  Every partition's rank is at least the root
+    bound, `acyclic_bound`, so a branch whose limit is below it is skipped:
+    it can neither beat nor tie the incumbent.  Otherwise the limit drops by
+    `acyclic_lower_bound` of the users left, computed on a mask's first use.
+    The block is skipped before its first insert when the rank plus the
+    least its rows add exceeds the limit: they are MDS rows, of rank
+    min(rows, |S|) on any set S of its packets, earlier rows are zero on its
+    packets that no placed block demands, and the users left count none of
+    those as fresh, so the two bounds add.  Otherwise the branch is cut as
+    soon as its rank exceeds the limit."""
     ids = inst.user_ids
     n = len(ids)
     if n > cap:
         raise PartitionCapError(f"{n} users exceed enumeration cap {cap}")
     cost, ymask = _user_cost_table(inst)
-    bound = _fresh_bounds(inst, ymask)
+    users = list(zip((1 << (uid.packet - 1) for uid in ids), _side_masks(inst)))
     full = (1 << n) - 1
+    floor = acyclic_bound(inst)
+    bounds = [-1] * (1 << n)  # acyclic_lower_bound of each mask of users left, once used
     width, ones = _packing(n)
     block_rows: dict[int, list[int]] = {}
     best: list = [None]  # (rank, packed RGS) of the incumbent
@@ -514,6 +496,15 @@ def exhaustive_iupm(inst: GicInstance, cap: int = DEFAULT_CAP) -> SchemeSolution
             units = [unit_row(p + 1) for p in range(inst.m) if ymask[B] >> p & 1]
             rows = block_rows[B] = mds_rows(units, cost[B])
         return rows
+
+    def bound(left: int) -> int:
+        # the other users' blocks are placed: their MDS rows are nonzero on
+        # exactly the packets those users demand, ymask of the placed mask
+        b = bounds[left]
+        if b < 0:
+            pending = [u for t, u in enumerate(users) if left >> t & 1]
+            b = bounds[left] = acyclic_lower_bound(ymask[left] & ~ymask[full ^ left], pending)
+        return b
 
     def search(U: int, label: int, code: int) -> None:
         if not U:
@@ -532,8 +523,10 @@ def exhaustive_iupm(inst: GicInstance, cap: int = DEFAULT_CAP) -> SchemeSolution
             if best[0] is not None:
                 best_r, best_code = best[0]
                 limit = best_r if code2 + (label + 1) * ones[left] < best_code else best_r - 1
-            limit -= bound[left]
-            if len(pivots) + min(cost[B], (ymask[B] & untouched).bit_count()) <= limit:
+            # the users left get their bound only once the cheaper checks pass
+            need = len(pivots) + min(cost[B], (ymask[B] & untouched).bit_count())
+            if floor <= limit and need <= limit and need + bound(left) <= limit:
+                limit -= bound(left)
                 added = []
                 for row in rows_of(B):
                     if len(pivots) > limit:

@@ -1,7 +1,9 @@
-"""Shared fixtures: canned instances, a seeded instance generator, and a
-decode-certification helper every solution-producing test funnels through."""
+"""Shared fixtures: canned instances, a seeded instance generator, a
+decode-certification helper every solution-producing test funnels through,
+and brute-force references kept apart from the code the tests check."""
 
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -58,6 +60,73 @@ def bitmask_rank(masks) -> int:
                 break
             row ^= basis[low]
     return len(basis)
+
+
+def rgs_stream(n: int):
+    """Restricted growth strings of length n in lexicographic order; the
+    yielded list is reused, callers must copy."""
+    a = [0] * n
+    maxes = [0] * (n + 1)  # maxes[t] = max(a[:t]); position t may rise to maxes[t]+1
+    t = n - 1
+    yield a
+    while t > 0:
+        if a[t] <= maxes[t]:
+            a[t] += 1
+            maxes[t + 1] = max(maxes[t], a[t])
+            for s in range(t + 1, n):
+                a[s] = 0
+                maxes[s + 1] = maxes[s]
+            t = n - 1
+            yield a
+        else:
+            t -= 1
+
+
+def enumerate_partitions(n: int):
+    """Every set partition of {1..n} exactly once, in restricted-growth
+    lexicographic order, as tuples of ascending blocks: the brute-force
+    reference of the searches, which return the first optimum in this
+    order."""
+    if n < 1:
+        raise ValueError(f"ground set must be nonempty, got n={n}")
+    for a in rgs_stream(n):
+        blocks: list[list[int]] = [[] for _ in range(max(a) + 1)]
+        for x, b in enumerate(a, 1):
+            blocks[b].append(x)
+        yield tuple(tuple(b) for b in blocks)
+
+
+def reference_fresh_bound(fresh: int, pending) -> int:
+    """The fresh-packet bound the searches pruned with before the acyclic
+    one, kept as a reference the acyclic bound must never fall below.  With
+    fresh packets it is max(1, t), t the fresh packets demanded by a pending
+    receiver whose side set holds no fresh packet; without, 0."""
+    if not fresh:
+        return 0
+    forced = 0
+    for demand, side in pending:
+        if demand & fresh and not side & fresh:
+            forced |= demand
+    return max(1, forced.bit_count())
+
+
+def exact_acyclic_bound(inst: GicInstance) -> int:
+    """Size of the largest acyclic packet set, over all 2^m subsets: a set
+    is acyclic when one of its packets has a demander whose side set misses
+    the rest of the set, and the rest is acyclic.  Every index code sends
+    at least this many symbols (Bar-Yossef, Birk, Jayram & Kol)."""
+    sides = {p: [side for uid, side in inst.users if uid.packet == p] for p in range(1, inst.m + 1)}
+    acyclic = {frozenset()}
+    for size in range(1, inst.m + 1):
+        grown = {
+            T
+            for T in map(frozenset, combinations(range(1, inst.m + 1), size))
+            if any(T - {p} in acyclic and any(not side & T for side in sides[p]) for p in T)
+        }
+        if not grown:
+            return size - 1
+        acyclic |= grown
+    return inst.m
 
 
 def reference_min_partition_sum(n: int, cost) -> tuple[int, list[int]]:

@@ -14,7 +14,6 @@ from gicast import (
     SchemeSolution,
     UserPartition,
     build_transmissions,
-    enumerate_partitions,
     exhaustive_iupm,
     exhaustive_ppm,
     exhaustive_upm,
@@ -32,7 +31,7 @@ from gicast import (
 from gicast.gf import rank
 from gicast.partition import PacketPartition
 
-from conftest import certify, random_instance
+from conftest import certify, enumerate_partitions, random_instance
 
 
 @contextmanager

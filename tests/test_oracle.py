@@ -17,6 +17,7 @@ from gicast import (
     SchemeSolution,
     UserId,
     UserPartition,
+    acyclic_bound,
     build_transmissions,
     exhaustive_iupm,
     exhaustive_ppm,
@@ -33,9 +34,9 @@ from gicast import (
     upm_rate,
 )
 from gicast.gf import Decoder, Decoding
-from gicast.partition import _fresh_bound
+from gicast.partition import acyclic_lower_bound
 
-from conftest import bitmask_rank, random_instance
+from conftest import bitmask_rank, exact_acyclic_bound, random_instance, reference_fresh_bound
 
 
 def brute_force_minrank(inst: GicInstance) -> int:
@@ -75,9 +76,9 @@ def test_minrank_matches_brute_force(ex1, monkeypatch):
 
     # Larger draws, on which every cut of the search happens: a completion
     # already in the span (dominance), completions sharing a residue
-    # (dedupe), and the fresh-packet bound.  Each search is run with the
-    # bound and with the bound replaced by 0, counting nodes (one bound per
-    # node); both must equal the brute force.
+    # (dedupe), and the acyclic bound.  Each search is run with the bound
+    # and with the bound replaced by 0, counting nodes (one bound per node);
+    # both must equal the brute force.
     seen = {"dominance": 0, "dedupe": 0, "bound": 0}
     residues = gicast.oracle._residues
 
@@ -97,7 +98,7 @@ def test_minrank_matches_brute_force(ex1, monkeypatch):
             return bound(fresh, pending)
         return spy
 
-    with_bound = counted(gicast.oracle._fresh_bound)
+    with_bound = counted(gicast.oracle.acyclic_lower_bound)
     without_bound = counted(lambda fresh, pending: 0)
     monkeypatch.setattr(gicast.oracle, "_residues", spy_residues)
     rng = random.Random(5)
@@ -110,7 +111,7 @@ def test_minrank_matches_brute_force(ex1, monkeypatch):
         expected = brute_force_minrank(inst)
         counts = []
         for spy in (with_bound, without_bound):
-            monkeypatch.setattr(gicast.oracle, "_fresh_bound", spy)
+            monkeypatch.setattr(gicast.oracle, "acyclic_lower_bound", spy)
             nodes[0] = 0
             assert minrank_gf2(inst) == expected
             counts.append(nodes[0])
@@ -120,12 +121,13 @@ def test_minrank_matches_brute_force(ex1, monkeypatch):
 
 
 def test_minrank_fresh_bound_holds_on_completion_prefixes():
-    """On random completions of the template, the bound `minrank_gf2` gives
-    every prefix of the rows is at most the rank the remaining rows add.
-    Some prefixes are cut by the bound alone: their rank is below the
-    minimum, their rank plus the bound is not."""
+    """On random completions of the template, the acyclic bound `minrank_gf2`
+    gives every prefix of the rows is at most the rank the remaining rows
+    add.  It is never below the reference fresh-packet bound, and above it
+    on some prefixes.  Some prefixes are cut by the bound alone: their rank
+    is below the minimum, their rank plus the bound is not."""
     rng = random.Random(13)
-    cuts = 0
+    cuts = stronger = 0
     for _ in range(40):
         inst = random_instance(rng, max_m=5, max_users=6)
         best = minrank_gf2(inst)
@@ -136,10 +138,57 @@ def test_minrank_fresh_bound_holds_on_completion_prefixes():
             for i in range(len(rows)):
                 r = bitmask_rank(rows[:i])
                 fresh = reduce(or_, (demand for demand, _ in users[i:])) & ~reduce(or_, rows[:i], 0)
-                b = _fresh_bound(fresh, users[i:])
+                b = acyclic_lower_bound(fresh, users[i:])
                 assert b <= total - r
+                ref = reference_fresh_bound(fresh, users[i:])
+                assert b >= ref
+                stronger += b > ref
                 cuts += r < best <= r + b
     assert cuts
+    assert stronger
+
+
+def test_acyclic_bounds_sit_below_minrank():
+    # the greedy set is acyclic, so at most the largest one, which every
+    # scalar-linear code, a minrank completion among them, must send
+    rng = random.Random(31)
+    greedy_below_exact = 0
+    for _ in range(150):
+        inst = random_instance(rng, max_m=5, max_users=7)
+        greedy, exact = acyclic_bound(inst), exact_acyclic_bound(inst)
+        assert 1 <= greedy <= exact <= minrank_gf2(inst)
+        greedy_below_exact += greedy < exact
+    assert greedy_below_exact
+
+
+def test_acyclic_bound_is_below_every_certified_rate():
+    rng = random.Random(37)
+    for _ in range(60):
+        inst = random_instance(rng, max_m=5, max_users=7)
+        lower = acyclic_bound(inst)
+        part = group_partition(inst)
+        rate, basis, _ = iupm_rate(inst, part)
+        solutions = [
+            exhaustive_ppm(inst),
+            exhaustive_upm(inst),
+            exhaustive_iupm(inst),
+            run_heuristic(inst, "user"),
+            run_heuristic(inst, "packet"),
+            SchemeSolution("upm-group", upm_rate(inst, part)[0], part, build_transmissions(inst, part)),
+            SchemeSolution("iupm-group", rate, part, basis),
+        ]
+        for sol in solutions:
+            if simulate_decode(inst, sol).passed:
+                assert lower <= sol.rate, sol.scheme
+
+
+@pytest.mark.parametrize("k", range(2, 17))
+def test_acyclic_bound_meets_the_family_iupm_rate(k):
+    # every code, linear or not, sends k - 1 symbols, and the groups' rank
+    # reduced code sends that many: the IUPM rate is optimal on the family
+    inst, gs = generate_k2(k)
+    assert acyclic_bound(inst) == k - 1
+    assert iupm_rate(inst, UserPartition.of(gs.user_groups()))[0] == k - 1
 
 
 def test_minrank_everyone_knows_everything():

@@ -4,15 +4,19 @@ import random
 
 import pytest
 
+import gicast.oracle
+import gicast.partition
+
 from gicast import (
     GF2,
+    MinrankBudgetError,
     GF256,
     PacketPartition,
     PartitionCapError,
     UserId,
     UserPartition,
+    acyclic_bound,
     build_transmissions,
-    enumerate_partitions,
     exhaustive_iupm,
     exhaustive_ppm,
     exhaustive_upm,
@@ -20,6 +24,7 @@ from gicast import (
     group_partition,
     iupm_rate,
     load_instance,
+    minrank_gf2,
     ppm_as_upm,
     ppm_rate,
     run_heuristic,
@@ -27,13 +32,21 @@ from gicast import (
 )
 from gicast.gf import Echelon, mds_generator
 from gicast.partition import (
-    _fresh_bounds,
     _min_partition_sum,
     _packet_cost_table,
+    _side_masks,
     _user_cost_table,
+    acyclic_lower_bound,
 )
 
-from conftest import certify, random_instance, reference_min_partition_sum
+from conftest import (
+    FIXTURES,
+    certify,
+    enumerate_partitions,
+    random_instance,
+    reference_fresh_bound,
+    reference_min_partition_sum,
+)
 
 
 def bell_numbers(n: int) -> list[int]:
@@ -75,11 +88,15 @@ def test_partition_first_is_single_block():
 
 
 def test_partition_cap_refused():
-    with pytest.raises(PartitionCapError):
-        next(iter(enumerate_partitions(14)))
+    from gicast import GicInstance
+
+    # 14 packets with one receiver each: a ground set of 14 for every search
+    inst = GicInstance.make(14, [((p, 1), set()) for p in range(1, 15)])
+    for search in (exhaustive_ppm, exhaustive_upm, exhaustive_iupm):
+        with pytest.raises(PartitionCapError):
+            search(inst)
     # explicit override lifts it
-    it = enumerate_partitions(14, cap=14)
-    assert next(iter(it)) == (tuple(range(1, 15)),)
+    assert exhaustive_upm(inst, cap=14).rate == 14
 
 
 def test_packet_partition_checks():
@@ -450,22 +467,37 @@ def test_exhaustive_iupm_k4_family():
     assert certify(inst, exhaustive_iupm(inst)).rate == 3
 
 
+def _left_bounds(inst, ymask):
+    """The bound `exhaustive_iupm` gives every mask of users left, once the
+    other users' blocks are placed, and the reference fresh bound there."""
+    users = list(zip((1 << (uid.packet - 1) for uid in inst.user_ids), _side_masks(inst)))
+    full = len(ymask) - 1
+    out = {}
+    for left in range(full + 1):
+        fresh = ymask[left] & ~ymask[full ^ left]
+        pending = [u for t, u in enumerate(users) if left >> t & 1]
+        out[left] = acyclic_lower_bound(fresh, pending), reference_fresh_bound(fresh, pending)
+    return out
+
+
 def test_fresh_bound_holds_for_every_block_prefix():
     """For every user partition, in enumeration order, and every prefix of
-    its blocks, the bound `exhaustive_iupm` gives the users left is at most
-    the rank the remaining blocks add, and so is that bound plus the check
-    it makes before a block's first insert: min(cost, the block's packets
-    no earlier block demands).  Some prefixes are cut by the bound alone:
-    their rank is within the optimum, their rank plus the bound is not.
-    Some blocks are cut by the check alone: the rank before them plus the
-    bound is within the optimum, plus the check it is not."""
+    its blocks, the acyclic bound `exhaustive_iupm` gives the users left is
+    at most the rank the remaining blocks add, and so is that bound plus
+    the check it makes before a block's first insert: min(cost, the block's
+    packets no earlier block demands).  The bound is never below the
+    reference fresh-packet bound, and above it on some prefixes.  Some
+    prefixes are cut by the bound alone: their rank is within the optimum,
+    their rank plus the bound is not.  Some blocks are cut by the check
+    alone: the rank before them plus the bound is within the optimum, plus
+    the check it is not."""
     rng = random.Random(11)
-    cuts = block_cuts = 0
+    cuts = block_cuts = stronger = 0
     for _ in range(25):
         inst = random_instance(rng, max_m=5, max_users=6)
         n = len(inst.user_ids)
         cost, ymask = _user_cost_table(inst)
-        bound = _fresh_bounds(inst, ymask)
+        bounds = _left_bounds(inst, ymask)
         prefixes = []  # (rank before a block, the check, rank after, bound of the users left, total)
         for blocks in enumerate_partitions(n):
             part = _users(inst, blocks)
@@ -481,7 +513,10 @@ def test_fresh_bound_holds_for_every_block_prefix():
                 for _ in range(len({inst.user_ids[x - 1].packet for x in blk}) - c):
                     ech.insert(next(rows))
                 left ^= B
-                steps.append((before, check, len(ech), bound[left]))
+                b, ref = bounds[left]
+                assert b >= ref
+                stronger += b > ref
+                steps.append((before, check, len(ech), b))
             prefixes += [(*step, len(ech)) for step in steps]
         best = min(total for *_, total in prefixes)
         for before, check, r, b, total in prefixes:
@@ -491,3 +526,70 @@ def test_fresh_bound_holds_for_every_block_prefix():
             block_cuts += before + b <= best < before + check + b
     assert cuts
     assert block_cuts
+    assert stronger
+
+
+# ------------------------------------------------------- the acyclic floor
+
+def _floorless(monkeypatch):
+    monkeypatch.setattr(gicast.partition, "acyclic_bound", lambda inst: 0)
+    monkeypatch.setattr(gicast.oracle, "acyclic_bound", lambda inst: 0)
+
+
+def _minrank(inst):
+    try:
+        return minrank_gf2(inst)
+    except MinrankBudgetError:
+        return None
+
+
+def test_acyclic_floor_changes_no_result(monkeypatch):
+    """`exhaustive_iupm` skips every branch whose limit is below the root
+    bound, and `minrank_gf2` stops at the first leaf that reaches it; with
+    the floor at 0 both give the same witnesses and values, and minrank
+    walks more nodes (one `acyclic_lower_bound` per node)."""
+    nodes = [0]
+    node_bound = gicast.oracle.acyclic_lower_bound
+
+    def counted(fresh, pending):
+        nodes[0] += 1
+        return node_bound(fresh, pending)
+
+    monkeypatch.setattr(gicast.oracle, "acyclic_lower_bound", counted)
+    rng = random.Random(29)
+    insts = [random_instance(rng, max_m=6, max_users=8) for _ in range(60)]
+    insts += [generate_k2(3)[0], load_instance((FIXTURES / "shaped_7_12.gic").read_text())]
+    with_floor = [(_summary(exhaustive_iupm(inst)), _minrank(inst)) for inst in insts]
+    floor_nodes = nodes[0]
+    _floorless(monkeypatch)
+    assert [(_summary(exhaustive_iupm(inst)), _minrank(inst)) for inst in insts] == with_floor
+    assert floor_nodes < nodes[0] - floor_nodes
+
+
+def _inserts(monkeypatch, inst) -> int:
+    """Rows `exhaustive_iupm` inserts into its echelon: the work of its
+    search nodes."""
+    count = [0]
+
+    class Counting(Echelon):
+        def insert(self, row):
+            count[0] += 1
+            return super().insert(row)
+
+    monkeypatch.setattr(gicast.partition, "Echelon", Counting)
+    exhaustive_iupm(inst)
+    return count[0]
+
+
+def test_acyclic_bounds_cut_the_shaped_searches(monkeypatch):
+    """On a 13-user instance the acyclic bounds leave 11 inserts, where the
+    fresh-packet bound let the search make 698 679.  On a 12-user one whose
+    optimum the root bound meets, the floor cuts the branches that could
+    only tie the incumbent once the incumbent reaches it."""
+    shaped = load_instance((FIXTURES / "shaped_6_13.gic").read_text())
+    assert _inserts(monkeypatch, shaped) == 11
+    shaped = load_instance((FIXTURES / "shaped_7_12.gic").read_text())
+    assert exhaustive_iupm(shaped).rate == acyclic_bound(shaped)
+    with_floor = _inserts(monkeypatch, shaped)
+    _floorless(monkeypatch)
+    assert with_floor < _inserts(monkeypatch, shaped)

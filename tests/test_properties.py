@@ -11,7 +11,6 @@ from gicast import (
     CodingMatrix,
     GicInstance,
     PacketPartition,
-    enumerate_partitions,
     exhaustive_iupm,
     exhaustive_ppm,
     exhaustive_upm,
@@ -23,6 +22,8 @@ from gicast import (
     upm_rate,
 )
 from gicast.gf import rank, residual_rank, row_basis, solve_decode
+
+from conftest import enumerate_partitions
 
 
 @st.composite
