@@ -54,8 +54,10 @@ def minrank_gf2(inst: GicInstance, budget: int = DEFAULT_FREE_BIT_BUDGET) -> int
     span matters, so a completion already in the span is taken alone (any
     other choice gives a larger span), and otherwise one completion per
     distinct residue mod the span is tried.  A branch is cut once its rank
-    plus `acyclic_lower_bound` of the receivers left reaches the incumbent,
-    and the walk ends at the first leaf whose rank is the root bound,
+    plus `acyclic_lower_bound` of the receivers left reaches the incumbent.
+    The bound never exceeds the number of fresh packets, so it is not
+    computed where the rank plus that number stays below the incumbent.
+    The walk ends at the first leaf whose rank is the root bound,
     `acyclic_bound`, which no completion goes below.  None of these cuts
     changes the exact minimum."""
     free = sum(len(side) for _, side in inst.users)
@@ -78,7 +80,9 @@ def minrank_gf2(inst: GicInstance, budget: int = DEFAULT_FREE_BIT_BUDGET) -> int
         # touched: the support of the span, the packets some pivot row is on;
         # returns True once a leaf reaches the floor, the minimum
         nonlocal best
-        if len(pivots) + acyclic_lower_bound(demanded[idx] & ~touched, masks[idx:]) >= best:
+        fresh = demanded[idx] & ~touched
+        rank = len(pivots)
+        if rank + fresh.bit_count() >= best and rank + acyclic_lower_bound(fresh, masks[idx:]) >= best:
             return False
         if idx == nrows:
             best = len(pivots)

@@ -4,6 +4,9 @@ Two scheme families share one block-cost table builder: packet partitions
 (each block multicast with an MDS code sized by the worst-informed demander)
 and user partitions (blocks of receivers, coded over the packets the block
 demands); a packet block costs what the user block of its demanders costs.
+The builder computes every block's cost at once on big-int lanes, one byte
+per block, as the largest count of the block's packets that one of its
+receivers lacks.
 Stacking the user-partition transmissions and dropping linearly
 dependent rows gives the rank-reduced variant.  The packet- and
 user-partition rates are sums of block costs, so their exhaustive searches
@@ -45,10 +48,11 @@ __all__ = [
 #: Largest ground set searched by default.  There are Bell(n) partitions
 #: (Bell(13) is ~27.6 million) and the PPM/UPM subset DP is O(3^n); on
 #: random instances of 13/14/15/16 users over 8 packets, `exhaustive_upm`
-#: takes 0.03/0.05/0.12/0.43 s.  The bound-pruned IUPM search took
-#: 0.005-0.08 s (median 0.02 s) on 20 random 12-user instances over 7
-#: packets and 0.01-0.27 s (median 0.07 s) on 20 13-user ones over 6
-#: packets (2-vCPU VM).
+#: takes 0.02/0.03/0.12/0.31 s (median of 5), nearly all of it the DP: the
+#: cost table takes under 1 ms at 13 users and about 6 ms at 16.  The
+#: bound-pruned IUPM search took 0.002-0.13 s (median 0.02 s) on 20 random
+#: 12-user instances over 7 packets and 0.003-0.50 s (median 0.12 s) on 20
+#: 13-user ones over 6 packets (2-vCPU VM).
 DEFAULT_CAP = 13
 
 
@@ -306,37 +310,86 @@ def _min_partition_sum(n: int, cost: Sequence[int]) -> tuple[int, list[int]]:
     return f[full], _unpack(solve(full), n, width)
 
 
-def _cost_table(
-    demand: Sequence[int], holders: Sequence[int], sides: Sequence[int]
-) -> tuple[list[int], list[int]]:
-    """Block costs over every subset of members, as bitmasks.  Member t
-    demands the packets in demand[t] and stands for the receivers in
-    holders[t]; receiver h holds the packets in sides[h].  Block mask
-    demands Y = ymask[mask], the union of its members' demands, and costs
-    cost[mask] = |Y| minus the smallest |sides[h] & Y| over the receivers
-    it stands for: the rule of `_block_codes`.  Returns (cost, ymask).
-    Tables too large to allocate raise PartitionCapError."""
-    size = 1 << len(demand)
+def _zeros(n: int) -> list[int]:
+    """2^n zeros, the storage of a table over every subset of n members,
+    claimed before any work: PartitionCapError when it does not fit."""
     try:
-        cost = [0] * size
-        ymask = [0] * size
-        hmask = [0] * size
+        return [0] * (1 << n)
     except (MemoryError, OverflowError):
-        raise PartitionCapError(f"block tables of 2^{len(demand)} entries do not fit in memory") from None
-    for mask in range(1, size):
-        low = mask & -mask
-        t = low.bit_length() - 1
-        y = ymask[mask] = ymask[mask ^ low] | demand[t]
-        hs = hmask[mask] = hmask[mask ^ low] | holders[t]
-        ny = c = y.bit_count()
+        raise PartitionCapError(f"block tables of 2^{n} entries do not fit in memory") from None
+
+
+def _block_demands(demand: Sequence[int]) -> list[int]:
+    """ymask[mask], the union of demand[t] over the members t of mask, by
+    slice doubling: the masks with top member t are those below 2^t with t
+    added."""
+    ymask = _zeros(len(demand))
+    for t, d in enumerate(demand):
+        low = 1 << t
+        ymask[low : low << 1] = [y | d for y in ymask[:low]]
+    return ymask
+
+
+def _cost_table(demand: Sequence[int], holders: Sequence[int], sides: Sequence[int]) -> list[int]:
+    """Block costs over every subset of members.  Member t demands the
+    packets in demand[t] and stands for the receivers in holders[t];
+    receiver h holds the packets in sides[h].  Block mask demands Y, the
+    union of its members' demands, and costs cost[mask] = |Y| minus the
+    smallest |sides[h] & Y| over the receivers it stands for, the rule of
+    `_block_codes`.  The table is claimed before any work: PartitionCapError
+    when it does not fit.  It is computed whole by `_cost_lanes`, one byte
+    per subset, whose lanes are freed before the table is filled.  It comes
+    back as a list, which the searches index faster than bytes."""
+    n = len(demand)
+    cost = _zeros(n)
+    cost[:] = _cost_lanes(demand, holders, sides).to_bytes(1 << n, "little")
+    return cost
+
+
+def _cost_lanes(demand: Sequence[int], holders: Sequence[int], sides: Sequence[int]) -> int:
+    """The cost table of `_cost_table` as one int, one byte lane per subset:
+    byte `mask` is cost[mask].  It uses the identity |Y| - min_h |sides[h] &
+    Y| = max_h |Y - sides[h]|.
+
+    ind[p] has a 1 in each lane whose block demands packet p: the OR, over
+    p's demanders t, of the lanes whose block holds t.  For receiver h of
+    member t, the sum of ind[p] over the packets p outside sides[h] is |Y -
+    sides[h]| in every lane.  Kept on the lanes holding t, it is folded
+    into a lane-wise max, once per distinct side set of t's receivers.
+    Every lane value counts packets, fewer than 0x80, so with a 0x80 guard
+    bit in every lane, (acc | guard) - x borrows across no lane and keeps a
+    lane's guard bit exactly where acc >= x.  Lanes of members are built
+    when used, so the peak is one lane int per packet and a few more, each
+    2^n bytes."""
+    size = 1 << len(demand)
+
+    def lanes(t: int, byte: bytes) -> int:
+        # `byte` in every lane whose block holds member t, 0 elsewhere
+        low = 1 << t
+        return int.from_bytes((bytes(low) + byte * low) * (size >> (t + 1)), "little")
+
+    ind: dict[int, int] = {}  # packet bit -> lanes
+    for t, d in enumerate(demand):
+        held = lanes(t, b"\x01")
+        while d:
+            p = d & -d
+            ind[p] = ind.get(p, 0) | held
+            d ^= p
+    assert len(ind) < 0x80, "a lane value must fit below the guard bit"
+    guard = int.from_bytes(b"\x80" * size, "little")
+    acc = 0
+    for t, hs in enumerate(holders):
+        held = lanes(t, b"\xff")
+        lacks = set()  # the packets each receiver of t lacks, as ~side
         while hs:
             lb = hs & -hs
-            o = (sides[lb.bit_length() - 1] & y).bit_count()
-            if o < c:
-                c = o
             hs ^= lb
-        cost[mask] = ny - c
-    return cost, ymask
+            lacks.add(~sides[lb.bit_length() - 1])
+        for lack in lacks:
+            x = sum(v for p, v in ind.items() if lack & p) & held
+            keep = (((acc | guard) - x) & guard) >> 7  # 1 in the lanes where acc >= x
+            acc = x ^ ((acc ^ x) & keep * 0xFF)
+    return acc
 
 
 def _side_masks(inst: GicInstance) -> list[int]:
@@ -345,11 +398,16 @@ def _side_masks(inst: GicInstance) -> list[int]:
     return [sum(1 << (p - 1) for p in side) for _, side in inst.users]
 
 
-def _user_cost_table(inst: GicInstance) -> tuple[list[int], list[int]]:
+def _user_demands(inst: GicInstance) -> list[int]:
+    """Each receiver's demanded packet as a bitmask, in the canonical user
+    order."""
+    return [1 << (uid.packet - 1) for uid in inst.user_ids]
+
+
+def _user_cost_table(inst: GicInstance) -> list[int]:
     """`_cost_table` over receiver blocks: member t is user t."""
-    ids = inst.user_ids
-    demand = [1 << (uid.packet - 1) for uid in ids]
-    return _cost_table(demand, [1 << t for t in range(len(ids))], _side_masks(inst))
+    n = len(inst.user_ids)
+    return _cost_table(_user_demands(inst), [1 << t for t in range(n)], _side_masks(inst))
 
 
 def _packet_cost_table(inst: GicInstance) -> list[int]:
@@ -358,7 +416,7 @@ def _packet_cost_table(inst: GicInstance) -> list[int]:
     holders = [0] * inst.m
     for t, uid in enumerate(inst.user_ids):
         holders[uid.packet - 1] |= 1 << t
-    return _cost_table([1 << t for t in range(inst.m)], holders, _side_masks(inst))[0]
+    return _cost_table([1 << t for t in range(inst.m)], holders, _side_masks(inst))
 
 
 def _rgs_to_blocks(a: Sequence[int]) -> list[list[int]]:
@@ -390,7 +448,7 @@ def exhaustive_upm(inst: GicInstance, cap: int = DEFAULT_CAP) -> SchemeSolution:
     ids = inst.user_ids
     if len(ids) > cap:
         raise PartitionCapError(f"{len(ids)} users exceed enumeration cap {cap}")
-    cost, _ = _user_cost_table(inst)
+    cost = _user_cost_table(inst)
     total, a = _min_partition_sum(len(ids), cost)
     part = _user_partition(ids, a)
     matrix = build_transmissions(inst, part)
@@ -453,8 +511,7 @@ def acyclic_bound(inst: GicInstance) -> int:
     pending: the size of a maximal acyclic packet set grown in packet order.
     Every index code for the instance, linear or not and over any field,
     sends at least this many symbols."""
-    demand = [1 << (uid.packet - 1) for uid in inst.user_ids]
-    return acyclic_lower_bound((1 << inst.m) - 1, zip(demand, _side_masks(inst)))
+    return acyclic_lower_bound((1 << inst.m) - 1, zip(_user_demands(inst), _side_masks(inst)))
 
 
 def exhaustive_iupm(inst: GicInstance, cap: int = DEFAULT_CAP) -> SchemeSolution:
@@ -479,8 +536,10 @@ def exhaustive_iupm(inst: GicInstance, cap: int = DEFAULT_CAP) -> SchemeSolution
     n = len(ids)
     if n > cap:
         raise PartitionCapError(f"{n} users exceed enumeration cap {cap}")
-    cost, ymask = _user_cost_table(inst)
-    users = list(zip((1 << (uid.packet - 1) for uid in ids), _side_masks(inst)))
+    cost = _user_cost_table(inst)
+    demand = _user_demands(inst)
+    ymask = _block_demands(demand)
+    users = list(zip(demand, _side_masks(inst)))
     full = (1 << n) - 1
     floor = acyclic_bound(inst)
     bounds = [-1] * (1 << n)  # acyclic_lower_bound of each mask of users left, once used

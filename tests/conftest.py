@@ -36,7 +36,11 @@ def random_instance(rng: random.Random, max_m: int = 4, max_users: int = 7) -> G
     """Small random well-formed instance: every packet demanded at least
     once, side info an arbitrary subset of the other packets."""
     m = rng.randint(1, max_m)
-    n_users = rng.randint(m, max_users)
+    return shaped_instance(rng, m, rng.randint(m, max_users))
+
+
+def shaped_instance(rng: random.Random, m: int, n_users: int) -> GicInstance:
+    """`random_instance` with m packets and n_users receivers."""
     demands = list(range(1, m + 1)) + [rng.randint(1, m) for _ in range(n_users - m)]
     rng.shuffle(demands)
     copies: dict[int, int] = {}
@@ -127,6 +131,32 @@ def exact_acyclic_bound(inst: GicInstance) -> int:
             return size - 1
         acyclic |= grown
     return inst.m
+
+
+def reference_cost_table(demand, holders, sides) -> tuple[list[int], list[int]]:
+    """Block costs and demanded packets of every subset of members, one
+    subset at a time: a reference kept apart from the whole-table
+    `gicast.partition._cost_table` and `_block_demands` that the tests
+    check.  Member t demands the packets in demand[t] and stands for the
+    receivers in holders[t]; receiver h holds the packets in sides[h].
+    Block mask demands Y = ymask[mask] and costs cost[mask] = |Y| minus the
+    smallest |sides[h] & Y| over the receivers it stands for."""
+    size = 1 << len(demand)
+    cost = [0] * size
+    ymask = [0] * size
+    hmask = [0] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        t = low.bit_length() - 1
+        y = ymask[mask] = ymask[mask ^ low] | demand[t]
+        hs = hmask[mask] = hmask[mask ^ low] | holders[t]
+        ny = c = y.bit_count()
+        while hs:
+            lb = hs & -hs
+            c = min(c, (sides[lb.bit_length() - 1] & y).bit_count())
+            hs ^= lb
+        cost[mask] = ny - c
+    return cost, ymask
 
 
 def reference_min_partition_sum(n: int, cost) -> tuple[int, list[int]]:

@@ -1,6 +1,7 @@
 """Partition enumeration and the three partition-based rate objectives."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -32,10 +33,13 @@ from gicast import (
 )
 from gicast.gf import Echelon, mds_generator
 from gicast.partition import (
+    _block_demands,
+    _cost_table,
     _min_partition_sum,
     _packet_cost_table,
     _side_masks,
     _user_cost_table,
+    _user_demands,
     acyclic_lower_bound,
 )
 
@@ -44,8 +48,10 @@ from conftest import (
     certify,
     enumerate_partitions,
     random_instance,
+    reference_cost_table,
     reference_fresh_bound,
     reference_min_partition_sum,
+    shaped_instance,
 )
 
 
@@ -286,7 +292,7 @@ def test_cost_tables_match_block_rates():
     for _ in range(40):
         inst = random_instance(rng, max_m=5, max_users=7)
         ids = inst.user_ids
-        cost, _ = _user_cost_table(inst)
+        cost = _user_cost_table(inst)
         for mask in range(1, 1 << len(ids)):
             W = [u for t, u in enumerate(ids) if mask >> t & 1]
             part = UserPartition.of([W] + [[u] for u in ids if u not in W])
@@ -303,12 +309,75 @@ def test_cost_tables_are_monotone_with_unit_singletons():
     rng = random.Random(12)
     for _ in range(60):
         inst = random_instance(rng, max_m=5, max_users=7)
-        for cost in (_user_cost_table(inst)[0], _packet_cost_table(inst)):
+        for cost in (_user_cost_table(inst), _packet_cost_table(inst)):
             n = len(cost).bit_length() - 1
             for t in range(n):
                 assert cost[1 << t] <= 1
                 for B in range(len(cost)):
                     assert cost[B | 1 << t] >= cost[B], (B, t)
+
+
+def _member_tables(inst):
+    """The (demand, holders, sides) masks of the user and the packet cost
+    tables, built from the instance alone."""
+    ids = inst.user_ids
+    sides = [sum(1 << (p - 1) for p in side) for _, side in inst.users]
+    users = ([1 << (uid.packet - 1) for uid in ids], [1 << t for t in range(len(ids))], sides)
+    holders = [sum(1 << t for t, uid in enumerate(ids) if uid.packet == p) for p in range(1, inst.m + 1)]
+    return users, ([1 << t for t in range(inst.m)], holders, sides)
+
+
+def test_cost_table_matches_the_per_subset_reference():
+    """Both tables, and the user table's demanded packets, equal the
+    per-subset reference on shaped draws of 8-13 receivers, on the family's
+    packet tables (several demanders per packet), and on receivers that
+    know nothing or every other packet.  On up to 10 members the DP reads
+    the reference DP's total and witness off the new table."""
+    from gicast import GicInstance
+
+    rng = random.Random(29)
+    insts = [shaped_instance(rng, rng.randint(3, min(n, 9)), n) for n in range(8, 14) for _ in range(2)]
+    family = [generate_k2(k)[0] for k in range(2, 6)]
+    extremes = []
+    for m, n in ((3, 8), (5, 9), (6, 12)):
+        users = {}
+        for i in range(n):
+            p, others = i % m + 1, set(range(1, m + 1)) - {i % m + 1}
+            users[p, i // m + 1] = (set(), others, {q for q in others if rng.random() < 0.5})[i % 3]
+        extremes.append(GicInstance.make(m, users))
+    checked = 0
+    for inst in insts + family + extremes:
+        user_members, packet_members = _member_tables(inst)
+        packet_ref, _ = reference_cost_table(*packet_members)
+        tables = [(packet_ref, _packet_cost_table(inst))]
+        if len(inst.user_ids) <= 13:  # not family k=5: 2^20 subsets
+            user_ref, ymask = reference_cost_table(*user_members)
+            tables.append((user_ref, _user_cost_table(inst)))
+            assert _block_demands(user_members[0]) == ymask
+        for ref, cost in tables:
+            assert cost == ref
+            n = len(cost).bit_length() - 1
+            if n <= 10:
+                assert _min_partition_sum(n, cost) == reference_min_partition_sum(n, ref)
+                checked += 1
+    assert checked >= 20
+
+
+def test_cost_table_peak_memory_stays_within_the_reference():
+    # the lanes of 12 members over 12 packets hold less than the
+    # reference's three lists and their entries
+    inst = shaped_instance(random.Random(31), 12, 12)
+    members, _ = _member_tables(inst)
+
+    def peak(build) -> int:
+        tracemalloc.start()
+        try:
+            build(*members)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(_cost_table) < peak(reference_cost_table)
 
 
 # --------------------------------------------------------------------- iupm
@@ -443,7 +512,7 @@ def test_min_partition_sum_matches_the_keyed_single_pass_dp():
         inst = random_instance(rng, max_m=n, max_users=n)
         while len(inst.user_ids) < 9:
             inst = random_instance(rng, max_m=n, max_users=n)
-        tables.append(_user_cost_table(inst)[0])
+        tables.append(_user_cost_table(inst))
         sides = [{q for q in range(1, n + 1) if q != p and rng.random() < 0.5} for p in range(1, n + 1)]
         tables.append(_packet_cost_table(GicInstance.make(n, [((p, 1), sides[p - 1]) for p in range(1, n + 1)])))
     for k in (3, 4, 5):
@@ -451,12 +520,12 @@ def test_min_partition_sum_matches_the_keyed_single_pass_dp():
     for m, n in ((3, 9), (5, 12)):
         everyone = {(i % m + 1, i // m + 1): set(range(1, m + 1)) - {i % m + 1} for i in range(n)}
         inst = GicInstance.make(m, everyone)
-        tables += [_user_cost_table(inst)[0], _packet_cost_table(inst)]
+        tables += [_user_cost_table(inst), _packet_cost_table(inst)]
     # Tables on which the tight block whose rest has the least lifted string
     # is not the lex-first string's block 0: the rests' own strings decide.
     for seed in (1031, 1085):
         inst = random_instance(random.Random(seed), max_m=6, max_users=9)
-        tables += [_user_cost_table(inst)[0], _packet_cost_table(inst)]
+        tables += [_user_cost_table(inst), _packet_cost_table(inst)]
     for cost in tables:
         n = len(cost).bit_length() - 1
         assert _min_partition_sum(n, cost) == reference_min_partition_sum(n, cost), n
@@ -496,7 +565,8 @@ def test_fresh_bound_holds_for_every_block_prefix():
     for _ in range(25):
         inst = random_instance(rng, max_m=5, max_users=6)
         n = len(inst.user_ids)
-        cost, ymask = _user_cost_table(inst)
+        cost = _user_cost_table(inst)
+        ymask = _block_demands(_user_demands(inst))
         bounds = _left_bounds(inst, ymask)
         prefixes = []  # (rank before a block, the check, rank after, bound of the users left, total)
         for blocks in enumerate_partitions(n):
