@@ -194,7 +194,9 @@ class Echelon:
     columns are eliminated.  The bytes above them, up to `width` bytes in
     all, ride along: an identity appended there records how a remainder
     combines the inserted rows.  An insert never changes the rows already
-    there, so deleting the pivots it returned undoes it."""
+    there, so deleting the pivots it returned undoes it.  `_reduce` is the
+    one loop that subtracts pivot rows; `insert` and `residue` are built
+    on it."""
 
     __slots__ = ("pivots", "_data", "_width")
 
@@ -206,14 +208,13 @@ class Echelon:
     def __len__(self) -> int:
         return len(self.pivots)
 
-    def _reduce(self, row: int) -> tuple[int, int]:
-        """Subtract pivot rows until the first nonzero column has no pivot;
-        returns the remainder and that column, or -1 once the eliminated
-        columns are all zero."""
+    def _reduce(self, row: int, cols: int) -> tuple[int, int]:
+        """Subtract pivot rows until the first nonzero column of `cols` (a
+        byte mask) has no pivot; returns the remainder and that column, or
+        -1 once the columns of `cols` are all zero."""
         pivots = self.pivots
-        data = self._data
         while True:
-            v = row & data
+            v = row & cols
             if not v:
                 return row, -1
             c = ((v & -v).bit_length() - 1) >> 3
@@ -227,24 +228,17 @@ class Echelon:
         """Row less the pivot rows at every pivot column, in ascending order:
         zero in every pivot column, 0 iff row lies in the span, and the same
         for two rows iff their difference lies in the span."""
-        pivots = self.pivots
-        rest = self._data
+        cols = self._data
         while True:
-            v = row & rest
-            if not v:
+            row, c = self._reduce(row, cols)
+            if c < 0:
                 return row
-            c = ((v & -v).bit_length() - 1) >> 3
-            p = pivots.get(c)
-            if p is None:  # skip a column without a pivot
-                rest &= -1 << 8 * (c + 1)
-            else:  # clears column c: a pivot row is zero before its column
-                f = (v >> 8 * c) & 0xFF
-                row ^= p if f == 1 else scale_row(p, f, self._width)
+            cols &= -1 << 8 * (c + 1)  # go on past the column without a pivot
 
     def insert(self, row: int) -> int | None:
         """Add row's remainder to the basis and return its pivot column;
         None, with the basis unchanged, when row lies in the span."""
-        row, c = self._reduce(row)
+        row, c = self._reduce(row, self._data)
         if c < 0:
             return None
         f = (row >> 8 * c) & 0xFF
@@ -346,8 +340,9 @@ class Decoder:
 
     Row r of the matrix goes into one echelon with a 1 in tail slot r, so
     the tail of every combination records how it combines the rows.  The
-    echelon is then reduced once: each pivot row is cleared from every
-    other pivot row, so a pivot row is zero in every other pivot column.
+    echelon is then reduced once: right to left, each pivot row is
+    reduced against the other pivot rows at their columns, so a pivot row
+    is zero in every other pivot column.
     The unit row e_p goes in with a 1 in tail slot nrows + p - 1, and its
     remainder is e_p less the pivot row at its column, if any: one XOR,
     zero in every pivot column.  A receiver inserts the remainders of its
@@ -373,8 +368,7 @@ class Decoder:
     def __init__(self, M: CodingMatrix):
         m = self.ncols = M.ncols
         n = self.nrows = M.nrows
-        width = 2 * m + n
-        ech = Echelon(m, width)
+        ech = Echelon(m, 2 * m + n)
         tag = unit_row(m + 1)
         for row in M.packed:
             ech.insert(row | tag)
@@ -382,14 +376,12 @@ class Decoder:
         self._unit_tag = tag | 1  # e_1 tagged in slot nrows; shift by p - 1 for e_p
         pivots = self._pivots = ech.pivots
         self._free = m - len(pivots)
-        # A pivot row is zero before its column; clearing the columns from the
-        # right, each pivot row used is already clear of every later pivot.
+        # Right to left, each pivot row less the pivot rows at the other
+        # pivot columns: those right of it are already reduced, and those left
+        # of it are never reached, since a pivot row is zero before its column.
+        cols = sum(0xFF << 8 * c for c in pivots)
         for c in sorted(pivots, reverse=True):
-            p = pivots[c]
-            for d, q in pivots.items():
-                f = (q >> 8 * c) & 0xFF
-                if f and d != c:
-                    pivots[d] = q ^ (p if f == 1 else scale_row(p, f, width))
+            pivots[c] = ech._reduce(pivots[c], cols ^ (0xFF << 8 * c))[0]
 
     def decode(self, known: Iterable[int], target: int) -> Decoding | None:
         """Express e_target as a combination of the rows and the unit

@@ -89,10 +89,9 @@ def validate(inst: GicInstance) -> list[str]:
     for uid, side in inst.users:
         if uid.packet in side:
             out.append(f"self-inclusion: user {uid.label()} lists its own packet {uid.packet}")
-        if side and not (1 <= min(side) and max(side) <= m):
-            for p in side:
-                if not 1 <= p <= m:
-                    out.append(f"user {uid.label()}: side-info packet {p} outside 1..{m}")
+        for p in side:
+            if not 1 <= p <= m:
+                out.append(f"user {uid.label()}: side-info packet {p} outside 1..{m}")
     seen: dict[int, list[int]] = {}
     for uid in ids:
         seen.setdefault(uid.packet, []).append(uid.copy)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from gicast import GicInstance, SchemeSolution, load_instance, simulate_decode
+from gicast.gf import scale_row
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -64,6 +65,41 @@ def bitmask_rank(masks) -> int:
                 break
             row ^= basis[low]
     return len(basis)
+
+
+def reference_residue(pivots: dict[int, int], row: int, ncols: int, width: int) -> int:
+    """Row less the pivot rows at every pivot column, in ascending order,
+    as one loop of its own: a reference kept apart from `Echelon.residue`,
+    which the tests check is built on `Echelon._reduce`.  Pivot rows are
+    keyed by their pivot column, scaled to 1 there and zero before it;
+    only the first ncols columns are eliminated, width bytes ride along."""
+    rest = (1 << 8 * ncols) - 1
+    while True:
+        v = row & rest
+        if not v:
+            return row
+        c = ((v & -v).bit_length() - 1) >> 3
+        p = pivots.get(c)
+        if p is None:  # step past a column without a pivot
+            rest &= -1 << 8 * (c + 1)
+        else:
+            f = (v >> 8 * c) & 0xFF
+            row ^= p if f == 1 else scale_row(p, f, width)
+
+
+def reference_back_substitution(pivots: dict[int, int], width: int) -> dict[int, int]:
+    """The pivot rows of an echelon reduced column by column from the
+    right: each pivot row is cleared from every other pivot row, so each is
+    zero in every other pivot column.  A reference kept apart from the
+    reduction in `gicast.gf.Decoder`, which goes through `Echelon._reduce`."""
+    pivots = dict(pivots)
+    for c in sorted(pivots, reverse=True):
+        p = pivots[c]
+        for d, q in pivots.items():
+            f = (q >> 8 * c) & 0xFF
+            if f and d != c:
+                pivots[d] = q ^ (p if f == 1 else scale_row(p, f, width))
+    return pivots
 
 
 def rgs_stream(n: int):

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from gicast import GF2, GF256, CodingMatrix, field, gf
+from gicast import GF2, GF256, CodingMatrix, field, generate_k2, gf, run_heuristic
 from gicast.gf import (
     Decoder,
     Decoding,
@@ -18,10 +18,11 @@ from gicast.gf import (
     row_basis,
     scale_row,
     solve_decode,
+    unit_row,
     unpack_row,
 )
 
-from conftest import bitmask_rank
+from conftest import bitmask_rank, reference_back_substitution, reference_residue
 
 
 # ------------------------------------------------------------------- fields
@@ -399,6 +400,60 @@ def test_solve_decode_matches_the_shared_decoder(fld):
         decoder = Decoder(M)
         for known, target in draws:
             assert solve_decode(M, known, target) == decoder.decode(known, target), (rows, known, target)
+
+
+def reduction_matrices(source):
+    """The matrices of `decoder_draws` over GF(2) or GF(2^8), or the
+    heuristic's matrices, both inits, on the family k=2..12."""
+    if source == "family":
+        for k in range(2, 13):
+            inst, _ = generate_k2(k)
+            for init in ("user", "packet"):
+                yield run_heuristic(inst, init).matrix
+    else:
+        fld = GF2 if source == "GF2" else GF256
+        for rows, m, _ in decoder_draws(fld):
+            yield CodingMatrix(fld, m, tuple(rows))
+
+
+@pytest.mark.parametrize("source", ["GF2", "GF256", "family"])
+def test_residue_matches_the_reference_loop(source):
+    # on every partial basis of tagged rows, the empty one first, the
+    # residue of every row, every unit row and random rows
+    rng = random.Random(18)
+    stepped = 0
+    for M in reduction_matrices(source):
+        m, width = M.ncols, M.ncols + M.nrows
+        order = 2 if M.field == GF2 else 256
+        rows = [row | unit_row(m + 1 + r) for r, row in enumerate(M.packed)]
+        probes = rows + [unit_row(p) for p in range(1, m + 1)]
+        probes += [pack_row([rng.randrange(order) for _ in range(m)]) for _ in range(4)]
+        ech = Echelon(m, width)
+        for row in [None] + rows:
+            if row is not None:
+                ech.insert(row)
+            for x in probes:
+                expected = reference_residue(ech.pivots, x, m, width)
+                assert ech.residue(x) == expected, (M.rows, x)
+                stepped += ech._reduce(x, (1 << 8 * m) - 1)[0] != expected
+    # some residues go on past a column without a pivot; in the family's
+    # echelons every pivot column comes before the first free one
+    assert stepped > 0 or source == "family"
+
+
+@pytest.mark.parametrize("source", ["GF2", "GF256", "family"])
+def test_decoder_reduction_matches_the_reference_back_substitution(source):
+    reduced = 0
+    for M in reduction_matrices(source):
+        # the echelon of the tagged rows, as Decoder builds it before reducing
+        width = 2 * M.ncols + M.nrows
+        ech = Echelon(M.ncols, width)
+        for r, row in enumerate(M.packed):
+            ech.insert(row | unit_row(M.ncols + 1 + r))
+        expected = reference_back_substitution(ech.pivots, width)
+        assert Decoder(M)._pivots == expected, M.rows
+        reduced += expected != ech.pivots
+    assert reduced > 0  # the reduction changes some pivot rows
 
 
 def with_offered(monkeypatch, decode):

@@ -1,6 +1,7 @@
 """Source hygiene: every name a gicast module or test file imports is used
-in it, every name a gicast module exports is bound in it, and every private
-name it defines is read in it."""
+in it, every name a gicast module exports is bound in it, every private
+name it defines is read in it, and every name the benchmark reads off the
+package exists."""
 
 import ast
 from pathlib import Path
@@ -11,6 +12,7 @@ import gicast
 
 MODULES = sorted(p for p in Path(gicast.__file__).parent.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
+BENCH = sorted((Path(__file__).parent.parent / "gicbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -95,3 +97,39 @@ def test_unread_private_names_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_private_name(path):
     assert unread_private_names(path.read_text()) == []
+
+
+def package_attributes(source: str) -> set[str]:
+    """Every dotted attribute chain read off the name `g`, such as
+    `load_instance` or `cli.main` for `g.load_instance(...)` and
+    `g.cli.main(...)`.  The benchmark passes the imported gicast package
+    around under that name."""
+    chains = set()
+    for node in ast.walk(ast.parse(source)):
+        names = []
+        while isinstance(node, ast.Attribute):
+            names.append(node.attr)
+            node = node.value
+        if names and isinstance(node, ast.Name) and node.id == "g":
+            chains.add(".".join(reversed(names)))
+    return chains
+
+
+def test_package_attributes_are_found():
+    source = "def f(g, h):\n    g.a(h.b)\n    return g.cli.main\n"
+    assert package_attributes(source) == {"a", "cli", "cli.main"}
+
+
+def test_benchmark_reads_only_names_the_package_has():
+    import gicast.cli  # noqa: F401  (the benchmark imports it before any run)
+
+    chains = set().union(*(package_attributes(path.read_text()) for path in BENCH))
+    assert {"cli.main", "solve_decode", "iupm_rate"} <= chains
+
+    def resolve(chain: str):
+        obj = gicast
+        for name in chain.split("."):
+            obj = getattr(obj, name, None)
+        return obj
+
+    assert sorted(chain for chain in chains if resolve(chain) is None) == []

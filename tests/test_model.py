@@ -70,8 +70,14 @@ def test_validate_copy_gap():
 
 
 def test_validate_side_out_of_range():
-    inst = GicInstance.make(2, [((1, 1), {5}), ((2, 1), set())])
-    assert any("outside" in v for v in validate(inst))
+    # one message per packet outside 1..m, in the side set's iteration
+    # order (0, 3, -2 for small ints), and none for the packets inside
+    inst = GicInstance.make(2, [((1, 1), {0, -2, 2, 3}), ((2, 1), {1})])
+    assert validate(inst) == [
+        "user (1,1): side-info packet 0 outside 1..2",
+        "user (1,1): side-info packet 3 outside 1..2",
+        "user (1,1): side-info packet -2 outside 1..2",
+    ]
 
 
 # ------------------------------------------------------------ family generator
