@@ -163,6 +163,17 @@ def _parse_krange(text: str) -> list[int]:
     return ks
 
 
+def _cap(text: str) -> int:
+    """The value of --cap-override: a member count, never negative."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {cap}")
+    return cap
+
+
 def cmd_table(args) -> int:
     try:
         family = [generate_k2(k) for k in _parse_krange(args.k)]
@@ -233,7 +244,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="seed of the decode simulator's payload trials")
         p.add_argument("--format", choices=("table", "records"), default="table")
         out(p)
-        p.add_argument("--cap-override", type=int, default=None, help="set the enumeration cap of the exhaustive searches")
+        p.add_argument("--cap-override", type=_cap, default=None, help="set the enumeration cap of the exhaustive searches")
 
     g = sub.add_parser("gen", help="emit a k-group family instance")
     g.add_argument("--k", required=True)

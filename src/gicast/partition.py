@@ -10,10 +10,12 @@ receivers lacks.
 Stacking the user-partition transmissions and dropping linearly
 dependent rows gives the rank-reduced variant.  The packet- and
 user-partition rates are sums of block costs, so their exhaustive searches
-are a subset DP in O(3^n), in two passes: small-int totals, each set's scan
-cut at a lower bound it cannot beat, then the witness, read top-down along
-the optimal blocks only.  The rank-reduced search is a depth-first search
-over blocks, pruned by rank plus a lower bound on what the rest must add.
+are a subset DP in O(3^n), in two passes: small-int totals, where a set's
+optimum is its optimum without its lowest member or one more, and only a
+block that costs what its other members cost at best can give the lower
+value; then the witness, read top-down along the optimal blocks only.  The
+rank-reduced search is a depth-first search over blocks, pruned by rank
+plus a lower bound on what the rest must add.
 All three return the first optimum in restricted-growth-string order.
 """
 
@@ -48,8 +50,8 @@ __all__ = [
 #: Largest ground set searched by default.  There are Bell(n) partitions
 #: (Bell(13) is ~27.6 million) and the PPM/UPM subset DP is O(3^n); on
 #: random instances of 13/14/15/16 users over 8 packets, `exhaustive_upm`
-#: takes 0.02/0.03/0.12/0.31 s (median of 5), nearly all of it the DP: the
-#: cost table takes under 1 ms at 13 users and about 6 ms at 16.  The
+#: takes 0.007/0.017/0.05/0.09 s (median of 5), nearly all of it the DP:
+#: the cost table takes under 1 ms at 13 users and about 6 ms at 16.  The
 #: bound-pruned IUPM search took 0.002-0.13 s (median 0.02 s) on 20 random
 #: 12-user instances over 7 packets and 0.003-0.50 s (median 0.12 s) on 20
 #: 13-user ones over 6 packets (2-vCPU VM).
@@ -227,6 +229,65 @@ def _unpack(code: int, n: int, width: int) -> list[int]:
     return [(code >> (width * (n - 1 - t))) & digit for t in range(n)]
 
 
+def _totals(n: int, cost: Sequence[int]) -> list[int]:
+    """Pass 1 of `_min_partition_sum`: f[S], the least sum of cost[block]
+    over the partitions of S, for the full set and every set without
+    element 0, the only ones that are ever a rest.  Other entries stay 0.
+
+    f(S) = min over blocks B holding low = min(S) of cost[B] + f(S - B), and
+    f(S) lies in [f(S - low), f(S - low) + cost[low]]: the block {low} alone
+    gives the upper end, and for B = low | s, cost[B] >= cost[s] >= f(s) and
+    f(s) + f(S - B) >= f(S - low), as the union of two partitions is a
+    partition.  As cost[low] <= 1, f(S) is f(S - low) when some block is
+    tight, cost[B] + f(S - B) = f(S - low), and one more otherwise.  A tight
+    block needs equality in both steps, so only the good s, those with
+    cost[low | s] = f(s), can give one.  Every set starts at the upper end,
+    and each good s lowers its supersets S - low = s | r where f(s) + f(r)
+    = f(s | r).  The full set, the one set that holds element 0, is
+    scanned block by block up to its first tight block instead: listing its
+    good blocks reads as much.
+
+    Sets are taken by lowest element, highest first; the sets low | R with
+    R above low read only final values, cost[low::2*low] and f[0::2*low],
+    both indexed by R / (2*low)."""
+    full = (1 << n) - 1
+    f = [0] * (1 << n)
+    for t in range(n - 1, -1, -1):
+        low = 1 << t
+        step = low << 1
+        c = cost[low::step]
+        g = f[0::step]
+        top = len(g) - 1
+        if not t:  # the group of element 0 needs only the full set
+            total = g[top]
+            if c[0]:
+                for s in range(1, top + 1):
+                    if c[s] + g[top ^ s] == total:
+                        break
+                else:
+                    total += 1
+            f[full] = total
+        elif not c[0]:  # a free singleton: f(low | R) = f(R)
+            f[low::step] = g
+        else:
+            h = [x + 1 for x in g]
+            for s in range(1, top + 1):
+                gs = g[s]
+                if c[s] != gs:
+                    continue
+                rest = top ^ s
+                r = rest
+                while True:
+                    k = s | r
+                    if gs + g[r] == g[k]:
+                        h[k] = g[k]
+                    if not r:
+                        break
+                    r = (r - 1) & rest
+            f[low::step] = h
+    return f
+
+
 def _min_partition_sum(n: int, cost: Sequence[int]) -> tuple[int, list[int]]:
     """Minimize the sum of cost[block] over all set partitions of n elements;
     returns the total and the lexicographically first optimal RGS.
@@ -235,16 +296,7 @@ def _min_partition_sum(n: int, cost: Sequence[int]) -> tuple[int, list[int]]:
     and element t, and every singleton costs at most 1.  Both cost tables
     are: a block's worst-served receiver only loses by a wider block.
 
-    Pass 1, the totals: f(S) = min over blocks B holding low = min(S) of
-    cost[B] + f(S - B), for the full set and every set without element 0,
-    the only ones that are ever a rest.  f(S) lies in [f(S - low),
-    f(S - low) + cost[low]]: cost[B] >= cost[B - low] >= f(B - low) and
-    f(B - low) + f(S - B) >= f(S - low), while the block {low} alone gives
-    the upper end.  As cost[low] <= 1, the scan over B stops at the first
-    block that reaches f(S - low), and f(S) is one more when none does.
-    Sets are taken by lowest element, highest first; the sets low | R with
-    R above low read only final values, cost[low::2*low] and f[0::2*low],
-    both indexed by R / (2*low).
+    Pass 1, `_totals`, computes every total f(S) the witness needs.
 
     Pass 2, the witness, top-down from the full set: with block B at label
     0, the string of R is the rest's string with every label raised by one,
@@ -256,30 +308,7 @@ def _min_partition_sum(n: int, cost: Sequence[int]) -> tuple[int, list[int]]:
     below the best candidate so far."""
     width, ones = _packing(n)
     full = (1 << n) - 1
-    f = [0] * (1 << n)
-    for t in range(n - 1, -1, -1):
-        low = 1 << t
-        step = low << 1
-        c = cost[low::step]
-        g = f[0::step]
-        h = g  # a free singleton: f(low | R) = f(R)
-        if c[0]:
-            h = [1] * len(g)
-            # the group of element 0 needs only the full set
-            for k in range(1, len(g)) if t else (len(g) - 1,):
-                lo = g[k]
-                sub = k & -k  # the subsets of k, ascending
-                while sub:
-                    if c[sub] + g[k ^ sub] == lo:
-                        break
-                    sub = (sub - k) & k
-                else:
-                    lo += 1
-                h[k] = lo
-        if t:
-            f[low::step] = h
-        else:
-            f[full] = h[-1]
+    f = _totals(n, cost)
     lexfirst = {0: 0}  # packed lex-first optimal string of each set solved
 
     def solve(R: int) -> int:

@@ -195,6 +195,42 @@ def reference_cost_table(demand, holders, sides) -> tuple[list[int], list[int]]:
     return cost, ymask
 
 
+def reference_totals(n: int, cost) -> list[int]:
+    """Pass 1 of the subset DP by a scan over the blocks of each set: a
+    reference kept apart from `gicast.partition._totals` that the tests
+    check.  f[S] = min over blocks B holding low = min(S) of cost[B] + f(S
+    - B), for the full set and every set without element 0; other entries
+    stay 0.  Under the DP's precondition (monotone costs, singletons of
+    cost at most 1) f(S) is f(S - low) or one more, so a set's scan stops
+    at the first block that reaches f(S - low)."""
+    full = (1 << n) - 1
+    f = [0] * (1 << n)
+    for t in range(n - 1, -1, -1):
+        low = 1 << t
+        step = low << 1
+        c = cost[low::step]
+        g = f[0::step]
+        h = g  # a free singleton: f(low | R) = f(R)
+        if c[0]:
+            h = [1] * len(g)
+            # the group of element 0 needs only the full set
+            for k in range(1, len(g)) if t else (len(g) - 1,):
+                lo = g[k]
+                sub = k & -k  # the subsets of k, ascending
+                while sub:
+                    if c[sub] + g[k ^ sub] == lo:
+                        break
+                    sub = (sub - k) & k
+                else:
+                    lo += 1
+                h[k] = lo
+        if t:
+            f[low::step] = h
+        else:
+            f[full] = h[-1]
+    return f
+
+
 def reference_min_partition_sum(n: int, cost) -> tuple[int, list[int]]:
     """Single-pass subset DP over keyed totals: a reference kept apart from
     the two-pass `gicast.partition._min_partition_sum` that the tests check.

@@ -163,6 +163,19 @@ def test_solve_cap_override_zero(capsys):
     assert "exceed enumeration cap 0" in err
 
 
+@pytest.mark.parametrize("command", [["solve", EX1, "--scheme", "upm-exhaustive"], ["table", "--k", "3"]])
+@pytest.mark.parametrize(
+    "value, message",
+    [("-1", "must be 0 or more, got -1"), ("-5", "must be 0 or more, got -5"), ("abc", "invalid int value: 'abc'")],
+)
+def test_cap_override_refused_at_parse_time(capsys, command, value, message):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--cap-override", value])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert f"argument --cap-override: {message}\n" in err
+
+
 def test_solve_cap_override_beyond_memory(capsys):
     # 60 users: the 2^60-entry block tables are refused before any allocation
     rc, out, err = run(capsys, "solve", EX3, "--scheme", "upm-exhaustive", "--cap-override", "64")

@@ -4,6 +4,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gicast.oracle
 import gicast.partition
@@ -38,6 +40,7 @@ from gicast.partition import (
     _min_partition_sum,
     _packet_cost_table,
     _side_masks,
+    _totals,
     _user_cost_table,
     _user_demands,
     acyclic_lower_bound,
@@ -51,6 +54,7 @@ from conftest import (
     reference_cost_table,
     reference_fresh_bound,
     reference_min_partition_sum,
+    reference_totals,
     shaped_instance,
 )
 
@@ -499,11 +503,10 @@ def test_exhaustive_searches_match_brute_force():
         assert _summary(exhaustive_iupm(inst)) == _iupm_reference(inst)
 
 
-def test_min_partition_sum_matches_the_keyed_single_pass_dp():
-    """Same total and lex-first string as the reference DP, on random cost
-    tables of 9-12 elements and on tie-heavy ones: the family's packet
-    tables, and instances where every receiver knows every other packet,
-    so that every block costs 1."""
+def _dp_tables() -> list[list[int]]:
+    """Random cost tables of 9-12 elements and tie-heavy ones: the family's
+    packet tables, and instances where every receiver knows every other
+    packet, so that every block costs 1."""
     from gicast import GicInstance
 
     rng = random.Random(17)
@@ -526,9 +529,44 @@ def test_min_partition_sum_matches_the_keyed_single_pass_dp():
     for seed in (1031, 1085):
         inst = random_instance(random.Random(seed), max_m=6, max_users=9)
         tables += [_user_cost_table(inst), _packet_cost_table(inst)]
-    for cost in tables:
+    return tables
+
+
+def test_min_partition_sum_matches_the_keyed_single_pass_dp():
+    """Same total and lex-first string as the reference DP, on the tables
+    of `_dp_tables`."""
+    for cost in _dp_tables():
         n = len(cost).bit_length() - 1
         assert _min_partition_sum(n, cost) == reference_min_partition_sum(n, cost), n
+
+
+def _assert_totals_match(cost: list[int]) -> None:
+    """`_totals` equals the reference scan on every set that pass 1
+    defines: the sets without element 0, and the full set."""
+    n = len(cost).bit_length() - 1
+    full = (1 << n) - 1
+    defined = [*range(0, full, 2), full]
+    got, want = _totals(n, cost), reference_totals(n, cost)
+    assert [got[S] for S in defined] == [want[S] for S in defined], n
+
+
+def test_totals_match_the_reference_scan():
+    """Pass 1 gives the reference scan's total on every set it defines, on
+    the tables of `_dp_tables` and on the user tables of the two shaped
+    fixtures, of 12 and 13 receivers."""
+    tables = _dp_tables()
+    for name in ("shaped_7_12.gic", "shaped_6_13.gic"):
+        tables.append(_user_cost_table(load_instance((FIXTURES / name).read_text())))
+    for cost in tables:
+        _assert_totals_match(cost)
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_totals_match_the_reference_scan_on_random_tables(rng):
+    inst = random_instance(rng, max_m=9, max_users=9)
+    _assert_totals_match(_user_cost_table(inst))
+    _assert_totals_match(_packet_cost_table(inst))
 
 
 def test_exhaustive_iupm_k4_family():
