@@ -191,12 +191,13 @@ class Echelon:
 
     Rows are packed as by `pack_row`.  Each basis row is keyed by its pivot,
     its first nonzero column, and scaled to 1 there.  Only the first `ncols`
-    columns are eliminated.  The bytes above them, up to `width` bytes in
-    all, ride along: an identity appended there records how a remainder
-    combines the inserted rows.  An insert never changes the rows already
-    there, so deleting the pivots it returned undoes it.  `_reduce` is the
-    one loop that subtracts pivot rows; `insert` and `residue` are built
-    on it."""
+    columns are eliminated, or the columns of the byte mask `_data`, which
+    `Decoder` narrows for each receiver.  The bytes above them, up to
+    `width` bytes in all, ride along: an identity appended there records
+    how a remainder combines the inserted rows.  An insert never changes
+    the rows already there, so deleting the pivots it returned undoes it.
+    `_reduce` is the one loop that subtracts pivot rows; `insert` and
+    `residue` are built on it."""
 
     __slots__ = ("pivots", "_data", "_width")
 
@@ -342,44 +343,34 @@ class Decoder:
     the tail of every combination records how it combines the rows.  The
     echelon is then reduced once: right to left, each pivot row is
     reduced against the other pivot rows at their columns, so a pivot row
-    is zero in every other pivot column.
-    The unit row e_p goes in with a 1 in tail slot nrows + p - 1, and its
-    remainder is e_p less the pivot row at its column, if any: one XOR,
-    zero in every pivot column.  A receiver inserts the remainders of its
-    side packets into an echelon of its own, in ascending order, and takes
-    the `residue` there of its target's remainder, whose packet columns are
-    all zero exactly when the target decodes; the tail then holds the
-    coefficients on the rows and on the side packets.  It stops inserting
-    once that echelon holds a pivot in each of the m - rank columns
-    without a pivot row: the side units then span every remainder, so each
-    later one is dependent, and the greedy certificate gives it
-    coefficient 0 anyway.  A receiver leaves the shared pivot rows as they
-    were, so any number of receivers can share one decoder.
+    is zero in every other pivot column.  A receiver with side set S and
+    target t then eliminates only the columns that have no pivot row and
+    are not in S.  It inserts the pivot rows at its side columns, in
+    ascending order, into an echelon over just those columns, and reduces
+    e_t less the pivot row at t there.  The target decodes iff that
+    remainder is zero on those columns.  The remainder is then e_t plus a
+    combination of the rows, recorded in its tail, and is zero outside S,
+    so its byte at each side column is that side packet's coefficient.  A
+    receiver with no column to eliminate inserts nothing.  A receiver
+    leaves the shared pivot rows as they were, so any number of receivers
+    can share one decoder."""
 
-    `decode_all` takes the receivers in the order of their sorted side
-    lists and shares one receiver echelon among them: it keeps the inserts
-    of the longest common prefix with the receiver before and undoes the
-    rest by deleting the pivots they returned.  An echelon depends only on
-    the rows inserted so far, so each receiver gets what an echelon of its
-    own would give it."""
-
-    __slots__ = ("ncols", "nrows", "_pivots", "_unit_tag", "_free")
+    __slots__ = ("ncols", "nrows", "_pivots", "_free")
 
     def __init__(self, M: CodingMatrix):
         m = self.ncols = M.ncols
         n = self.nrows = M.nrows
-        ech = Echelon(m, 2 * m + n)
+        ech = Echelon(m, m + n)
         tag = unit_row(m + 1)
         for row in M.packed:
             ech.insert(row | tag)
             tag <<= 8
-        self._unit_tag = tag | 1  # e_1 tagged in slot nrows; shift by p - 1 for e_p
         pivots = self._pivots = ech.pivots
-        self._free = m - len(pivots)
+        cols = sum(0xFF << 8 * c for c in pivots)
+        self._free = (ech._data ^ cols).to_bytes(m, "little")  # 0xFF at each column without a pivot row
         # Right to left, each pivot row less the pivot rows at the other
         # pivot columns: those right of it are already reduced, and those left
         # of it are never reached, since a pivot row is zero before its column.
-        cols = sum(0xFF << 8 * c for c in pivots)
         for c in sorted(pivots, reverse=True):
             pivots[c] = ech._reduce(pivots[c], cols ^ (0xFF << 8 * c))[0]
 
@@ -394,7 +385,7 @@ class Decoder:
         order.  Every receiver is checked before any is decoded."""
         m, n = self.ncols, self.nrows
         jobs = []
-        for i, (known, target) in enumerate(receivers):
+        for known, target in receivers:
             if not 1 <= target <= m:
                 raise ValueError(f"target packet {target} outside 1..{m}")
             kcols = sorted(set(known))
@@ -402,36 +393,29 @@ class Decoder:
                 raise ValueError(f"target packet {target} already known")
             if kcols and not (1 <= kcols[0] and kcols[-1] <= m):
                 raise ValueError(f"known packets {kcols} outside 1..{m}")
-            jobs.append((kcols, i, target))
-        out: list[Decoding | None] = [None] * len(jobs)
-        ech = Echelon(m, 2 * m + n)
-        held, insert, residue = ech.pivots, ech.insert, ech.residue
-        pivots, unit, free = self._pivots, self._unit_tag, self._free
-        data = (1 << 8 * m) - 1
-        sides: list[int] = []  # the side packets in the echelon, in insert order
-        added: list[int | None] = []  # what insert returned for each
-        # without a free column no receiver inserts anything, so order is moot
-        for kcols, i, target in sorted(jobs) if free else jobs:
-            keep = 0
-            for p, q in zip(kcols, sides):
-                if p != q:
-                    break
-                keep += 1
-            if keep < len(sides):
-                for c in added[keep:]:
-                    if c is not None:
-                        del held[c]
-                del sides[keep:], added[keep:]
-            if len(held) < free:
-                for p in kcols[keep:]:
-                    sides.append(p)
-                    added.append(insert(unit << 8 * (p - 1) ^ pivots.get(p - 1, 0)))
-                    if len(held) == free:
-                        break
-            rem = residue(unit << 8 * (target - 1) ^ pivots.get(target - 1, 0))
-            if not rem & data:
-                tail = (rem >> 8 * m).to_bytes(n + m, "little")
-                out[i] = Decoding(target, tuple(tail[:n]), tuple([(p, tail[n + p - 1]) for p in kcols]))
+            jobs.append((kcols, target))
+        out: list[Decoding | None] = []
+        ech = Echelon(m, m + n)  # one receiver echelon, cleared for each receiver
+        held, insert = ech.pivots, ech.insert
+        pivots, free = self._pivots, self._free
+        for kcols, target in jobs:
+            lacks = bytearray(free)
+            for p in kcols:
+                lacks[p - 1] = 0
+            cols = int.from_bytes(lacks, "little")
+            rem = unit_row(target) ^ pivots.get(target - 1, 0)
+            if cols:
+                held.clear()
+                ech._data = cols
+                for p in kcols:
+                    if p - 1 in pivots:
+                        insert(pivots[p - 1])
+                rem, c = ech._reduce(rem, cols)
+                if c >= 0:
+                    out.append(None)
+                    continue
+            coeffs = rem.to_bytes(m + n, "little")
+            out.append(Decoding(target, tuple(coeffs[m:]), tuple([(p, coeffs[p - 1]) for p in kcols])))
         return out
 
 

@@ -208,6 +208,9 @@ def parse_instance(text: str) -> GicInstance:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        # int() also takes "0_2", "+1" and non-ASCII digits; the grammar does not
+        if not line.isascii() or "_" in line or "+" in line:
+            raise InstanceFormatError(lineno, f"indices must be ASCII decimal integers: {line!r}")
         if m is None:
             parts = line.split()
             if len(parts) != 2 or parts[0] != "gic":

@@ -201,6 +201,28 @@ def test_parse_error_carries_line_number():
     assert ei.value.line == 3
 
 
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("gic 0_2\nuser 1 1 : 2\nuser 2 1 : 1\n", 1),
+        ("gic 2\nuser +1 1 : 2\nuser 2 1 : 1\n", 2),
+        ("gic 2\nuser 1 1 : 2\nuser 2 0_1 : 1\n", 3),
+        ("gic 2\nuser 1 1 : \u0662\nuser 2 1 : 1\n", 2),
+        ("gic \uff12\nuser 1 1 : 2\nuser 2 1 : 1\n", 1),
+    ],
+    ids=["underscore-header", "plus-packet", "underscore-copy", "arabic-indic-side", "fullwidth-header"],
+)
+def test_parse_rejects_what_int_accepts_beyond_the_grammar(text, line):
+    with pytest.raises(InstanceFormatError) as ei:
+        parse_instance(text)
+    assert ei.value.line == line
+
+
+def test_parse_keeps_negative_side_packets_for_validate():
+    inst = parse_instance("gic 2\nuser 1 1 : -2\nuser 2 1 : 1\n# comment \u0662\n")
+    assert inst.side_of(UserId(1, 1)) == {-2}
+
+
 def test_parse_rejects_missing_header():
     with pytest.raises(InstanceFormatError) as ei:
         parse_instance("user 1 1 : 2\n")
