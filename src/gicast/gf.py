@@ -318,11 +318,18 @@ def mds_rows(rows: Sequence[int], r: int) -> list[int]:
 
 def residual_rank(rows: Iterable[int], known: Iterable[int], ncols: int) -> int:
     """Rank of packed rows once the columns of the known packets are zeroed:
-    what the rows still tell a receiver holding those packets."""
-    unknown = ~(0xFF * sum(unit_row(p) for p in set(known)))
+    what the rows still tell a receiver holding those packets, eliminated on
+    a byte mask of the unknown columns as in `Decoder.decode_all`.  A known
+    packet outside 1..ncols raises ValueError."""
+    unknown = bytearray(b"\xff") * ncols
+    for p in known:
+        if not 0 < p <= ncols:
+            raise ValueError(f"known packet {p} outside 1..{ncols}")
+        unknown[p - 1] = 0
     ech = Echelon(ncols)
+    ech._data = int.from_bytes(unknown, "little")
     for row in rows:
-        ech.insert(row & unknown)
+        ech.insert(row)
     return len(ech)
 
 

@@ -16,6 +16,7 @@ matrix of MDS-combined transmissions; no other coefficients are tried.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from typing import Iterable
 
 from .gf import CodingMatrix, mds_rows, residual_rank, unit_row
 from .model import GicInstance, UserId
@@ -40,39 +41,43 @@ Groups = tuple[frozenset[int], ...]
 
 
 def _receiver_keys(inst: GicInstance) -> dict[UserId, SubsetKey]:
-    """Step-1 key per receiver: itself plus (demanders of its side packets
-    intersected with holders of its own packet)."""
-    holders: dict[int, set[UserId]] = {i: set() for i in range(1, inst.m + 1)}
-    for uid, side in inst.users:
-        for p in side:
-            holders[p].add(uid)
+    """Step-1 key per receiver: itself plus every demander of one of its
+    side packets that holds the receiver's own packet.  A receiver
+    demanding a packet outside 1..m raises ValueError; a side packet
+    outside 1..m does in step 3's `residual_rank`."""
+    side, demanders = inst.side_map, inst.users_of_packet
     keys = {}
-    for uid, side in inst.users:
-        demanders = {v for p in side for v in inst.users_of_packet.get(p, ())}
-        keys[uid] = tuple(sorted({uid} | (demanders & holders[uid.packet])))
+    for uid, s in inst.users:
+        i = uid.packet
+        if not 0 < i <= inst.m:
+            raise ValueError(f"receiver {uid.label()} demands packet {i} outside 1..{inst.m}")
+        keys[uid] = tuple(sorted({uid} | {v for p in s for v in demanders.get(p, ()) if i in side[v]}))
     return keys
+
+
+def _seeds(pairs: Iterable[tuple[SubsetKey, int]]) -> dict[SubsetKey, Groups]:
+    """One working subset per key, in first-seen key order, holding the
+    packets inserted under it as a single group."""
+    buckets: dict[SubsetKey, set[int]] = {}
+    for key, packet in pairs:
+        buckets.setdefault(key, set()).add(packet)
+    return {k: (frozenset(v),) for k, v in buckets.items()}
 
 
 def initial_subsets_user(inst: GicInstance) -> dict[SubsetKey, Groups]:
     """One insertion of packet i per receiver of i, under that receiver's
     key; packets meeting at a key form a single group."""
-    buckets: dict[SubsetKey, set[int]] = {}
-    for uid, key in _receiver_keys(inst).items():
-        buckets.setdefault(key, set()).add(uid.packet)
-    return {k: (frozenset(v),) for k, v in buckets.items()}
+    return _seeds((key, uid.packet) for uid, key in _receiver_keys(inst).items())
 
 
 def initial_subsets_packet(inst: GicInstance) -> dict[SubsetKey, Groups]:
     """Packet-initialized variant: each packet inserted once, keyed by the
     union of its receivers' keys."""
-    rkeys = _receiver_keys(inst)
-    buckets: dict[SubsetKey, set[int]] = {}
-    for i in range(1, inst.m + 1):
-        merged: set[UserId] = set()
-        for uid in inst.users_of_packet.get(i, ()):
-            merged.update(rkeys[uid])
-        buckets.setdefault(tuple(sorted(merged)), set()).add(i)
-    return {k: (frozenset(v),) for k, v in buckets.items()}
+    rkeys, demanders = _receiver_keys(inst), inst.users_of_packet
+    return _seeds(
+        (tuple(sorted({v for uid in demanders.get(i, ()) for v in rkeys[uid]})), i)
+        for i in range(1, inst.m + 1)
+    )
 
 
 def step2_merge(
@@ -90,18 +95,18 @@ def step2_merge(
 
     A promotion changes only the subset it grows or merges into, so only
     that one is classified again (zero-residual, unequal or settled).  The
-    candidates sit in one heap per class and the keys in one heap per level,
-    all ordered by (level, key); an entry whose key has since left or
-    changed class is dropped when it reaches the top.  Each promotion costs
-    one classification and a few heap operations, not a scan of every
-    subset."""
+    candidates sit in one heap ordered by (class, level, key), zero-residual
+    first, and the keys in one heap per level, ordered by key; a candidate
+    whose key has since left or changed class is dropped when it reaches
+    the top.  Each promotion costs one classification and a few heap
+    operations, not a scan of every subset."""
     subs = dict(subsets)
     all_users = inst.user_ids
     side = inst.side_map
     trace: list[str] = []
     ZERO, UNEQUAL = 0, 1
     cls: dict[SubsetKey, int | None] = {}
-    cands: tuple[list, list] = ([], [])  # (level, key) heaps of ZERO and UNEQUAL keys
+    cands: list[tuple[int, int, SubsetKey]] = []  # (class, level, key) heap
     levels: dict[int, list[SubsetKey]] = {}  # level -> heap of the keys there
 
     def classify(key: SubsetKey) -> None:
@@ -110,24 +115,15 @@ def step2_merge(
         c = ZERO if 0 in ents else UNEQUAL if len(ents) > 1 else None
         cls[key] = c
         if c is not None:
-            heappush(cands[c], (len(key), key))
-
-    def top(c: int) -> SubsetKey | None:
-        heap = cands[c]
-        while heap and cls.get(heap[0][1]) != c:
-            heappop(heap)
-        return heap[0][1] if heap else None
+            heappush(cands, (c, len(key), key))
 
     for key in subs:
         classify(key)
         heappush(levels.setdefault(len(key), []), key)
-    while True:
-        key = top(ZERO)
-        if key is None:
-            key = top(UNEQUAL)
-            if key is None:
-                break
-        v = len(key)
+    while cands:
+        c, v, key = heappop(cands)
+        if cls.get(key) != c:
+            continue
         if v == len(all_users):
             cls[key] = None  # it cannot grow; taking it again would change nothing
             continue
@@ -156,12 +152,7 @@ def step2_merge(
 def _subset_rows(groups: Groups) -> list[int]:
     """Post-compression content rows, packed as by `pack_row`: one XOR row
     per packet group, duplicates dropped."""
-    rows: list[int] = []
-    for g in groups:
-        row = sum(unit_row(p) for p in g)
-        if row not in rows:
-            rows.append(row)
-    return rows
+    return list(dict.fromkeys(sum(map(unit_row, g)) for g in groups))
 
 
 def step3_rate(

@@ -262,6 +262,43 @@ def reference_min_partition_sum(n: int, cost) -> tuple[int, list[int]]:
     return key >> shift, [(code >> (width * (n - 1 - t))) & digit for t in range(n)]
 
 
+def reference_seed_keys(inst: GicInstance) -> dict:
+    """Each receiver's step-1 key straight from the definition, as a sorted
+    tuple: itself plus every other receiver that demands one of its side
+    packets and holds its demanded packet."""
+    keys = {}
+    for uid, side in inst.users:
+        members = {uid}
+        for other, other_side in inst.users:
+            if other != uid and other.packet in side and uid.packet in other_side:
+                members.add(other)
+        keys[uid] = tuple(sorted(members))
+    return keys
+
+
+def reference_initial_subsets(inst: GicInstance) -> tuple[dict, dict]:
+    """Step-1 seeds from the definition, user-seeded then packet-seeded: a
+    reference kept apart from `gicast.heuristic.initial_subsets_user` and
+    `initial_subsets_packet` that the tests check, dict order included.
+    User seeding: each receiver, in user order, inserts its packet under
+    its key.  Packet seeding: each packet 1..m is inserted once under the
+    union of its demanders' keys.  Packets inserted under one key form its
+    single group."""
+    keys = reference_seed_keys(inst)
+    by_user = [(key, uid.packet) for uid, key in keys.items()]
+    by_packet = [
+        (tuple(sorted({v for uid, key in keys.items() if uid.packet == i for v in key})), i)
+        for i in range(1, inst.m + 1)
+    ]
+    seeds = []
+    for pairs in (by_user, by_packet):
+        buckets: dict = {}
+        for key, i in pairs:
+            buckets.setdefault(key, set()).add(i)
+        seeds.append({key: (frozenset(pkts),) for key, pkts in buckets.items()})
+    return seeds[0], seeds[1]
+
+
 def reference_step2_merge(inst: GicInstance, subsets: dict) -> tuple[dict, tuple[str, ...]]:
     """Step 2 by rescanning every subset after each promotion: a reference
     kept apart from the incremental `gicast.heuristic.step2_merge` that the

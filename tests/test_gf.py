@@ -237,6 +237,13 @@ def test_entropy_single_xor_row():
     assert residual_rank(S.packed, {1, 2, 3}, S.ncols) == 0
 
 
+@pytest.mark.parametrize("known", [{0}, {-1, 2}, {5}, {1, 4, 5}])
+def test_residual_rank_refuses_packets_outside_the_columns(known):
+    S = CodingMatrix(GF2, 4, ((1, 1, 1, 1),))
+    with pytest.raises(ValueError, match="outside 1..4"):
+        residual_rank(S.packed, known, S.ncols)
+
+
 # ---------------------------------------------------------------- decoding
 
 def test_solve_decode_xor_pair():

@@ -14,35 +14,27 @@ from gicast import (
     step2_merge,
 )
 
-from conftest import certify, random_instance, reference_step2_merge
+from conftest import certify, random_instance, reference_initial_subsets, reference_step2_merge
 
 
-def naive_user_keys(inst: GicInstance) -> dict[UserId, frozenset[UserId]]:
-    """Straight-from-the-definition recomputation of each receiver's seed
-    key: itself plus every receiver that (a) demands one of its side-info
-    packets and (b) holds its demanded packet."""
-    keys = {}
-    for uid, side in inst.users:
-        members = {uid}
-        for other, other_side in inst.users:
-            if other == uid:
-                continue
-            if other.packet in side and uid.packet in other_side:
-                members.add(other)
-        keys[uid] = frozenset(members)
-    return keys
+def random_cases() -> list[GicInstance]:
+    """The 1200 random instances steps 1 and 2 are checked on against
+    their references."""
+    cases = []
+    for seed, max_m, max_users in ((7, 5, 7), (8, 6, 9)):
+        rng = random.Random(seed)
+        cases += [random_instance(rng, max_m, max_users) for _ in range(600)]
+    return cases
 
 
 # -------------------------------------------------------------------- step 1
 
 def test_user_seed_keys_match_naive(ex1):
-    subsets = initial_subsets_user(ex1)
-    naive = naive_user_keys(ex1)
-    # every receiver's packet must sit in the subset keyed by its naive key
-    for uid, key_members in naive.items():
-        key = tuple(sorted(key_members))
-        assert key in subsets
-        assert any(uid.packet in grp for grp in subsets[key])
+    # both seedings, dict order and groups included, against the definition
+    for inst in [ex1, *(generate_k2(k)[0] for k in range(2, 31)), *random_cases()]:
+        by_user, by_packet = reference_initial_subsets(inst)
+        assert list(initial_subsets_user(inst).items()) == list(by_user.items())
+        assert list(initial_subsets_packet(inst).items()) == list(by_packet.items())
 
 
 def test_user_seed_keys_k2_family():
@@ -148,10 +140,7 @@ def test_subset_keys_are_sorted_receiver_tuples(ex1, init):
 
 @pytest.mark.parametrize("init", [initial_subsets_user, initial_subsets_packet], ids=["user", "packet"])
 def test_step2_matches_the_rescanning_reference(init):
-    cases = [generate_k2(k)[0] for k in range(2, 20)]
-    for seed, max_m, max_users in ((7, 5, 7), (8, 6, 9)):
-        rng = random.Random(seed)
-        cases += [random_instance(rng, max_m, max_users) for _ in range(600)]
+    cases = [generate_k2(k)[0] for k in range(2, 20)] + random_cases()
     stuck = 0
     for inst in cases:
         start = init(inst)
@@ -170,7 +159,7 @@ def test_step2_matches_the_rescanning_reference(init):
 
 # -------------------------------------------------------------------- step 3
 
-@pytest.mark.parametrize("k", [2, 4, 6])
+@pytest.mark.parametrize("k", [2, 4, 6, 40])
 def test_heuristic_user_rate_on_family(k):
     inst, gs = generate_k2(k)
     sol = certify(inst, run_heuristic(inst, "user"))
@@ -185,8 +174,9 @@ def test_heuristic_user_rate_on_family(k):
 
 
 # from k=17 a subset's code, (136, 121) at k=17, is too long for Cauchy rows
-# over GF(2^8) and takes Reed-Solomon rows
-@pytest.mark.parametrize("k", [3, 4, 6, 7, 17])
+# over GF(2^8) and takes Reed-Solomon rows; k=23, whose code has length 253,
+# is the last k where GF(2^8) suffices
+@pytest.mark.parametrize("k", [3, 4, 6, 7, 17, 23])
 def test_heuristic_packet_rate_on_family(k):
     inst, _ = generate_k2(k)
     sol = certify(inst, run_heuristic(inst, "packet"))
@@ -206,6 +196,21 @@ def test_heuristic_example1_regression(ex1):
     packet = certify(ex1, run_heuristic(ex1, "packet"))
     assert packet.rate == 2
     assert packet.scheme == "heuristic-packet"
+
+
+@pytest.mark.parametrize("init", ["user", "packet"])
+@pytest.mark.parametrize(
+    "users",
+    [
+        [((1, 1), {2}), ((2, 1), {1}), ((3, 1), {1})],  # demands packet 3 of 2
+        [((1, 1), {3}), ((2, 1), {1})],  # holds packet 3 of 2
+    ],
+    ids=["demand", "side"],
+)
+def test_heuristic_refuses_packets_outside_the_instance(users, init):
+    # unvalidated instances reach the library; none may leave a receiver unserved
+    with pytest.raises(ValueError, match="outside 1..2"):
+        run_heuristic(GicInstance.make(2, users), init)
 
 
 def test_heuristic_rejects_unknown_init(ex1):

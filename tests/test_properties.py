@@ -23,7 +23,7 @@ from gicast import (
 )
 from gicast.gf import rank, residual_rank, row_basis, solve_decode
 
-from conftest import enumerate_partitions
+from conftest import bitmask_rank, enumerate_partitions
 
 
 @st.composite
@@ -122,6 +122,15 @@ def test_rank_invariant_under_scaling(M, scalar):
 def test_entropy_boundaries(M):
     assert residual_rank(M.packed, set(), M.ncols) == rank(M)
     assert residual_rank(M.packed, set(range(1, M.ncols + 1)), M.ncols) == 0
+
+
+@given(gf2_matrices(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_residual_rank_matches_the_bitmask_reference(M, data):
+    drawn = data.draw(st.sets(st.integers(1, M.ncols)))
+    for known in (set(), drawn, set(range(1, M.ncols + 1))):
+        masks = [sum(1 << c for c, v in enumerate(row) if v and c + 1 not in known) for row in M.rows]
+        assert residual_rank(M.packed, known, M.ncols) == bitmask_rank(masks)
 
 
 @given(gf256_matrices(), st.data())
