@@ -15,7 +15,10 @@ optimum is its optimum without its lowest member or one more, and only a
 block that costs what its other members cost at best can give the lower
 value; then the witness, read top-down along the optimal blocks only.  The
 rank-reduced search is a depth-first search over blocks, pruned by rank
-plus a lower bound on what the rest must add.
+plus a lower bound on what the rest must add.  It takes each level's blocks
+in the order of their branches' first strings, so once it holds a partition
+on the acyclic lower bound it ends each level at the first branch that
+starts after that partition.
 All three return the first optimum in restricted-growth-string order.
 """
 
@@ -52,9 +55,9 @@ __all__ = [
 #: random instances of 13/14/15/16 users over 8 packets, `exhaustive_upm`
 #: takes 0.007/0.017/0.05/0.09 s (median of 5), nearly all of it the DP:
 #: the cost table takes under 1 ms at 13 users and about 6 ms at 16.  The
-#: bound-pruned IUPM search took 0.002-0.13 s (median 0.02 s) on 20 random
-#: 12-user instances over 7 packets and 0.003-0.50 s (median 0.12 s) on 20
-#: 13-user ones over 6 packets (2-vCPU VM).
+#: bound-pruned IUPM search takes 0.0004-0.013 s (median 0.005 s) on 20
+#: random 12-user instances over 7 packets and 0.0006-0.25 s (median
+#: 0.005 s) on 20 13-user ones over 6 packets (2-vCPU VM).
 DEFAULT_CAP = 13
 
 
@@ -214,14 +217,18 @@ def iupm_rate(inst: GicInstance, part: UserPartition) -> tuple[int, CodingMatrix
 def _packing(n: int) -> tuple[int, tuple[int, ...]]:
     """Digit width for labels 0..n-1 and ones[mask], the packed string with
     digit 1 at every element of mask.  Depends on n alone, so it is built
-    once per n."""
+    once per n.  PartitionCapError when it does not fit in memory; the
+    cache keeps no exception, so a later call tries again."""
     width = max(1, (n - 1).bit_length())
-    ones = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        t = low.bit_length() - 1
-        ones[mask] = ones[mask ^ low] + (1 << (width * (n - 1 - t)))
-    return width, tuple(ones)
+    try:
+        ones = _table(n)
+        for mask in range(1, 1 << n):
+            low = mask & -mask
+            t = low.bit_length() - 1
+            ones[mask] = ones[mask ^ low] + (1 << (width * (n - 1 - t)))
+        return width, tuple(ones)
+    except MemoryError:
+        raise PartitionCapError(f"packed strings of 2^{n} sets do not fit in memory") from None
 
 
 def _unpack(code: int, n: int, width: int) -> list[int]:
@@ -339,11 +346,12 @@ def _min_partition_sum(n: int, cost: Sequence[int]) -> tuple[int, list[int]]:
     return f[full], _unpack(solve(full), n, width)
 
 
-def _zeros(n: int) -> list[int]:
-    """2^n zeros, the storage of a table over every subset of n members,
-    claimed before any work: PartitionCapError when it does not fit."""
+def _table(n: int, fill: int = 0) -> list[int]:
+    """2^n copies of fill, the storage of a table over every subset of n
+    members, claimed before any work: PartitionCapError when it does not
+    fit."""
     try:
-        return [0] * (1 << n)
+        return [fill] * (1 << n)
     except (MemoryError, OverflowError):
         raise PartitionCapError(f"block tables of 2^{n} entries do not fit in memory") from None
 
@@ -352,7 +360,7 @@ def _block_demands(demand: Sequence[int]) -> list[int]:
     """ymask[mask], the union of demand[t] over the members t of mask, by
     slice doubling: the masks with top member t are those below 2^t with t
     added."""
-    ymask = _zeros(len(demand))
+    ymask = _table(len(demand))
     for t, d in enumerate(demand):
         low = 1 << t
         ymask[low : low << 1] = [y | d for y in ymask[:low]]
@@ -370,7 +378,7 @@ def _cost_table(demand: Sequence[int], holders: Sequence[int], sides: Sequence[i
     per subset, whose lanes are freed before the table is filled.  It comes
     back as a list, which the searches index faster than bytes."""
     n = len(demand)
-    cost = _zeros(n)
+    cost = _table(n)
     cost[:] = _cost_lanes(demand, holders, sides).to_bytes(1 << n, "little")
     return cost
 
@@ -491,7 +499,13 @@ def exhaustive_upm(inst: GicInstance, cap: int = DEFAULT_CAP) -> SchemeSolution:
 # does not change under a field extension, so the GF(256) echelon scores
 # every partition, whichever field `CodingMatrix.of_packed` gives its rows.
 # Rank only grows as blocks are added, by at least `acyclic_lower_bound` of
-# the users left, which bounds every completion.
+# the users left, which bounds every completion, and by `acyclic_bound`, the
+# bound with every user left, which bounds every partition.  A search block
+# by block cannot meet the partitions in restricted-growth order, since the
+# strings below one block interleave with those below its siblings.  But the
+# siblings' first strings ascend, so once the incumbent is on
+# `acyclic_bound`, the first sibling that starts after it ends the loop: no
+# later one can hold an earlier string.
 
 
 def acyclic_lower_bound(fresh: int, pending: Iterable[tuple[int, int]]) -> int:
@@ -548,33 +562,46 @@ def exhaustive_iupm(inst: GicInstance, cap: int = DEFAULT_CAP) -> SchemeSolution
     in restricted-growth order); the witness keeps the reduced basis as its
     transmissions.
 
-    A depth-first search over blocks.  Before a block's rows go in, the
-    branch gets a rank limit: the incumbent's rank, or one less once the
-    branch's smallest completion (all unassigned users in one block) is
-    already a later string.  Every partition's rank is at least the root
-    bound, `acyclic_bound`, so a branch whose limit is below it is skipped:
-    it can neither beat nor tie the incumbent.  Otherwise the limit drops by
-    `acyclic_lower_bound` of the users left, computed on a mask's first use.
-    The block is skipped before its first insert when the rank plus the
-    least its rows add exceeds the limit: they are MDS rows, of rank
-    min(rows, |S|) on any set S of its packets, earlier rows are zero on its
-    packets that no placed block demands, and the users left count none of
-    those as fresh, so the two bounds add.  Otherwise the branch is cut as
+    A depth-first search over blocks.  Bit n - 1 - t stands for user t, so
+    the lowest unassigned user is the top bit of the users left, and the
+    blocks that hold it come by descending submask: their branches' first
+    strings (every user left after the block in one more block) ascend.  A
+    branch gets a rank limit: the incumbent's rank while its first string
+    precedes the incumbent's, one less after.  Every partition's rank is at
+    least the root bound, `acyclic_bound`, so once the incumbent is there the
+    first branch that starts after it ends the search at its level: neither
+    it nor a later sibling can beat or tie the incumbent.  Otherwise the
+    limit drops by `acyclic_lower_bound` of the users left, computed on a
+    mask's first use.  The block is skipped before its first insert when the
+    rank plus the least its rows add exceeds the limit: they are MDS rows, of
+    rank min(rows, |S|) on any set S of its packets, earlier rows are zero on
+    its packets that no placed block demands, and the users left count none
+    of those as fresh, so the two bounds add.  Otherwise the branch is cut as
     soon as its rank exceeds the limit."""
     ids = inst.user_ids
     n = len(ids)
     if n > cap:
         raise PartitionCapError(f"{n} users exceed enumeration cap {cap}")
-    cost = _user_cost_table(inst)
-    demand = _user_demands(inst)
+    demand = _user_demands(inst)[::-1]
+    sides = _side_masks(inst)[::-1]
+    cost = _cost_table(demand, [1 << t for t in range(n)], sides)
     ymask = _block_demands(demand)
-    users = list(zip(demand, _side_masks(inst)))
+    users = list(zip(demand, sides))
     full = (1 << n) - 1
     floor = acyclic_bound(inst)
-    bounds = [-1] * (1 << n)  # acyclic_lower_bound of each mask of users left, once used
-    width, ones = _packing(n)
+    bounds = _table(n, -1)  # acyclic_lower_bound of each mask of users left, once used
+    # Strings packed as above, user 0 most significant: bit i, user n - 1 - i,
+    # is digit i.  The packed string with digit 1 at every member of a mask
+    # is lo[mask & low_bits] + hi[mask >> half], two tables of 2^(n/2).
+    width = max(1, (n - 1).bit_length())
+    half = n // 2
+    low_bits = (1 << half) - 1
+    lo, hi = [0], [0]
+    for t in range(n):
+        table = lo if t < half else hi
+        table += [x + (1 << (width * t)) for x in table]
     block_rows: dict[int, list[int]] = {}
-    best: list = [None]  # (rank, packed RGS) of the incumbent
+    best = [inst.m + 1, 0]  # rank and packed string of the incumbent; none yet
     basis = Echelon(inst.m)
     pivots, insert = basis.pivots, basis.insert
 
@@ -596,24 +623,27 @@ def exhaustive_iupm(inst: GicInstance, cap: int = DEFAULT_CAP) -> SchemeSolution
 
     def search(U: int, label: int, code: int) -> None:
         if not U:
-            if best[0] is None or (len(pivots), code) < best[0]:
-                best[0] = (len(pivots), code)
+            if [len(pivots), code] < best:
+                best[:] = len(pivots), code
             return
-        low = U & -U
+        low = 1 << (U.bit_length() - 1)
         rest = U ^ low
         untouched = ~ymask[full ^ U]  # the packets no placed block demands
+        # the first string below block B gives B this label and the rest of
+        # U the next one: base plus the ones of U - B
+        base = code + label * (lo[U & low_bits] + hi[U >> half])
         sub = rest
         while True:
             B = sub | low
             left = U ^ B
-            code2 = code + label * ones[B]
-            limit = inst.m  # the highest rank worth extending
-            if best[0] is not None:
-                best_r, best_code = best[0]
-                limit = best_r if code2 + (label + 1) * ones[left] < best_code else best_r - 1
-            # the users left get their bound only once the cheaper checks pass
+            limit = best[0]  # the highest rank worth extending
+            if base + lo[left & low_bits] + hi[left >> half] >= best[1]:
+                limit -= 1
+                if limit < floor:
+                    return
+            # the users left get their bound only once the cheaper check passes
             need = len(pivots) + min(cost[B], (ymask[B] & untouched).bit_count())
-            if floor <= limit and need <= limit and need + bound(left) <= limit:
+            if need <= limit and need + bound(left) <= limit:
                 limit -= bound(left)
                 added = []
                 for row in rows_of(B):
@@ -623,14 +653,14 @@ def exhaustive_iupm(inst: GicInstance, cap: int = DEFAULT_CAP) -> SchemeSolution
                     if pivot is not None:
                         added.append(pivot)
                 if len(pivots) <= limit:
-                    search(left, label + 1, code2)
+                    search(left, label + 1, code + label * (lo[B & low_bits] + hi[B >> half]))
                 for pivot in added:
                     del pivots[pivot]
             if not sub:
-                break
+                return
             sub = (sub - 1) & rest
 
     search(full, 0, 0)
-    part = _user_partition(ids, _unpack(best[0][1], n, width))
+    part = _user_partition(ids, _unpack(best[1], n, width))
     rate, basis, label = iupm_rate(inst, part)
     return SchemeSolution("iupm-exhaustive", rate, part, basis, policy=label)

@@ -3,11 +3,13 @@ decode-certification helper every solution-producing test funnels through,
 and brute-force references kept apart from the code the tests check."""
 
 import random
+import sys
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+import gicast.partition
 from gicast import GicInstance, SchemeSolution, load_instance, simulate_decode
 from gicast.gf import scale_row
 
@@ -31,6 +33,21 @@ def ex1() -> GicInstance:
 @pytest.fixture(scope="session")
 def ex3() -> GicInstance:
     return load_instance((FIXTURES / "example3.gic").read_text())
+
+
+def packing_out_of_memory(monkeypatch) -> None:
+    """Make the 2^n table of packed strings that the PPM/UPM witness pass
+    builds fail with MemoryError, as it does past the memory limit, while
+    every other table fits."""
+    table = gicast.partition._table
+
+    def claim(n: int, fill: int = 0) -> list[int]:
+        if sys._getframe(1).f_code.co_name == "_packing":
+            raise MemoryError
+        return table(n, fill)
+
+    monkeypatch.setattr(gicast.partition, "_table", claim)
+    gicast.partition._packing.cache_clear()
 
 
 def random_instance(rng: random.Random, max_m: int = 4, max_users: int = 7) -> GicInstance:

@@ -1,4 +1,4 @@
-"""Acceptance gate: ten end-to-end checks with explicit budgets.
+"""Acceptance gate: eleven end-to-end checks with explicit budgets.
 
 Each test prints one `[criterion NN] ... PASS/FAIL` line (visible with
 `pytest -s`, and in the captured output on failure)."""
@@ -12,7 +12,9 @@ from gicast import (
     CodingMatrix,
     GF256,
     SchemeSolution,
+    UserId,
     UserPartition,
+    acyclic_bound,
     build_transmissions,
     exhaustive_iupm,
     exhaustive_ppm,
@@ -199,3 +201,24 @@ def test_criterion_10_linear_algebra_units():
                         GF256, r, tuple(tuple(row[c] for c in cols) for row in M.rows)
                     )
                     assert rank(sub) == r
+
+
+def test_criterion_11_exhaustive_iupm_past_the_default_cap():
+    with criterion(11, "k=5 (20 users): exhaustive IUPM at cap 20 ends on the acyclic bound", 5.0):
+        inst, _ = generate_k2(5)
+        sol = certify(inst, exhaustive_iupm(inst, cap=20))
+        assert sol.rate == acyclic_bound(inst) == 4
+        blocks = [
+            [(1, 1), (2, 1), (3, 1), (4, 1)],
+            [(1, 2), (5, 1), (6, 1), (7, 1)],
+            [(2, 2), (5, 2), (8, 1), (9, 1)],
+            [(3, 2), (6, 2), (8, 2), (10, 1)],
+            [(4, 2), (7, 2), (9, 2), (10, 2)],
+        ]
+        assert sol.partition == UserPartition.of([UserId(*u) for u in b] for b in blocks)
+        assert sol.matrix.rows == (
+            (1, 1, 1, 1, 0, 0, 0, 0, 0, 0),
+            (1, 0, 0, 0, 1, 1, 1, 0, 0, 0),
+            (0, 1, 0, 0, 1, 0, 0, 1, 1, 0),
+            (0, 0, 1, 0, 0, 1, 0, 1, 0, 1),
+        )

@@ -10,7 +10,7 @@ import pytest
 import gicast
 from gicast.cli import _parser, main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, packing_out_of_memory
 
 EX1 = str(FIXTURES / "example1.gic")
 EX3 = str(FIXTURES / "example3.gic")
@@ -181,6 +181,33 @@ def test_solve_cap_override_beyond_memory(capsys):
     rc, out, err = run(capsys, "solve", EX3, "--scheme", "upm-exhaustive", "--cap-override", "64")
     assert (rc, out) == (2, "")
     assert err == "error: block tables of 2^60 entries do not fit in memory\n"
+
+
+def test_solve_iupm_cap_override_beyond_memory(capsys):
+    rc, out, err = run(capsys, "solve", EX3, "--scheme", "iupm-exhaustive", "--cap-override", "64")
+    assert (rc, out) == (2, "")
+    assert err == "error: block tables of 2^60 entries do not fit in memory\n"
+
+
+@pytest.mark.parametrize("scheme, n", [("upm-exhaustive", 5), ("ppm-exhaustive", 4)])
+def test_solve_packed_strings_beyond_memory(monkeypatch, capsys, scheme, n):
+    # the witness pass's 2^n packed strings raise MemoryError: exit 2, no traceback
+    packing_out_of_memory(monkeypatch)
+    rc, out, err = run(capsys, "solve", EX1, "--scheme", scheme)
+    assert (rc, out) == (2, "")
+    assert err == f"error: packed strings of 2^{n} sets do not fit in memory\n"
+
+
+def test_solve_iupm_past_the_default_cap(tmp_path, capsys):
+    # 20 users: the search ends at its first partition on the acyclic bound
+    fam = tmp_path / "k5.gic"
+    main(["gen", "--k", "5", "--out", str(fam)])
+    capsys.readouterr()
+    argv = ["solve", str(fam), "--scheme", "iupm-exhaustive", "--cap-override", "20", "--format", "records"]
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    rec = records(out)[0]
+    assert (rec["rate"], rec["verified"]) == ("4", "pass")
 
 
 def test_main_keeps_no_state_between_calls(tmp_path, capsys):

@@ -39,6 +39,7 @@ from gicast.partition import (
     _cost_table,
     _min_partition_sum,
     _packet_cost_table,
+    _packing,
     _side_masks,
     _totals,
     _user_cost_table,
@@ -50,6 +51,7 @@ from conftest import (
     FIXTURES,
     certify,
     enumerate_partitions,
+    packing_out_of_memory,
     random_instance,
     reference_cost_table,
     reference_fresh_bound,
@@ -503,6 +505,32 @@ def test_exhaustive_searches_match_brute_force():
         assert _summary(exhaustive_iupm(inst)) == _iupm_reference(inst)
 
 
+def _all_but_own(m: int, n: int):
+    """n receivers over m packets, receiver i demanding packet i mod m + 1
+    and knowing every other packet."""
+    from gicast import GicInstance
+
+    return GicInstance.make(m, {(i % m + 1, i // m + 1): set(range(1, m + 1)) - {i % m + 1} for i in range(n)})
+
+
+def test_exhaustive_iupm_matches_brute_force_on_ties_and_above_the_floor():
+    """The first optimum in restricted-growth order where every receiver
+    knows every packet but its own, so that many partitions tie, and on
+    draws whose optimum is above `acyclic_bound`, so that the search cannot
+    end on the bound.  Seed 1743 (6 users) is a draw where the first optimal
+    partition that the block-by-block search meets is not the first optimal
+    string."""
+    insts = [_all_but_own(m, n) for m, n in ((2, 8), (3, 7), (4, 6), (5, 5))]
+    insts.append(random_instance(random.Random(1743), max_m=7, max_users=8))
+    rng = random.Random(23)
+    while len(insts) < 16:
+        inst = random_instance(rng, max_m=6, max_users=7)
+        if exhaustive_iupm(inst).rate > acyclic_bound(inst):
+            insts.append(inst)
+    for inst in insts:
+        assert _summary(exhaustive_iupm(inst)) == _iupm_reference(inst)
+
+
 def _dp_tables() -> list[list[int]]:
     """Random cost tables of 9-12 elements and tie-heavy ones: the family's
     packet tables, and instances where every receiver knows every other
@@ -521,8 +549,7 @@ def _dp_tables() -> list[list[int]]:
     for k in (3, 4, 5):
         tables.append(_packet_cost_table(generate_k2(k)[0]))
     for m, n in ((3, 9), (5, 12)):
-        everyone = {(i % m + 1, i // m + 1): set(range(1, m + 1)) - {i % m + 1} for i in range(n)}
-        inst = GicInstance.make(m, everyone)
+        inst = _all_but_own(m, n)
         tables += [_user_cost_table(inst), _packet_cost_table(inst)]
     # Tables on which the tight block whose rest has the least lifted string
     # is not the lex-first string's block 0: the rests' own strings decide.
@@ -652,10 +679,11 @@ def _minrank(inst):
 
 
 def test_acyclic_floor_changes_no_result(monkeypatch):
-    """`exhaustive_iupm` skips every branch whose limit is below the root
-    bound, and `minrank_gf2` stops at the first leaf that reaches it; with
-    the floor at 0 both give the same witnesses and values, and minrank
-    walks more nodes (one `acyclic_lower_bound` per node)."""
+    """`exhaustive_iupm` ends its loop at the first branch whose limit is
+    below the root bound, and `minrank_gf2` stops at the first leaf that
+    reaches it; with the floor at 0 both give the same witnesses and
+    values, and minrank walks more nodes (one `acyclic_lower_bound` per
+    node)."""
     nodes = [0]
     node_bound = gicast.oracle.acyclic_lower_bound
 
@@ -689,6 +717,26 @@ def _inserts(monkeypatch, inst) -> int:
     return count[0]
 
 
+def test_exhaustive_iupm_ends_at_its_first_leaf_on_the_bound(monkeypatch):
+    """On the k=3 family the first partition in restricted-growth order,
+    the all-user block, has rank 2 = `acyclic_bound`: the search inserts
+    that block's rows and reads no other block's cost."""
+    inst, _ = generate_k2(3)
+    one = UserPartition.of([inst.user_ids])
+    assert iupm_rate(inst, one)[0] == acyclic_bound(inst) == 2
+    reads = set()
+
+    class Reads(list):
+        def __getitem__(self, mask):
+            reads.add(mask)
+            return super().__getitem__(mask)
+
+    table = gicast.partition._cost_table
+    monkeypatch.setattr(gicast.partition, "_cost_table", lambda *args: Reads(table(*args)))
+    assert _inserts(monkeypatch, inst) == len(build_transmissions(inst, one).rows) == 2
+    assert reads == {(1 << len(inst.user_ids)) - 1}
+
+
 def test_acyclic_bounds_cut_the_shaped_searches(monkeypatch):
     """On a 13-user instance the acyclic bounds leave 11 inserts, where the
     fresh-packet bound let the search make 698 679.  On a 12-user one whose
@@ -701,3 +749,26 @@ def test_acyclic_bounds_cut_the_shaped_searches(monkeypatch):
     with_floor = _inserts(monkeypatch, shaped)
     _floorless(monkeypatch)
     assert with_floor < _inserts(monkeypatch, shaped)
+
+
+# ------------------------------------------------------------ memory limits
+
+def test_packed_strings_past_memory_are_a_cap_error(monkeypatch):
+    """When the packed strings of the PPM/UPM witness pass do not fit, both
+    searches raise PartitionCapError; the cache keeps no failure.  IUPM
+    builds no such table, and claims each 2^n table through `_table`."""
+    inst = shaped_instance(random.Random(5), 4, 9)
+    upm = _summary(exhaustive_upm(inst))
+    packing_out_of_memory(monkeypatch)
+    with pytest.raises(PartitionCapError, match=r"^packed strings of 2\^9 sets do not fit in memory$"):
+        exhaustive_upm(inst)
+    with pytest.raises(PartitionCapError, match=r"^packed strings of 2\^4 sets do not fit in memory$"):
+        exhaustive_ppm(inst)
+    claims = []
+    table = gicast.partition._table
+    monkeypatch.setattr(gicast.partition, "_table", lambda n, fill=0: claims.append((n, fill)) or table(n, fill))
+    exhaustive_iupm(inst)
+    assert claims == [(9, 0), (9, 0), (9, -1)]
+    monkeypatch.undo()
+    assert _packing(9)[0] == 4
+    assert _summary(exhaustive_upm(inst)) == upm
