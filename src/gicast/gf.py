@@ -343,54 +343,66 @@ class Decoding(NamedTuple):
 
 
 class Decoder:
-    """Decodings of one matrix for any number of receivers from a single
-    elimination of its rows.
+    """Decodings of one matrix, and of its rows' trial payloads, for any
+    number of receivers from a single elimination of its rows.
 
-    Row r of the matrix goes into one echelon with a 1 in tail slot r, so
-    the tail of every combination records how it combines the rows.  The
-    echelon is then reduced once: right to left, each pivot row is
-    reduced against the other pivot rows at their columns, so a pivot row
-    is zero in every other pivot column.  A receiver with side set S and
-    target t then eliminates only the columns that have no pivot row and
-    are not in S.  It inserts the pivot rows at its side columns, in
-    ascending order, into an echelon over just those columns, and reduces
-    e_t less the pivot row at t there.  The target decodes iff that
-    remainder is zero on those columns.  The remainder is then e_t plus a
-    combination of the rows, recorded in its tail, and is zero outside S,
-    so its byte at each side column is that side packet's coefficient.  A
-    receiver with no column to eliminate inserts nothing.  A receiver
-    leaves the shared pivot rows as they were, so any number of receivers
-    can share one decoder."""
+    Row r goes into one echelon with a 1 in tail slot r, so the tail of
+    every combination records how it combines the rows, and with
+    `payloads[r]`, its symbols in `trials` trials, one byte each, above the
+    tail.  The echelon is then reduced once, so a pivot row is zero in
+    every other pivot column.  A receiver with side set S and target t then
+    eliminates only the columns that have no pivot row and are not in S.
+    It inserts the pivot rows at its side columns, in ascending order, into
+    an echelon over just those columns, and reduces e_t less the pivot row
+    at t there.  The target decodes iff that remainder is zero on those
+    columns.  The remainder is then e_t plus a combination of the rows,
+    recorded in its tail, with that combination of their symbols on top,
+    and is zero outside S, so its byte at each side column is that side
+    packet's coefficient.  Receivers leave the shared pivot rows unchanged."""
 
-    __slots__ = ("ncols", "nrows", "_pivots", "_free")
+    __slots__ = ("ncols", "nrows", "_width", "_pivots", "_free")
 
-    def __init__(self, M: CodingMatrix):
+    def __init__(self, M: CodingMatrix, payloads: Sequence[int] = (), trials: int = 0):
         m = self.ncols = M.ncols
         n = self.nrows = M.nrows
-        ech = Echelon(m, m + n)
+        ech = Echelon(m, m + n + trials)
+        self._width = ech._width
+        rows = [row | y << 8 * (m + n) for row, y in zip(M.packed, payloads)] if payloads else M.packed
         tag = unit_row(m + 1)
-        for row in M.packed:
+        for row in rows:
             ech.insert(row | tag)
             tag <<= 8
         pivots = self._pivots = ech.pivots
         cols = sum(0xFF << 8 * c for c in pivots)
         self._free = (ech._data ^ cols).to_bytes(m, "little")  # 0xFF at each column without a pivot row
-        # Right to left, each pivot row less the pivot rows at the other
-        # pivot columns: those right of it are already reduced, and those left
-        # of it are never reached, since a pivot row is zero before its column.
-        for c in sorted(pivots, reverse=True):
+        # Right to left after the rightmost, each pivot row less the pivot rows at
+        # the other pivot columns: those right of it are already reduced, and those
+        # left of it are never reached, since a pivot row is zero before its column.
+        for c in sorted(pivots, reverse=True)[1:]:
             pivots[c] = ech._reduce(pivots[c], cols ^ (0xFF << 8 * c))[0]
 
     def decode(self, known: Iterable[int], target: int) -> Decoding | None:
         """Express e_target as a combination of the rows and the unit
         vectors of the known packets; None when the target is outside the
         span.  One receiver of `decode_all`."""
-        return self.decode_all([(known, target)])[0]
+        return self._decoding(*self.combinations([(known, target)])[0])
 
     def decode_all(self, receivers: Iterable[tuple[Iterable[int], int]]) -> list[Decoding | None]:
         """`decode(known, target)` of every (known, target) pair, in input
-        order.  Every receiver is checked before any is decoded."""
-        m, n = self.ncols, self.nrows
+        order: the `Decoding` read off each of its `combinations`."""
+        return [self._decoding(*found) for found in self.combinations(receivers)]
+
+    def _decoding(self, kcols: list[int], target: int, rem: int | None) -> Decoding | None:
+        """The `Decoding` of one result of `combinations`, read off its remainder."""
+        if rem is None:
+            return None
+        coeffs = rem.to_bytes(self._width, "little")
+        return Decoding(target, tuple(coeffs[self.ncols:self.ncols + self.nrows]), tuple([(p, coeffs[p - 1]) for p in kcols]))
+
+    def combinations(self, receivers: Iterable[tuple[Iterable[int], int]]) -> list[tuple[list[int], int, int | None]]:
+        """(sorted known packets, target, remainder or None) of every (known,
+        target) pair, in input order.  Every receiver is checked first."""
+        m = self.ncols
         jobs = []
         for known, target in receivers:
             if not 1 <= target <= m:
@@ -401,10 +413,12 @@ class Decoder:
             if kcols and not (1 <= kcols[0] and kcols[-1] <= m):
                 raise ValueError(f"known packets {kcols} outside 1..{m}")
             jobs.append((kcols, target))
-        out: list[Decoding | None] = []
-        ech = Echelon(m, m + n)  # one receiver echelon, cleared for each receiver
-        held, insert = ech.pivots, ech.insert
         pivots, free = self._pivots, self._free
+        if len(pivots) == m:  # no free column: every target decodes by its pivot row alone
+            return [(kcols, target, unit_row(target) ^ pivots[target - 1]) for kcols, target in jobs]
+        out = []
+        ech = Echelon(m, self._width)  # one receiver echelon, cleared for each receiver
+        held, insert = ech.pivots, ech.insert
         for kcols, target in jobs:
             lacks = bytearray(free)
             for p in kcols:
@@ -419,10 +433,8 @@ class Decoder:
                         insert(pivots[p - 1])
                 rem, c = ech._reduce(rem, cols)
                 if c >= 0:
-                    out.append(None)
-                    continue
-            coeffs = rem.to_bytes(m + n, "little")
-            out.append(Decoding(target, tuple(coeffs[m:]), tuple([(p, coeffs[p - 1]) for p in kcols])))
+                    rem = None
+            out.append((kcols, target, rem))
         return out
 
 

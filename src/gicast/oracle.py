@@ -12,9 +12,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .gf import Decoder, Decoding, Echelon, scale_row, unit_row
+from .gf import Decoder, Echelon, scale_row, unit_row
 from .model import GicInstance, UserId
 from .partition import SchemeSolution, acyclic_bound, acyclic_lower_bound
 
@@ -107,7 +107,7 @@ def minrank_gf2(inst: GicInstance, budget: int = DEFAULT_FREE_BIT_BUDGET) -> int
 @dataclass(frozen=True)
 class DecodeReport:
     """Simulator verdict: symbolic decodability for every receiver plus
-    random-payload trials run through the decoding coefficients."""
+    random-payload trials, decoded in the same elimination."""
 
     passed: bool
     trials: int
@@ -118,13 +118,14 @@ class DecodeReport:
         return self.failures[0] if self.failures else None
 
 
-def _combine(terms, width: int) -> int:
-    """Sum of f * row over GF(2^8) for (f, row) pairs, rows packed in
-    `width` bytes."""
+def _combine(coeffs: Sequence[int], packets: Iterable[int], x: Sequence[int], width: int) -> int:
+    """Sum of coeffs[p - 1] * x[p - 1] over GF(2^8) for p in packets, each
+    x[p - 1] packed in `width` bytes."""
     acc = 0
-    for f, row in terms:
+    for p in packets:
+        f = coeffs[p - 1]
         if f:
-            acc ^= row if f == 1 else scale_row(row, f, width)
+            acc ^= x[p - 1] if f == 1 else scale_row(x[p - 1], f, width)
     return acc
 
 
@@ -142,38 +143,35 @@ def simulate_decode(
     inst: GicInstance, solution: SchemeSolution, trials: int = 16, seed: int = 0
 ) -> DecodeReport:
     """Check that every receiver can recover its packet from the solution's
-    transmissions plus its own side information: first symbolically (span
-    membership with explicit coefficients, from one `Decoder.decode_all`
-    pass over the receivers), then on `trials` random payload vectors drawn
-    from the solution's field, all trials at once.  The payloads are
-    `random.Random(seed).randrange(order)` taken trial by trial and packet
-    by packet, drawn once per (seed, field, count) by `_seeded_payloads`."""
+    transmissions plus its own side information, symbolically and on
+    `trials` random payload vectors of the solution's field, in one
+    `Decoder.combinations` pass whose remainders carry the rows' part of
+    each reconstruction; the side packets' part is added here.  The
+    payloads are `random.Random(seed).randrange(order)`, trial by trial and
+    packet by packet, drawn once per (seed, field, count).  Raises
+    ValueError for a negative `trials` or a matrix not over inst.m columns."""
     M = solution.matrix
     m = inst.m
-    failures: list[tuple[UserId, int | None, str]] = []
-    decodings: dict[UserId, Decoding] = {}
-    found = Decoder(M).decode_all([(side, uid.packet) for uid, side in inst.users])
-    for (uid, _), dec in zip(inst.users, found):
-        if dec is None:
-            failures.append(
-                (uid, None, f"packet {uid.packet} outside span of rows + side info; rows:\n{M.dump()}")
-            )
-        else:
-            decodings[uid] = dec
-
+    if trials < 0 or M.ncols != m:
+        raise ValueError(f"need trials >= 0 and {m} matrix columns, got {trials} and {M.ncols}")
     # Payloads are packed like `Echelon` rows, one byte per trial: byte t of
     # x[p - 1] is packet p in trial t.  GF(2) payloads are 0/1 bytes, on
     # which GF(2^8) arithmetic agrees with GF(2).
     draws = _seeded_payloads(seed, M.field.w, trials * m)
     x = [int.from_bytes(draws[p::m], "little") for p in range(m)]
-    y = [_combine(zip(row, x), trials) for row in M.rows]
+    y = [_combine(row, range(1, m + 1), x, trials) for row in M.rows]
+    top = m + M.nrows
+    found = Decoder(M, y, trials).combinations([(side, uid.packet) for uid, side in inst.users])
+    failures: list[tuple[UserId, int | None, str]] = []
     wrong = []
-    for uid, dec in decodings.items():
-        est = _combine(zip(dec.row_coeffs, y), trials)
-        est ^= _combine([(f, x[p - 1]) for p, f in dec.known_coeffs], trials)
-        payload = x[uid.packet - 1]
-        if est != payload:
-            wrong.append((uid, est, payload))
+    for (uid, _), (kcols, target, rem) in zip(inst.users, found):
+        if rem is None:
+            failures.append((uid, None, f"packet {target} outside span of rows + side info; rows:\n{M.dump()}"))
+            continue
+        coeffs = rem.to_bytes(top + trials, "little")
+        est = int.from_bytes(coeffs[top:], "little") ^ _combine(coeffs, kcols, x, trials)
+        if est != x[target - 1]:
+            wrong.append((uid, est, x[target - 1]))
     for t in range(trials):
         for uid, est, payload in wrong:
             e, v = est >> 8 * t & 0xFF, payload >> 8 * t & 0xFF

@@ -4,13 +4,15 @@ and brute-force references kept apart from the code the tests check."""
 
 import random
 import sys
+from functools import reduce
 from itertools import combinations
+from operator import xor
 from pathlib import Path
 
 import pytest
 
 import gicast.partition
-from gicast import GicInstance, SchemeSolution, load_instance, simulate_decode
+from gicast import GF256, GicInstance, SchemeSolution, load_instance, simulate_decode
 from gicast.gf import scale_row
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -68,6 +70,24 @@ def shaped_instance(rng: random.Random, m: int, n_users: int) -> GicInstance:
         side = {p for p in range(1, m + 1) if p != i and rng.random() < 0.5}
         users.append(((i, copies[i]), side))
     return GicInstance.make(m, users)
+
+
+def scalar_trials(inst: GicInstance, M, decodings: dict, trials: int, seed: int) -> list:
+    """The payload trials one trial and one receiver at a time through
+    GF256.mul, in the simulator's order of draws and of failures: payloads
+    are `random.Random(seed).randrange` of M's field order, and `decodings`
+    maps each decodable receiver, in user order, to its `Decoding`."""
+    rng = random.Random(seed)
+    failures = []
+    for t in range(trials):
+        x = [rng.randrange(M.field.order) for _ in range(inst.m)]
+        y = [reduce(xor, (GF256.mul(e, v) for e, v in zip(row, x)), 0) for row in M.rows]
+        for uid, dec in decodings.items():
+            est = reduce(xor, (GF256.mul(f, v) for f, v in zip(dec.row_coeffs, y)), 0)
+            est ^= reduce(xor, (GF256.mul(f, x[p - 1]) for p, f in dec.known_coeffs), 0)
+            if est != x[uid.packet - 1]:
+                failures.append((uid, t, f"trial {t}: reconstructed {est}, payload {x[uid.packet - 1]}"))
+    return failures
 
 
 def bitmask_rank(masks) -> int:

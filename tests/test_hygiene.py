@@ -1,9 +1,12 @@
 """Source hygiene: every name a gicast module or test file imports is used
 in it, every name a gicast module exports is bound in it, every private
-name it defines is read in it, and every name the benchmark reads off the
-package exists."""
+name it defines is read in it, every name the benchmark reads off the
+package exists, and every checked-in benchmark trajectory file is
+consistent with its own runs."""
 
 import ast
+import json
+import statistics
 from pathlib import Path
 
 import pytest
@@ -12,7 +15,9 @@ import gicast
 
 MODULES = sorted(p for p in Path(gicast.__file__).parent.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
-BENCH = sorted((Path(__file__).parent.parent / "gicbench").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+BENCH = sorted((ROOT / "gicbench").glob("*.py"))
+TRAJECTORY = sorted(ROOT.glob("BENCH_*.json"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -133,3 +138,30 @@ def test_benchmark_reads_only_names_the_package_has():
         return obj
 
     assert sorted(chain for chain in chains if resolve(chain) is None) == []
+
+
+def test_trajectory_files_are_checked_in():
+    assert len(TRAJECTORY) >= 11  # BENCH_10 on
+
+
+@pytest.mark.parametrize("path", TRAJECTORY, ids=lambda p: p.name)
+def test_trajectory_file_matches_its_runs(path):
+    """Every end-to-end metric of every workload that BENCHMARK.json names
+    has 10 runs a side, whose median and inclusive quartiles are the ones
+    recorded (both rounded to 4 places); 3 seeds were traced, and every run
+    that records `correct` was correct."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    bench = json.loads(path.read_text())
+    assert len(bench["traced"]["seeds"]) == 3
+    for workload in spec["workloads"]:
+        entry = bench["workloads"][workload["name"]]
+        for side, flags in entry.get("correct", {}).items():
+            assert flags == [True] * 10, (workload["name"], side)
+        for metric in spec["end_to_end"]:
+            for side in ("parent", "change"):
+                stats = entry["metrics"][metric["name"]][side]
+                runs = stats["runs"]
+                assert len(runs) == 10, (workload["name"], metric["name"], side)
+                q1, _, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+                recorded = (stats["median"], stats["q1"], stats["q3"])
+                assert recorded == pytest.approx((statistics.median(runs), q1, q3), abs=1e-4)

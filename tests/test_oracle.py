@@ -33,10 +33,10 @@ from gicast import (
     solve_decode,
     upm_rate,
 )
-from gicast.gf import Decoder, Decoding
+from gicast.gf import Decoder, scale_row, unit_row
 from gicast.partition import acyclic_lower_bound
 
-from conftest import bitmask_rank, exact_acyclic_bound, random_instance, reference_fresh_bound
+from conftest import bitmask_rank, exact_acyclic_bound, random_instance, reference_fresh_bound, scalar_trials
 
 
 def brute_force_minrank(inst: GicInstance) -> int:
@@ -364,35 +364,25 @@ MDS_INST = GicInstance.make(4, [
 MDS_SOL = SchemeSolution("upm-group", 2, None, mds_generator(4, 2, GF256))
 
 
-def scalar_trials(inst, M, decodings, trials, seed):
-    """The payload trials one trial and one receiver at a time through
-    GF256.mul, in the simulator's order of draws and of failures."""
-    rng = random.Random(seed)
-    failures = []
-    for t in range(trials):
-        x = [rng.randrange(256) for _ in range(inst.m)]
-        y = [reduce(xor, (GF256.mul(e, v) for e, v in zip(row, x)), 0) for row in M.rows]
-        for uid, dec in decodings.items():
-            est = reduce(xor, (GF256.mul(f, v) for f, v in zip(dec.row_coeffs, y)), 0)
-            est ^= reduce(xor, (GF256.mul(f, x[p - 1]) for p, f in dec.known_coeffs), 0)
-            if est != x[uid.packet - 1]:
-                failures.append((uid, t, f"trial {t}: reconstructed {est}, payload {x[uid.packet - 1]}"))
-    return failures
-
-
 @pytest.mark.parametrize("wrong", [[UserId(2, 1)], [UserId(4, 1), UserId(2, 1)]])
 def test_simulate_reports_wrong_coefficients_in_every_trial(monkeypatch, wrong):
     # receivers are told apart by their (target, side) pairs
     sides = {(uid.packet, frozenset(side)): uid for uid, side in MDS_INST.users}
 
     class WrongDecoder(Decoder):
-        def decode_all(self, receivers):
-            receivers = list(receivers)
-            found = super().decode_all(receivers)
-            for j, (known, target) in enumerate(receivers):
-                if sides[target, frozenset(known)] in wrong:
-                    dec = found[j]
-                    found[j] = Decoding(dec.target, (dec.row_coeffs[0] ^ 0x35, *dec.row_coeffs[1:]), dec.known_coeffs)
+        """Adds 0x35 times row 0's tag and trial symbols to the combination
+        of each wrong receiver: row 0's coefficient off by 0x35."""
+
+        def __init__(self, M, payloads=(), trials=0):
+            super().__init__(M, payloads, trials)
+            term = unit_row(M.ncols + 1) | (payloads[0] if payloads else 0) << 8 * (M.ncols + M.nrows)
+            self.error = scale_row(term, 0x35, M.ncols + M.nrows + trials)
+
+        def combinations(self, receivers):
+            found = super().combinations(receivers)
+            for j, (kcols, target, rem) in enumerate(found):
+                if rem is not None and sides[target, frozenset(kcols)] in wrong:
+                    found[j] = (kcols, target, rem ^ self.error)
             return found
 
     monkeypatch.setattr(gicast.oracle, "Decoder", WrongDecoder)
@@ -400,6 +390,9 @@ def test_simulate_reports_wrong_coefficients_in_every_trial(monkeypatch, wrong):
     decodings = {}
     for uid, side in MDS_INST.users:
         decodings[uid] = WrongDecoder(M).decode(side, uid.packet)
+        right = solve_decode(M, side, uid.packet)
+        off = 0x35 if uid in wrong else 0
+        assert decodings[uid] == right._replace(row_coeffs=(right.row_coeffs[0] ^ off, *right.row_coeffs[1:]))
     report = simulate_decode(MDS_INST, MDS_SOL, trials=16, seed=5)
     expected = scalar_trials(MDS_INST, M, decodings, 16, seed=5)
     assert report.failures == tuple(expected)
@@ -449,6 +442,32 @@ def test_simulate_matrix_without_rows(trials):
     report = simulate_decode(MDS_INST, sol, trials=trials)
     assert report.trials == trials
     assert [(uid, t) for uid, t, _ in report.failures] == [(uid, None) for uid, _ in MDS_INST.users]
+
+
+K3, _ = generate_k2(3)
+
+
+@pytest.mark.parametrize("case", ["gf2-negative-trials", "gf256-negative-trials", "four-columns", "two-columns"])
+def test_simulate_refuses_bad_arguments_before_any_work(monkeypatch, case):
+    # each of these ran, or failed by accident, before the arguments were checked
+    wide = CodingMatrix(GF2, 4, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)))
+    narrow = CodingMatrix(GF2, 2, ((1, 0), (0, 1)))
+    sol, trials = {
+        "gf2-negative-trials": (run_heuristic(K3, "user"), -1),
+        "gf256-negative-trials": (run_heuristic(K3, "packet"), -1),
+        "four-columns": (SchemeSolution("upm-group", 3, None, wide), 16),
+        "two-columns": (SchemeSolution("upm-group", 2, None, narrow), 16),
+    }[case]
+    assert sol.matrix.field == (GF256 if case.startswith("gf256") else GF2)
+
+    def no_work(*args):
+        raise AssertionError("simulate_decode started work")
+
+    monkeypatch.setattr(gicast.oracle, "Decoder", no_work)
+    monkeypatch.setattr(gicast.oracle, "_seeded_payloads", no_work)
+    expected = f"need trials >= 0 and 3 matrix columns, got {trials} and {sol.matrix.ncols}"
+    with pytest.raises(ValueError, match=f"^{expected}$"):
+        simulate_decode(K3, sol, trials=trials)
 
 
 def test_solve_decode_is_one_receiver_of_the_shared_decoder():

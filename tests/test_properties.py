@@ -9,21 +9,28 @@ from gicast import (
     GF2,
     GF256,
     CodingMatrix,
+    DecodeReport,
     GicInstance,
     PacketPartition,
+    SchemeSolution,
+    build_transmissions,
     exhaustive_iupm,
     exhaustive_ppm,
     exhaustive_upm,
+    group_partition,
+    iupm_rate,
     load_instance,
     minrank_gf2,
     ppm_as_upm,
     ppm_rate,
+    run_heuristic,
     save_instance,
+    simulate_decode,
     upm_rate,
 )
-from gicast.gf import rank, residual_rank, row_basis, solve_decode
+from gicast.gf import Decoder, rank, residual_rank, row_basis, solve_decode
 
-from conftest import bitmask_rank, enumerate_partitions
+from conftest import bitmask_rank, enumerate_partitions, scalar_trials
 
 
 @st.composite
@@ -165,6 +172,43 @@ def test_gf256_elimination(M, data):
         for p, f in dec.known_coeffs:
             acc[p - 1] ^= f
         assert tuple(acc) == unit
+
+
+@given(instances(), st.sampled_from([0, 1, 16]), st.integers(0, 2**32), st.data())
+@settings(max_examples=40, deadline=None)
+def test_simulate_matches_per_receiver_decodes_and_scalar_trials(inst, trials, seed, data):
+    part = group_partition(inst)
+    urate, _ = upm_rate(inst, part)
+    irate, basis, label = iupm_rate(inst, part)
+    sols = [
+        SchemeSolution("upm-group", urate, part, build_transmissions(inst, part)),
+        SchemeSolution("iupm-group", irate, part, basis, policy=label),
+        run_heuristic(inst, "user"),
+        run_heuristic(inst, "packet"),
+        exhaustive_ppm(inst),
+        exhaustive_upm(inst),
+        exhaustive_iupm(inst),
+    ]
+    # a drawn matrix over either field, often too short for some receivers
+    fld = data.draw(st.sampled_from([GF2, GF256]))
+    row = st.tuples(*[st.integers(0, fld.order - 1)] * inst.m)
+    rows = tuple(data.draw(st.lists(row, max_size=inst.m)))
+    sols.append(SchemeSolution("upm-group", len(rows), None, CodingMatrix(fld, inst.m, rows)))
+    receivers = [(side, uid.packet) for uid, side in inst.users]
+    for sol in sols:
+        M = sol.matrix
+        symbolic, decodings = [], {}
+        for uid, side in inst.users:
+            dec = solve_decode(M, side, uid.packet)
+            if dec is None:
+                symbolic.append((uid, None, f"packet {uid.packet} outside span of rows + side info; rows:\n{M.dump()}"))
+            else:
+                decodings[uid] = dec
+        expected = symbolic + scalar_trials(inst, M, decodings, trials, seed)
+        assert simulate_decode(inst, sol, trials, seed) == DecodeReport(not expected, trials, tuple(expected))
+        # trial payloads riding above the tags leave every decoding as it is
+        payloads = data.draw(st.lists(st.integers(0, 256**trials - 1), min_size=M.nrows, max_size=M.nrows))
+        assert Decoder(M, payloads, trials).decode_all(receivers) == Decoder(M).decode_all(receivers)
 
 
 @given(st.integers(1, 7))
