@@ -1,11 +1,20 @@
 """Finite-field linear algebra for broadcast coding matrices.
 
 Coefficients live in GF(2) or GF(2^8), both multiplied through one GF(2^8)
-log/antilog table built at import.  GF(2) is a subfield of GF(2^8), and rank
-does not change under a field extension, so one elimination kernel, `Echelon`,
-serves matrices over both: a row is packed into a Python int, one byte per
-column; rows add by XOR and scale through `bytes.translate`.  A coded
-matrix built from packed rows, `CodingMatrix.of_packed`, is over GF(2)
+log/antilog table built at import.  One elimination kernel, `Echelon`,
+serves matrices over both.  A row is packed into a Python int in one of two
+packings, and rows add by XOR in either:
+
+- one byte per column, byte c holding column c (`pack_row`): any GF(2^8)
+  entry, with rows scaled through `bytes.translate`;
+- one bit per column, bit c holding column c (`bit_row`): 0/1 entries,
+  where every nonzero coefficient is 1 and no row is ever scaled.
+
+GF(2) is a subfield of GF(2^8), and rank does not change under a field
+extension, so either packing gives a 0/1 matrix's GF(2) rank.  `rank`,
+`row_basis` and `Decoder` eliminate a matrix over GF(2) on its bit-packed
+rows, `CodingMatrix.packed_bits`, and one over GF(2^8) on its byte rows.  A
+coded matrix built from packed rows, `CodingMatrix.of_packed`, is over GF(2)
 exactly when its entries are all 0 or 1.
 """
 
@@ -26,6 +35,8 @@ __all__ = [
     "Echelon",
     "pack_row",
     "unpack_row",
+    "bit_row",
+    "byte_row",
     "unit_row",
     "scale_row",
     "rank",
@@ -128,11 +139,13 @@ class CodingMatrix:
     def of_packed(ncols: int, rows: Sequence[int]) -> "CodingMatrix":
         """The matrix of rows packed as by `pack_row`, over GF(2) exactly
         when every entry is 0 or 1 and over GF(2^8) otherwise.  The packed
-        rows are kept as `packed`."""
+        rows are kept as `packed`, and over GF(2) as `packed_bits` too."""
         high = ((1 << 8 * ncols) - 1) // 0xFF * 0xFE  # 0xFE in every byte
         fld = GF256 if any(row & high for row in rows) else GF2
         M = CodingMatrix(fld, ncols, tuple(unpack_row(row, ncols) for row in rows))
-        M.__dict__["packed"] = tuple(rows)  # the `packed` cache, filled in advance
+        M.__dict__["packed"] = tuple(rows)  # the caches, filled in advance
+        if fld is GF2:
+            M.__dict__["packed_bits"] = tuple(bit_row(row, ncols) for row in rows)
         return M
 
     @property
@@ -144,6 +157,15 @@ class CodingMatrix:
         """The rows packed by `pack_row`, computed on first use and kept, so
         every `Decoder` of this matrix packs it only once."""
         return tuple(map(pack_row, self.rows))
+
+    @cached_property
+    def packed_bits(self) -> tuple[int, ...]:
+        """The rows of a matrix over GF(2) packed one bit per column by
+        `bit_row`: the rows that `rank`, `row_basis` and `Decoder` eliminate.
+        Computed on first use and kept, like `packed`."""
+        if self.field.w != 1:
+            raise ValueError(f"bit-packed rows need a matrix over GF(2), not {self.field}")
+        return tuple(bit_row(row, self.ncols) for row in self.packed)
 
     def dump(self) -> str:
         """One row per line, space-separated field elements in decimal."""
@@ -163,6 +185,22 @@ def unpack_row(row: int, ncols: int) -> tuple[int, ...]:
 def unit_row(p: int) -> int:
     """Packed unit row of packet p (1-based)."""
     return 1 << 8 * (p - 1)
+
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def bit_row(row: int, ncols: int) -> int:
+    """A packed 0/1 row of ncols columns, one byte per column, repacked one
+    bit per column: bit c holds column c."""
+    return int(row.to_bytes(ncols, "big").translate(_DIGITS), 2)
+
+
+def byte_row(row: int, ncols: int) -> int:
+    """A bit-packed row of ncols columns repacked one byte per column, as
+    by `pack_row`: the inverse of `bit_row`."""
+    return int.from_bytes(format(row, f"0{ncols}b").encode().translate(_FROM_DIGITS), "big")
 
 
 def _scale_tables() -> list[bytes]:
@@ -186,24 +224,33 @@ def scale_row(row: int, f: int, width: int) -> int:
     return int.from_bytes(row.to_bytes(width, "little").translate(_SCALE[f]), "little")
 
 
+_SHIFTS = {1: 0, 8: 3}  # log2 of the bits per column of each packing
+
+
 class Echelon:
     """Row echelon basis over GF(2^8), so also over its subfield GF(2).
 
-    Rows are packed as by `pack_row`.  Each basis row is keyed by its pivot,
-    its first nonzero column, and scaled to 1 there.  Only the first `ncols`
-    columns are eliminated, or the columns of the byte mask `_data`, which
-    `Decoder` narrows for each receiver.  The bytes above them, up to
-    `width` bytes in all, ride along: an identity appended there records
-    how a remainder combines the inserted rows.  An insert never changes
-    the rows already there, so deleting the pivots it returned undoes it.
-    `_reduce` is the one loop that subtracts pivot rows; `insert` and
-    `residue` are built on it."""
+    Rows are packed `bits` bits per column: 8, as by `pack_row`, for any
+    GF(2^8) entries, or 1, as by `bit_row`, for 0/1 entries, which every
+    pivot row then keeps, so no row is ever scaled.  Each basis row is keyed
+    by its pivot, its first nonzero column, and scaled to 1 there.  Only the
+    first `ncols` columns are eliminated, or the columns of the mask `_data`
+    (all `bits` bits of each), which `Decoder` narrows for each receiver.
+    The columns above them, up to `width` columns in all, ride along: an
+    identity appended there records how a remainder combines the inserted
+    rows.  An insert never changes the rows already there, so deleting the
+    pivots it returned undoes it.  `_reduce` is the one loop that subtracts
+    pivot rows; `insert` and `residue` are built on it."""
 
-    __slots__ = ("pivots", "_data", "_width")
+    __slots__ = ("pivots", "_data", "_width", "_shift")
 
-    def __init__(self, ncols: int, width: int | None = None):
+    def __init__(self, ncols: int, width: int | None = None, bits: int = 8):
+        shift = _SHIFTS.get(bits)  # column c starts at bit c << shift
+        if shift is None:
+            raise ValueError(f"bits per column must be 1 or 8, got {bits}")
         self.pivots: dict[int, int] = {}
-        self._data = (1 << 8 * ncols) - 1
+        self._shift = shift
+        self._data = (1 << (ncols << shift)) - 1
         self._width = ncols if width is None else width
 
     def __len__(self) -> int:
@@ -211,30 +258,33 @@ class Echelon:
 
     def _reduce(self, row: int, cols: int) -> tuple[int, int]:
         """Subtract pivot rows until the first nonzero column of `cols` (a
-        byte mask) has no pivot; returns the remainder and that column, or
-        -1 once the columns of `cols` are all zero."""
-        pivots = self.pivots
+        mask of whole columns) has no pivot; returns the remainder and that
+        column, or -1 once the columns of `cols` are all zero."""
+        pivots, shift = self.pivots, self._shift
         while True:
             v = row & cols
             if not v:
                 return row, -1
-            c = ((v & -v).bit_length() - 1) >> 3
+            c = ((v & -v).bit_length() - 1) >> shift
             p = pivots.get(c)
             if p is None:
                 return row, c
-            f = (v >> 8 * c) & 0xFF
-            row ^= p if f == 1 else scale_row(p, f, self._width)
+            if shift:
+                f = (v >> 8 * c) & 0xFF
+                row ^= p if f == 1 else scale_row(p, f, self._width)
+            else:
+                row ^= p
 
     def residue(self, row: int) -> int:
         """Row less the pivot rows at every pivot column, in ascending order:
         zero in every pivot column, 0 iff row lies in the span, and the same
         for two rows iff their difference lies in the span."""
-        cols = self._data
+        cols, shift = self._data, self._shift
         while True:
             row, c = self._reduce(row, cols)
             if c < 0:
                 return row
-            cols &= -1 << 8 * (c + 1)  # go on past the column without a pivot
+            cols &= -1 << ((c + 1) << shift)  # go on past the column without a pivot
 
     def insert(self, row: int) -> int | None:
         """Add row's remainder to the basis and return its pivot column;
@@ -242,15 +292,27 @@ class Echelon:
         row, c = self._reduce(row, self._data)
         if c < 0:
             return None
-        f = (row >> 8 * c) & 0xFF
-        self.pivots[c] = row if f == 1 else scale_row(row, GF256.inv(f), self._width)
+        if self._shift:
+            f = (row >> 8 * c) & 0xFF
+            if f != 1:
+                row = scale_row(row, GF256.inv(f), self._width)
+        self.pivots[c] = row
         return c
+
+
+def _echelon_rows(M: CodingMatrix, width: int | None = None) -> tuple[Echelon, tuple[int, ...]]:
+    """An empty `Echelon` over M's columns, `width` columns wide, in M's
+    packing, and M's rows in it: one bit per column over GF(2), one byte
+    over GF(2^8)."""
+    if M.field.w == 1:
+        return Echelon(M.ncols, width, 1), M.packed_bits
+    return Echelon(M.ncols, width), M.packed
 
 
 def rank(M: CodingMatrix) -> int:
     """Rank of M over its field."""
-    ech = Echelon(M.ncols)
-    for row in M.packed:
+    ech, rows = _echelon_rows(M)
+    for row in rows:
         ech.insert(row)
     return len(ech)
 
@@ -260,8 +322,8 @@ def row_basis(M: CodingMatrix) -> CodingMatrix:
     Every dropped row is a linear combination of the kept ones.  The basis
     gets its own field from `CodingMatrix.of_packed`: GF(2) when its rows
     are all 0/1, even when a dropped row was not."""
-    ech = Echelon(M.ncols)
-    keep = [row for row in M.packed if ech.insert(row) is not None]
+    ech, rows = _echelon_rows(M)
+    keep = [row for row, x in zip(M.packed, rows) if ech.insert(x) is not None]
     return CodingMatrix.of_packed(M.ncols, keep)
 
 
@@ -346,95 +408,125 @@ class Decoder:
     """Decodings of one matrix, and of its rows' trial payloads, for any
     number of receivers from a single elimination of its rows.
 
-    Row r goes into one echelon with a 1 in tail slot r, so the tail of
-    every combination records how it combines the rows, and with
-    `payloads[r]`, its symbols in `trials` trials, one byte each, above the
-    tail.  The echelon is then reduced once, so a pivot row is zero in
-    every other pivot column.  A receiver with side set S and target t then
-    eliminates only the columns that have no pivot row and are not in S.
-    It inserts the pivot rows at its side columns, in ascending order, into
-    an echelon over just those columns, and reduces e_t less the pivot row
-    at t there.  The target decodes iff that remainder is zero on those
+    The rows are eliminated in the matrix's packing: one bit per column over
+    GF(2), one byte over GF(2^8).  Row r goes into one echelon with a 1 in
+    tail column r, so the tail of every combination records how it combines
+    the rows, and with `payloads[r]`, its symbols in `trials` trials, above
+    the tail, packed like the rows: one bit per trial over GF(2), one byte
+    over GF(2^8).  The echelon is then reduced once, so a pivot row is zero
+    in every other pivot column.  A receiver with side set S and target t
+    then eliminates only the columns that have no pivot row and are not in
+    S.  It inserts the pivot rows at its side columns, in ascending order,
+    into an echelon over just those columns, and reduces e_t less the pivot
+    row at t there.  The target decodes iff that remainder is zero on those
     columns.  The remainder is then e_t plus a combination of the rows,
     recorded in its tail, with that combination of their symbols on top,
-    and is zero outside S, so its byte at each side column is that side
+    and is zero outside S, so its column at each side packet is that
     packet's coefficient.  Receivers leave the shared pivot rows unchanged."""
 
-    __slots__ = ("ncols", "nrows", "_width", "_pivots", "_free")
+    __slots__ = ("ncols", "nrows", "_bits", "_width", "_pivots", "_pivot_cols", "_free")
 
     def __init__(self, M: CodingMatrix, payloads: Sequence[int] = (), trials: int = 0):
         m = self.ncols = M.ncols
         n = self.nrows = M.nrows
-        ech = Echelon(m, m + n + trials)
-        self._width = ech._width
-        rows = [row | y << 8 * (m + n) for row, y in zip(M.packed, payloads)] if payloads else M.packed
-        tag = unit_row(m + 1)
+        bits = self._bits = M.field.w
+        ech, rows = _echelon_rows(M, m + n + trials)
+        self._width, shift = ech._width, ech._shift
+        if payloads:
+            rows = [row | y << ((m + n) << shift) for row, y in zip(rows, payloads)]
+        tag = 1 << (m << shift)
         for row in rows:
             ech.insert(row | tag)
-            tag <<= 8
+            tag <<= bits
         pivots = self._pivots = ech.pivots
-        cols = sum(0xFF << 8 * c for c in pivots)
-        self._free = (ech._data ^ cols).to_bytes(m, "little")  # 0xFF at each column without a pivot row
+        lane = (1 << bits) - 1
+        cols = self._pivot_cols = sum(lane << (c << shift) for c in pivots)  # the pivot columns
+        free = ech._data ^ cols  # the columns without a pivot row: a bitmask, or 0xFF bytes
+        self._free = free if bits == 1 else free.to_bytes(m, "little")
         # Right to left after the rightmost, each pivot row less the pivot rows at
         # the other pivot columns: those right of it are already reduced, and those
         # left of it are never reached, since a pivot row is zero before its column.
         for c in sorted(pivots, reverse=True)[1:]:
-            pivots[c] = ech._reduce(pivots[c], cols ^ (0xFF << 8 * c))[0]
+            pivots[c] = ech._reduce(pivots[c], cols ^ lane << (c << shift))[0]
 
     def decode(self, known: Iterable[int], target: int) -> Decoding | None:
         """Express e_target as a combination of the rows and the unit
         vectors of the known packets; None when the target is outside the
         span.  One receiver of `decode_all`."""
-        return self._decoding(*self.combinations([(known, target)])[0])
+        return self.decode_all([(known, target)])[0]
 
     def decode_all(self, receivers: Iterable[tuple[Iterable[int], int]]) -> list[Decoding | None]:
         """`decode(known, target)` of every (known, target) pair, in input
         order: the `Decoding` read off each of its `combinations`."""
-        return [self._decoding(*found) for found in self.combinations(receivers)]
+        receivers = [(sorted(set(known)), target) for known, target in receivers]
+        m, n, width = self.ncols, self.nrows, self._width
+        out = []
+        for (known, target), rem in zip(receivers, self.combinations(receivers)):
+            if rem is None:
+                out.append(None)
+                continue
+            coeffs = (byte_row(rem, width) if self._bits == 1 else rem).to_bytes(width, "little")
+            out.append(Decoding(target, tuple(coeffs[m:m + n]), tuple([(p, coeffs[p - 1]) for p in known])))
+        return out
 
-    def _decoding(self, kcols: list[int], target: int, rem: int | None) -> Decoding | None:
-        """The `Decoding` of one result of `combinations`, read off its remainder."""
-        if rem is None:
-            return None
-        coeffs = rem.to_bytes(self._width, "little")
-        return Decoding(target, tuple(coeffs[self.ncols:self.ncols + self.nrows]), tuple([(p, coeffs[p - 1]) for p in kcols]))
-
-    def combinations(self, receivers: Iterable[tuple[Iterable[int], int]]) -> list[tuple[list[int], int, int | None]]:
-        """(sorted known packets, target, remainder or None) of every (known,
-        target) pair, in input order.  Every receiver is checked first."""
-        m = self.ncols
-        jobs = []
+    def combinations(self, receivers: Iterable[tuple[Iterable[int], int]]) -> list[int | None]:
+        """The remainder of every (known, target) pair, packed like the
+        decoder's rows, in input order; None where the target does not
+        decode.  Every receiver is checked first.  Over GF(2) a side set
+        becomes a bitmask; over GF(2^8) it is sorted, the order in which its
+        pivot rows are taken."""
+        m, bits, pivots, free = self.ncols, self._bits, self._pivots, self._free
+        jobs = []  # (free columns the receiver lacks, its pivot rows at side columns, target)
         for known, target in receivers:
             if not 1 <= target <= m:
                 raise ValueError(f"target packet {target} outside 1..{m}")
-            kcols = sorted(set(known))
-            if target in kcols:
-                raise ValueError(f"target packet {target} already known")
-            if kcols and not (1 <= kcols[0] and kcols[-1] <= m):
-                raise ValueError(f"known packets {kcols} outside 1..{m}")
-            jobs.append((kcols, target))
-        pivots, free = self._pivots, self._free
+            rows = []
+            if bits == 1:  # the side set as a bitmask
+                side = 0  # bit p: packet p known
+                for p in known:
+                    if not 1 <= p <= m:
+                        raise ValueError(f"known packet {p} outside 1..{m}")
+                    side |= 1 << p
+                if side >> target & 1:
+                    raise ValueError(f"target packet {target} already known")
+                side >>= 1  # bit c: column c known
+                cols = free & ~side
+                side &= self._pivot_cols if cols else 0
+                while side:
+                    low = side & -side
+                    rows.append(pivots[low.bit_length() - 1])
+                    side ^= low
+            else:  # the side set sorted, the order in which its pivot rows are taken
+                side = sorted(set(known))
+                if target in side:
+                    raise ValueError(f"target packet {target} already known")
+                if side and not (1 <= side[0] and side[-1] <= m):
+                    raise ValueError(f"known packet {side[0] if side[0] < 1 else side[-1]} outside 1..{m}")
+                lacks = bytearray(free)
+                for p in side:
+                    lacks[p - 1] = 0
+                    if p - 1 in pivots:
+                        rows.append(pivots[p - 1])
+                cols = int.from_bytes(lacks, "little")
+            jobs.append((cols, rows, target))
         if len(pivots) == m:  # no free column: every target decodes by its pivot row alone
-            return [(kcols, target, unit_row(target) ^ pivots[target - 1]) for kcols, target in jobs]
+            return [(1 << (target - 1) * bits) ^ pivots[target - 1] for _, _, target in jobs]
         out = []
-        ech = Echelon(m, self._width)  # one receiver echelon, cleared for each receiver
+        ech = Echelon(m, self._width, bits)  # one receiver echelon, cleared for each receiver
         held, insert = ech.pivots, ech.insert
-        for kcols, target in jobs:
-            lacks = bytearray(free)
-            for p in kcols:
-                lacks[p - 1] = 0
-            cols = int.from_bytes(lacks, "little")
-            rem = unit_row(target) ^ pivots.get(target - 1, 0)
-            if cols:
+        for cols, rows, target in jobs:
+            rem = (1 << (target - 1) * bits) ^ pivots.get(target - 1, 0)
+            if rows and cols:
                 held.clear()
                 ech._data = cols
-                for p in kcols:
-                    if p - 1 in pivots:
-                        insert(pivots[p - 1])
+                for row in rows:
+                    insert(row)
                 rem, c = ech._reduce(rem, cols)
                 if c >= 0:
                     rem = None
-            out.append((kcols, target, rem))
+            elif rem & cols:  # no side pivot row left to eliminate with
+                rem = None
+            out.append(rem)
         return out
 
 

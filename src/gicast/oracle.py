@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .gf import Decoder, Echelon, scale_row, unit_row
+from .gf import Decoder, Echelon, bit_row, scale_row, unit_row
 from .model import GicInstance, UserId
 from .partition import SchemeSolution, acyclic_bound, acyclic_lower_bound
 
@@ -129,6 +129,27 @@ def _combine(coeffs: Sequence[int], packets: Iterable[int], x: Sequence[int], wi
     return acc
 
 
+def _symbols(vs: Iterable[int], x: Sequence[int], xs: Sequence[int]) -> list[int]:
+    """The symbols, bit t in trial t, of each GF(2) combination v of
+    bit-packed columns: the XOR of the payloads x[c] of its columns, or,
+    when it has more columns than there are trials, bit t the parity of
+    v & xs[t], where xs[t] packs trial t's payloads one bit per column."""
+    trials = len(xs)
+    out = []
+    for v in vs:
+        acc = 0
+        if v.bit_count() <= trials:
+            while v:
+                low = v & -v
+                acc ^= x[low.bit_length() - 1]
+                v ^= low
+        else:
+            for t in range(trials - 1, -1, -1):
+                acc = acc << 1 | (v & xs[t]).bit_count() & 1
+        out.append(acc)
+    return out
+
+
 @lru_cache(maxsize=64)
 def _seeded_payloads(seed: int, w: int, count: int) -> bytes:
     """`count` draws of `random.Random(seed).randrange(2^w)`, w 1 or 8, as
@@ -137,6 +158,18 @@ def _seeded_payloads(seed: int, w: int, count: int) -> bytes:
     schedule of seeding."""
     rng = random.Random(seed)
     return bytes(rng.randrange(1 << w) for _ in range(count))
+
+
+@lru_cache(maxsize=64)
+def _bit_payloads(seed: int, m: int, trials: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The GF(2) draws `_seeded_payloads(seed, 1, trials * m)` packed one
+    bit per trial and one bit per packet: x[c] holds packet c + 1's
+    payloads, bit t in trial t; xs[t] holds trial t's, bit c for packet
+    c + 1.  Kept like the draws, so a repeat packs nothing."""
+    draws = _seeded_payloads(seed, 1, trials * m)
+    x = tuple(bit_row(int.from_bytes(draws[c::m], "little"), trials) for c in range(m)) if trials else (0,) * m
+    xs = tuple(bit_row(int.from_bytes(draws[t * m:(t + 1) * m], "little"), m) for t in range(trials))
+    return x, xs
 
 
 def simulate_decode(
@@ -148,33 +181,49 @@ def simulate_decode(
     `Decoder.combinations` pass whose remainders carry the rows' part of
     each reconstruction; the side packets' part is added here.  The
     payloads are `random.Random(seed).randrange(order)`, trial by trial and
-    packet by packet, drawn once per (seed, field, count).  Raises
-    ValueError for a negative `trials` or a matrix not over inst.m columns."""
+    packet by packet, drawn once per (seed, field, count), and packed like
+    the decoder's rows.  Over GF(2^8) they take one byte per trial, and the
+    side packets' part is the sum of k_p * x_p.  Over GF(2) they take one
+    bit per trial, and that part is the XOR of the payloads of the side
+    packets whose coefficient is 1.  Raises ValueError for a negative
+    `trials` or a matrix not over inst.m columns."""
     M = solution.matrix
     m = inst.m
     if trials < 0 or M.ncols != m:
         raise ValueError(f"need trials >= 0 and {m} matrix columns, got {trials} and {M.ncols}")
-    # Payloads are packed like `Echelon` rows, one byte per trial: byte t of
-    # x[p - 1] is packet p in trial t.  GF(2) payloads are 0/1 bytes, on
-    # which GF(2^8) arithmetic agrees with GF(2).
-    draws = _seeded_payloads(seed, M.field.w, trials * m)
-    x = [int.from_bytes(draws[p::m], "little") for p in range(m)]
-    y = [_combine(row, range(1, m + 1), x, trials) for row in M.rows]
+    gf2 = M.field.w == 1
+    if gf2:
+        x, xs = _bit_payloads(seed, m, trials)
+        y = _symbols(M.packed_bits, x, xs)
+    else:
+        # x[c]: packet c + 1's payloads, byte t in trial t
+        draws = _seeded_payloads(seed, 8, trials * m)
+        x = [int.from_bytes(draws[c::m], "little") for c in range(m)]
+        y = [_combine(row, range(1, m + 1), x, trials) for row in M.rows]
     top = m + M.nrows
     found = Decoder(M, y, trials).combinations([(side, uid.packet) for uid, side in inst.users])
+    if gf2:  # a remainder's first m bits are its side packets' coefficients
+        low = (1 << m) - 1
+        side_terms = iter(_symbols([rem & low for rem in found if rem is not None], x, xs))
     failures: list[tuple[UserId, int | None, str]] = []
     wrong = []
-    for (uid, _), (kcols, target, rem) in zip(inst.users, found):
+    for (uid, side), rem in zip(inst.users, found):
+        target = uid.packet
         if rem is None:
             failures.append((uid, None, f"packet {target} outside span of rows + side info; rows:\n{M.dump()}"))
             continue
-        coeffs = rem.to_bytes(top + trials, "little")
-        est = int.from_bytes(coeffs[top:], "little") ^ _combine(coeffs, kcols, x, trials)
+        if gf2:
+            est = rem >> top ^ next(side_terms)
+        else:
+            coeffs = rem.to_bytes(top + trials, "little")
+            est = int.from_bytes(coeffs[top:], "little") ^ _combine(coeffs, side, x, trials)
         if est != x[target - 1]:
             wrong.append((uid, est, x[target - 1]))
-    for t in range(trials):
+    bits = M.field.w
+    lane = (1 << bits) - 1
+    for t in range(trials if wrong else 0):
         for uid, est, payload in wrong:
-            e, v = est >> 8 * t & 0xFF, payload >> 8 * t & 0xFF
+            e, v = est >> bits * t & lane, payload >> bits * t & lane
             if e != v:
                 failures.append((uid, t, f"trial {t}: reconstructed {e}, payload {v}"))
     return DecodeReport(passed=not failures, trials=trials, failures=tuple(failures))

@@ -92,7 +92,7 @@ def scalar_trials(inst: GicInstance, M, decodings: dict, trials: int, seed: int)
 
 def bitmask_rank(masks) -> int:
     """Rank over GF(2) of rows packed one bit per column: a reference kept
-    apart from the byte-packed kernel in gicast.gf that the tests check."""
+    apart from the kernel in gicast.gf that the tests check."""
     basis: dict[int, int] = {}
     for row in masks:
         while row:
@@ -104,36 +104,40 @@ def bitmask_rank(masks) -> int:
     return len(basis)
 
 
-def reference_residue(pivots: dict[int, int], row: int, ncols: int, width: int) -> int:
+def reference_residue(pivots: dict[int, int], row: int, ncols: int, width: int, bits: int = 8) -> int:
     """Row less the pivot rows at every pivot column, in ascending order,
     as one loop of its own: a reference kept apart from `Echelon.residue`,
-    which the tests check is built on `Echelon._reduce`.  Pivot rows are
-    keyed by their pivot column, scaled to 1 there and zero before it;
-    only the first ncols columns are eliminated, width bytes ride along."""
-    rest = (1 << 8 * ncols) - 1
+    which the tests check is built on `Echelon._reduce`.  Rows are packed
+    `bits` bits per column, 8 or 1; pivot rows are keyed by their pivot
+    column, scaled to 1 there and zero before it; only the first ncols
+    columns are eliminated, width columns ride along."""
+    lane = (1 << bits) - 1
+    rest = (1 << bits * ncols) - 1
     while True:
         v = row & rest
         if not v:
             return row
-        c = ((v & -v).bit_length() - 1) >> 3
+        c = ((v & -v).bit_length() - 1) // bits
         p = pivots.get(c)
         if p is None:  # step past a column without a pivot
-            rest &= -1 << 8 * (c + 1)
+            rest &= -1 << bits * (c + 1)
         else:
-            f = (v >> 8 * c) & 0xFF
+            f = (v >> bits * c) & lane
             row ^= p if f == 1 else scale_row(p, f, width)
 
 
-def reference_back_substitution(pivots: dict[int, int], width: int) -> dict[int, int]:
+def reference_back_substitution(pivots: dict[int, int], width: int, bits: int = 8) -> dict[int, int]:
     """The pivot rows of an echelon reduced column by column from the
     right: each pivot row is cleared from every other pivot row, so each is
-    zero in every other pivot column.  A reference kept apart from the
-    reduction in `gicast.gf.Decoder`, which goes through `Echelon._reduce`."""
+    zero in every other pivot column.  Rows are packed `bits` bits per
+    column, 8 or 1.  A reference kept apart from the reduction in
+    `gicast.gf.Decoder`, which goes through `Echelon._reduce`."""
+    lane = (1 << bits) - 1
     pivots = dict(pivots)
     for c in sorted(pivots, reverse=True):
         p = pivots[c]
         for d, q in pivots.items():
-            f = (q >> 8 * c) & 0xFF
+            f = (q >> bits * c) & lane
             if f and d != c:
                 pivots[d] = q ^ (p if f == 1 else scale_row(p, f, width))
     return pivots

@@ -112,6 +112,22 @@ def test_solve_example3_group_rank(capsys):
     assert rec["verified"] == "pass"
 
 
+#: The smallest known instance on which heuristic-user emits a code that a
+#: receiver cannot decode (Fault A, ROADMAP item 1).
+FAULT_A = "gic 3\nuser 1 1 : 2\nuser 2 1 : 1 3\nuser 2 2 : 3\nuser 3 1 : 2\n"
+
+
+@pytest.mark.xfail(strict=True, reason="Fault A: step 3 emits rows 1 1 0 / 0 0 1, which receiver (2,2) cannot decode")
+def test_solve_heuristic_user_certifies_the_fault_a_instance(tmp_path, capsys):
+    # strict: once the heuristic is repaired this passes, and the XPASS fails the suite
+    path = tmp_path / "fault_a.gic"
+    path.write_text(FAULT_A)
+    rc, out, _ = run(capsys, "solve", str(path), "--scheme", "heuristic-user", "--format", "records")
+    (rec,) = records(out)
+    assert rec["verified"] == "pass"
+    assert rc == 0
+
+
 def test_solve_table_format_shows_rows(capsys):
     rc, out, _ = run(capsys, "solve", EX1, "--scheme", "upm-exhaustive")
     assert rc == 0

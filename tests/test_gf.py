@@ -11,6 +11,8 @@ from gicast.gf import (
     Decoding,
     Echelon,
     FieldSizeError,
+    bit_row,
+    byte_row,
     mds_generator,
     pack_row,
     rank,
@@ -18,7 +20,6 @@ from gicast.gf import (
     row_basis,
     scale_row,
     solve_decode,
-    unit_row,
     unpack_row,
 )
 
@@ -152,6 +153,27 @@ def test_row_basis_keeps_original_rows():
     rows = ((1, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 1))
     B = row_basis(CodingMatrix(GF2, 4, rows))
     assert B.rows == ((1, 1, 0, 0), (0, 0, 1, 1))
+
+
+def test_bit_rows_pack_one_bit_per_column():
+    # bit c holds column c; byte_row undoes bit_row on every 0/1 row
+    assert bit_row(pack_row((1, 0, 1, 1)), 4) == 0b1101
+    assert byte_row(0b1101, 4) == pack_row((1, 0, 1, 1))
+    rng = random.Random(24)
+    for _ in range(200):
+        m = rng.randint(1, 40)
+        row = pack_row([rng.randrange(2) for _ in range(m)])
+        assert byte_row(bit_row(row, m), m) == row
+    M = CodingMatrix(GF2, 3, ((1, 0, 1), (0, 1, 1)))
+    assert M.packed_bits == (0b101, 0b110)
+    with pytest.raises(ValueError, match="GF\\(2\\)"):
+        CodingMatrix(GF256, 3, ((1, 0, 1),)).packed_bits
+
+
+@pytest.mark.parametrize("bits", [0, 2, 16])
+def test_echelon_refuses_other_packings(bits):
+    with pytest.raises(ValueError, match="1 or 8"):
+        Echelon(3, bits=bits)
 
 
 def test_of_packed_field_follows_the_entries():
@@ -428,41 +450,54 @@ def reduction_matrices(source):
             yield CodingMatrix(fld, m, tuple(rows))
 
 
+def packings(M):
+    """(bits per column, packed rows) of each packing M's entries fit: the
+    byte rows, and the bit rows of a matrix over GF(2)."""
+    yield 8, M.packed
+    if M.field == GF2:
+        yield 1, M.packed_bits
+
+
 @pytest.mark.parametrize("source", ["GF2", "GF256", "family"])
 def test_residue_matches_the_reference_loop(source):
     # on every partial basis of tagged rows, the empty one first, the
-    # residue of every row, every unit row and random rows
+    # residue of every row, every unit row and random rows, in each packing
     rng = random.Random(18)
-    stepped = 0
+    stepped = {8: 0, 1: 0}
     for M in reduction_matrices(source):
         m, width = M.ncols, M.ncols + M.nrows
         order = 2 if M.field == GF2 else 256
-        rows = [row | unit_row(m + 1 + r) for r, row in enumerate(M.packed)]
-        probes = rows + [unit_row(p) for p in range(1, m + 1)]
-        probes += [pack_row([rng.randrange(order) for _ in range(m)]) for _ in range(4)]
-        ech = Echelon(m, width)
-        for row in [None] + rows:
-            if row is not None:
-                ech.insert(row)
-            for x in probes:
-                expected = reference_residue(ech.pivots, x, m, width)
-                assert ech.residue(x) == expected, (M.rows, x)
-                stepped += ech._reduce(x, (1 << 8 * m) - 1)[0] != expected
+        randoms = [pack_row([rng.randrange(order) for _ in range(m)]) for _ in range(4)]
+        for bits, packed in packings(M):
+            rows = [row | 1 << bits * (m + r) for r, row in enumerate(packed)]
+            probes = rows + [1 << bits * c for c in range(m)]
+            probes += randoms if bits == 8 else [bit_row(x, m) for x in randoms]
+            ech = Echelon(m, width, bits)
+            for row in [None] + rows:
+                if row is not None:
+                    ech.insert(row)
+                for x in probes:
+                    expected = reference_residue(ech.pivots, x, m, width, bits)
+                    assert ech.residue(x) == expected, (M.rows, bits, x)
+                    stepped[bits] += ech._reduce(x, (1 << bits * m) - 1)[0] != expected
     # some residues go on past a column without a pivot; in the family's
     # echelons every pivot column comes before the first free one
-    assert stepped > 0 or source == "family"
+    assert stepped[8] > 0 or source == "family"
+    assert stepped[1] > 0 or source != "GF2"
 
 
 @pytest.mark.parametrize("source", ["GF2", "GF256", "family"])
 def test_decoder_reduction_matches_the_reference_back_substitution(source):
     reduced = 0
     for M in reduction_matrices(source):
-        # the echelon of the tagged rows, as Decoder builds it before reducing
-        width = M.ncols + M.nrows
-        ech = Echelon(M.ncols, width)
-        for r, row in enumerate(M.packed):
-            ech.insert(row | unit_row(M.ncols + 1 + r))
-        expected = reference_back_substitution(ech.pivots, width)
+        # the echelon of the tagged rows, as Decoder builds it before reducing:
+        # one bit per column over GF(2), one byte over GF(2^8)
+        m, width, bits = M.ncols, M.ncols + M.nrows, M.field.w
+        packed = M.packed_bits if bits == 1 else M.packed
+        ech = Echelon(m, width, bits)
+        for r, row in enumerate(packed):
+            ech.insert(row | 1 << bits * (m + r))
+        expected = reference_back_substitution(ech.pivots, width, bits)
         assert Decoder(M)._pivots == expected, M.rows
         reduced += expected != ech.pivots
     assert reduced > 0  # the reduction changes some pivot rows

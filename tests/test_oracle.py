@@ -33,7 +33,7 @@ from gicast import (
     solve_decode,
     upm_rate,
 )
-from gicast.gf import Decoder, scale_row, unit_row
+from gicast.gf import Decoder, scale_row
 from gicast.partition import acyclic_lower_bound
 
 from conftest import bitmask_rank, exact_acyclic_bound, random_instance, reference_fresh_bound, scalar_trials
@@ -362,38 +362,50 @@ MDS_INST = GicInstance.make(4, [
     ((1, 1), {3, 4}), ((2, 1), {3, 4}), ((3, 1), {1, 2}), ((4, 1), {1, 2}), ((1, 2), {2, 3}),
 ])
 MDS_SOL = SchemeSolution("upm-group", 2, None, mds_generator(4, 2, GF256))
+#: A GF(2) code for the same receivers: packets 1 + 3 and 2 + 4.
+XOR_SOL = SchemeSolution("upm-group", 2, None, CodingMatrix(GF2, 4, ((1, 0, 1, 0), (0, 1, 0, 1))))
 
 
 @pytest.mark.parametrize("wrong", [[UserId(2, 1)], [UserId(4, 1), UserId(2, 1)]])
 def test_simulate_reports_wrong_coefficients_in_every_trial(monkeypatch, wrong):
+    # in both packings: bytes over GF(2^8), bits over GF(2)
+    for sol in (MDS_SOL, XOR_SOL):
+        reports_wrong_coefficients_in_every_trial(monkeypatch, wrong, sol)
+
+
+def reports_wrong_coefficients_in_every_trial(monkeypatch, wrong, sol):
     # receivers are told apart by their (target, side) pairs
     sides = {(uid.packet, frozenset(side)): uid for uid, side in MDS_INST.users}
+    bits = sol.matrix.field.w  # the decoder's packing: bits per column and per trial
+    off = 0x35 if bits == 8 else 1
 
     class WrongDecoder(Decoder):
-        """Adds 0x35 times row 0's tag and trial symbols to the combination
-        of each wrong receiver: row 0's coefficient off by 0x35."""
+        """Adds `off` times row 0's tag and trial symbols to the remainder
+        of each wrong receiver: row 0's coefficient off by `off`."""
 
         def __init__(self, M, payloads=(), trials=0):
             super().__init__(M, payloads, trials)
-            term = unit_row(M.ncols + 1) | (payloads[0] if payloads else 0) << 8 * (M.ncols + M.nrows)
-            self.error = scale_row(term, 0x35, M.ncols + M.nrows + trials)
+            m, n = M.ncols, M.nrows
+            term = 1 << bits * m | (payloads[0] if payloads else 0) << bits * (m + n)
+            self.error = scale_row(term, off, m + n + trials) if bits == 8 else term
 
         def combinations(self, receivers):
+            receivers = list(receivers)
             found = super().combinations(receivers)
-            for j, (kcols, target, rem) in enumerate(found):
-                if rem is not None and sides[target, frozenset(kcols)] in wrong:
-                    found[j] = (kcols, target, rem ^ self.error)
+            for j, (known, target) in enumerate(receivers):
+                if found[j] is not None and sides[target, frozenset(known)] in wrong:
+                    found[j] ^= self.error
             return found
 
     monkeypatch.setattr(gicast.oracle, "Decoder", WrongDecoder)
-    M = MDS_SOL.matrix
+    M = sol.matrix
     decodings = {}
     for uid, side in MDS_INST.users:
         decodings[uid] = WrongDecoder(M).decode(side, uid.packet)
         right = solve_decode(M, side, uid.packet)
-        off = 0x35 if uid in wrong else 0
-        assert decodings[uid] == right._replace(row_coeffs=(right.row_coeffs[0] ^ off, *right.row_coeffs[1:]))
-    report = simulate_decode(MDS_INST, MDS_SOL, trials=16, seed=5)
+        f = off if uid in wrong else 0
+        assert decodings[uid] == right._replace(row_coeffs=(right.row_coeffs[0] ^ f, *right.row_coeffs[1:]))
+    report = simulate_decode(MDS_INST, sol, trials=16, seed=5)
     expected = scalar_trials(MDS_INST, M, decodings, 16, seed=5)
     assert report.failures == tuple(expected)
     assert not report.passed
@@ -405,14 +417,14 @@ def test_simulate_reports_wrong_coefficients_in_every_trial(monkeypatch, wrong):
     rng = random.Random(5)
     affected = []
     for t in range(16):
-        x = [rng.randrange(256) for _ in range(4)]
+        x = [rng.randrange(M.field.order) for _ in range(4)]
         if reduce(xor, (GF256.mul(e, v) for e, v in zip(M.rows[0], x)), 0):
             affected.append(t)
     for uid in wrong:
         assert [t for u, t, _ in report.failures if u == uid] == affected
     assert {u for u, _, _ in report.failures} == set(wrong)
 
-    empty = simulate_decode(MDS_INST, MDS_SOL, trials=0, seed=5)
+    empty = simulate_decode(MDS_INST, sol, trials=0, seed=5)
     assert (empty.passed, empty.trials, empty.failures) == (True, 0, ())
 
 
@@ -426,12 +438,32 @@ def test_payloads_are_the_randrange_draws_trial_by_trial(w):
             assert gicast.oracle._seeded_payloads(seed, w, trials * m) == expected, (seed, trials)
 
 
+def test_gf2_payloads_and_symbols_are_the_draws_bit_by_bit():
+    # x[c] bit t and xs[t] bit c are draw t * m + c; a 0/1 combination's
+    # symbol in trial t is the XOR of its packets' draws there, whether
+    # _symbols sums payloads (few packets) or takes parities (many)
+    rng = random.Random(24)
+    branches = set()
+    for m, trials in [(1, 0), (3, 1), (5, 16), (40, 3), (40, 16), (70, 20)]:
+        x, xs = gicast.oracle._bit_payloads(7, m, trials)
+        draws = gicast.oracle._seeded_payloads(7, 1, trials * m)
+        assert x == tuple(sum(draws[t * m + c] << t for t in range(trials)) for c in range(m))
+        assert xs == tuple(sum(draws[t * m + c] << c for c in range(m)) for t in range(trials))
+        vs = [rng.getrandbits(m) for _ in range(30)] + [(1 << m) - 1, 0]
+        expected = [sum((sum(draws[t * m + c] for c in range(m) if v >> c & 1) & 1) << t for t in range(trials)) for v in vs]
+        assert gicast.oracle._symbols(vs, x, xs) == expected, (m, trials)
+        branches |= {v.bit_count() <= trials for v in vs}
+    assert branches == {True, False}
+
+
 def test_simulate_draws_the_payloads_once_per_field_and_count(ex1):
     gicast.oracle._seeded_payloads.cache_clear()
+    gicast.oracle._bit_payloads.cache_clear()
     upm, ppm = exhaustive_upm(ex1), exhaustive_ppm(ex1)
     assert (upm.matrix.field, ppm.matrix.field) == (GF2, GF256)
     reports = [simulate_decode(ex1, sol, seed=3) for sol in (upm, ppm, upm, ppm)]
     assert gicast.oracle._seeded_payloads.cache_info().misses == 2  # the repeats draw nothing
+    assert gicast.oracle._bit_payloads.cache_info().misses == 1  # nor pack the GF(2) draws again
     assert reports[:2] == reports[2:]
     assert all(r.passed for r in reports)
 

@@ -28,7 +28,7 @@ from gicast import (
     simulate_decode,
     upm_rate,
 )
-from gicast.gf import Decoder, rank, residual_rank, row_basis, solve_decode
+from gicast.gf import Decoder, byte_row, rank, residual_rank, row_basis, solve_decode
 
 from conftest import bitmask_rank, enumerate_partitions, scalar_trials
 
@@ -174,6 +174,48 @@ def test_gf256_elimination(M, data):
         assert tuple(acc) == unit
 
 
+@st.composite
+def deficient_gf2_rows(draw, max_cols=8):
+    """(ncols, 0/1 rows): a few drawn rows, then sums of drawn pairs and
+    repeats, so the rank is often below both the row and column counts."""
+    ncols = draw(st.integers(1, max_cols))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, 1)] * ncols), max_size=4))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=4)):
+        if rows:
+            a, b = rows[i % len(rows)], rows[j % len(rows)]
+            rows.append(tuple(x ^ y for x, y in zip(a, b)))
+    return ncols, tuple(rows)
+
+
+@given(deficient_gf2_rows(), st.sampled_from([0, 1, 16]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_bit_and_byte_packings_agree(drawn, trials, data):
+    # the same 0/1 rows eliminated one bit per column (labelled GF(2)) and
+    # one byte per column (labelled GF(2^8)) give the same rank, basis rows,
+    # decodings and remainders, for receivers that decode and receivers that
+    # do not
+    m, rows = drawn
+    bit, byte = CodingMatrix(GF2, m, rows), CodingMatrix(GF256, m, rows)
+    r = rank(bit)
+    assert r == rank(byte) == bitmask_rank(bit.packed_bits)
+    assert row_basis(bit) == row_basis(byte)
+    assert row_basis(bit).nrows == r
+    receivers = []
+    for _ in range(data.draw(st.integers(1, 2 * m))):
+        target = data.draw(st.integers(1, m))
+        receivers.append((data.draw(st.sets(st.integers(1, m).filter(lambda p: p != target))), target))
+    decodings = Decoder(bit).decode_all(receivers)
+    assert decodings == Decoder(byte).decode_all(receivers)
+    # the trial payloads, one bit per trial, ride in the bit rows as the same
+    # symbols do one byte per trial in the byte rows
+    payloads = data.draw(st.lists(st.integers(0, (1 << trials) - 1), min_size=len(rows), max_size=len(rows)))
+    width = m + len(rows) + trials
+    bits = Decoder(bit, payloads, trials).combinations(receivers)
+    bytes_ = Decoder(byte, [byte_row(y, trials) for y in payloads], trials).combinations(receivers)
+    assert [rem if rem is None else byte_row(rem, width) for rem in bits] == bytes_
+    assert [rem is None for rem in bits] == [dec is None for dec in decodings]
+
+
 @given(instances(), st.sampled_from([0, 1, 16]), st.integers(0, 2**32), st.data())
 @settings(max_examples=40, deadline=None)
 def test_simulate_matches_per_receiver_decodes_and_scalar_trials(inst, trials, seed, data):
@@ -206,8 +248,9 @@ def test_simulate_matches_per_receiver_decodes_and_scalar_trials(inst, trials, s
                 decodings[uid] = dec
         expected = symbolic + scalar_trials(inst, M, decodings, trials, seed)
         assert simulate_decode(inst, sol, trials, seed) == DecodeReport(not expected, trials, tuple(expected))
-        # trial payloads riding above the tags leave every decoding as it is
-        payloads = data.draw(st.lists(st.integers(0, 256**trials - 1), min_size=M.nrows, max_size=M.nrows))
+        # trial payloads riding above the tags leave every decoding as it is;
+        # they are packed like the rows, one bit per trial over GF(2)
+        payloads = data.draw(st.lists(st.integers(0, (1 << M.field.w * trials) - 1), min_size=M.nrows, max_size=M.nrows))
         assert Decoder(M, payloads, trials).decode_all(receivers) == Decoder(M).decode_all(receivers)
 
 
