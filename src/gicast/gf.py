@@ -36,7 +36,6 @@ __all__ = [
     "pack_row",
     "unpack_row",
     "bit_row",
-    "byte_row",
     "unit_row",
     "scale_row",
     "rank",
@@ -139,13 +138,11 @@ class CodingMatrix:
     def of_packed(ncols: int, rows: Sequence[int]) -> "CodingMatrix":
         """The matrix of rows packed as by `pack_row`, over GF(2) exactly
         when every entry is 0 or 1 and over GF(2^8) otherwise.  The packed
-        rows are kept as `packed`, and over GF(2) as `packed_bits` too."""
+        rows are kept as `packed`."""
         high = ((1 << 8 * ncols) - 1) // 0xFF * 0xFE  # 0xFE in every byte
         fld = GF256 if any(row & high for row in rows) else GF2
         M = CodingMatrix(fld, ncols, tuple(unpack_row(row, ncols) for row in rows))
-        M.__dict__["packed"] = tuple(rows)  # the caches, filled in advance
-        if fld is GF2:
-            M.__dict__["packed_bits"] = tuple(bit_row(row, ncols) for row in rows)
+        M.__dict__["packed"] = tuple(rows)  # the `packed` cache, filled in advance
         return M
 
     @property
@@ -188,19 +185,12 @@ def unit_row(p: int) -> int:
 
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
-_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def bit_row(row: int, ncols: int) -> int:
     """A packed 0/1 row of ncols columns, one byte per column, repacked one
     bit per column: bit c holds column c."""
     return int(row.to_bytes(ncols, "big").translate(_DIGITS), 2)
-
-
-def byte_row(row: int, ncols: int) -> int:
-    """A bit-packed row of ncols columns repacked one byte per column, as
-    by `pack_row`: the inverse of `bit_row`."""
-    return int.from_bytes(format(row, f"0{ncols}b").encode().translate(_FROM_DIGITS), "big")
 
 
 def _scale_tables() -> list[bytes]:
@@ -224,16 +214,14 @@ def scale_row(row: int, f: int, width: int) -> int:
     return int.from_bytes(row.to_bytes(width, "little").translate(_SCALE[f]), "little")
 
 
-_SHIFTS = {1: 0, 8: 3}  # log2 of the bits per column of each packing
-
-
 class Echelon:
     """Row echelon basis over GF(2^8), so also over its subfield GF(2).
 
     Rows are packed `bits` bits per column: 8, as by `pack_row`, for any
-    GF(2^8) entries, or 1, as by `bit_row`, for 0/1 entries, which every
-    pivot row then keeps, so no row is ever scaled.  Each basis row is keyed
-    by its pivot, its first nonzero column, and scaled to 1 there.  Only the
+    GF(2^8) entries, or 1, as by `bit_row`, for 0/1 entries.  Each basis row
+    is keyed by its pivot, its first nonzero column, and scaled to 1 there.
+    A coefficient is read through a one-column mask, so on bit rows it is
+    always 1 and no row is ever scaled, with no test of the packing.  Only the
     first `ncols` columns are eliminated, or the columns of the mask `_data`
     (all `bits` bits of each), which `Decoder` narrows for each receiver.
     The columns above them, up to `width` columns in all, ride along: an
@@ -242,15 +230,18 @@ class Echelon:
     pivots it returned undoes it.  `_reduce` is the one loop that subtracts
     pivot rows; `insert` and `residue` are built on it."""
 
-    __slots__ = ("pivots", "_data", "_width", "_shift")
+    __slots__ = ("pivots", "_data", "_width", "_shift", "_lane")
 
     def __init__(self, ncols: int, width: int | None = None, bits: int = 8):
-        shift = _SHIFTS.get(bits)  # column c starts at bit c << shift
-        if shift is None:
+        # column c starts at bit c << _shift; _lane masks one column
+        if bits == 8:
+            self._shift, self._lane = 3, 0xFF
+        elif bits == 1:
+            self._shift, self._lane = 0, 1
+        else:
             raise ValueError(f"bits per column must be 1 or 8, got {bits}")
         self.pivots: dict[int, int] = {}
-        self._shift = shift
-        self._data = (1 << (ncols << shift)) - 1
+        self._data = (1 << bits * ncols) - 1
         self._width = ncols if width is None else width
 
     def __len__(self) -> int:
@@ -260,7 +251,7 @@ class Echelon:
         """Subtract pivot rows until the first nonzero column of `cols` (a
         mask of whole columns) has no pivot; returns the remainder and that
         column, or -1 once the columns of `cols` are all zero."""
-        pivots, shift = self.pivots, self._shift
+        pivots, shift, lane = self.pivots, self._shift, self._lane
         while True:
             v = row & cols
             if not v:
@@ -269,22 +260,19 @@ class Echelon:
             p = pivots.get(c)
             if p is None:
                 return row, c
-            if shift:
-                f = (v >> 8 * c) & 0xFF
-                row ^= p if f == 1 else scale_row(p, f, self._width)
-            else:
-                row ^= p
+            f = (v >> (c << shift)) & lane  # always 1 on bit rows
+            row ^= p if f == 1 else scale_row(p, f, self._width)
 
     def residue(self, row: int) -> int:
         """Row less the pivot rows at every pivot column, in ascending order:
         zero in every pivot column, 0 iff row lies in the span, and the same
         for two rows iff their difference lies in the span."""
-        cols, shift = self._data, self._shift
+        cols = self._data
         while True:
             row, c = self._reduce(row, cols)
             if c < 0:
                 return row
-            cols &= -1 << ((c + 1) << shift)  # go on past the column without a pivot
+            cols &= -1 << ((c + 1) << self._shift)  # go on past the column without a pivot
 
     def insert(self, row: int) -> int | None:
         """Add row's remainder to the basis and return its pivot column;
@@ -292,11 +280,8 @@ class Echelon:
         row, c = self._reduce(row, self._data)
         if c < 0:
             return None
-        if self._shift:
-            f = (row >> 8 * c) & 0xFF
-            if f != 1:
-                row = scale_row(row, GF256.inv(f), self._width)
-        self.pivots[c] = row
+        f = (row >> (c << self._shift)) & self._lane
+        self.pivots[c] = row if f == 1 else scale_row(row, GF256.inv(f), self._width)
         return c
 
 
@@ -430,58 +415,70 @@ class Decoder:
         m = self.ncols = M.ncols
         n = self.nrows = M.nrows
         bits = self._bits = M.field.w
-        ech, rows = _echelon_rows(M, m + n + trials)
-        self._width, shift = ech._width, ech._shift
+        width = self._width = m + n + trials
+        ech, rows = _echelon_rows(M, width)
         if payloads:
-            rows = [row | y << ((m + n) << shift) for row, y in zip(rows, payloads)]
-        tag = 1 << (m << shift)
+            rows = [row | y << bits * (m + n) for row, y in zip(rows, payloads)]
+        tag = 1 << bits * m
         for row in rows:
             ech.insert(row | tag)
             tag <<= bits
         pivots = self._pivots = ech.pivots
-        lane = (1 << bits) - 1
-        cols = self._pivot_cols = sum(lane << (c << shift) for c in pivots)  # the pivot columns
+        lane = ech._lane
+        cols = self._pivot_cols = sum(lane << bits * c for c in pivots)  # the pivot columns
         free = ech._data ^ cols  # the columns without a pivot row: a bitmask, or 0xFF bytes
         self._free = free if bits == 1 else free.to_bytes(m, "little")
         # Right to left after the rightmost, each pivot row less the pivot rows at
         # the other pivot columns: those right of it are already reduced, and those
         # left of it are never reached, since a pivot row is zero before its column.
         for c in sorted(pivots, reverse=True)[1:]:
-            pivots[c] = ech._reduce(pivots[c], cols ^ lane << (c << shift))[0]
+            pivots[c] = ech._reduce(pivots[c], cols ^ lane << bits * c)[0]
 
     def decode(self, known: Iterable[int], target: int) -> Decoding | None:
         """Express e_target as a combination of the rows and the unit
         vectors of the known packets; None when the target is outside the
         span.  One receiver of `decode_all`."""
-        return self.decode_all([(known, target)])[0]
+        return self._decoding(*self.combinations([(known, target)])[0])
 
     def decode_all(self, receivers: Iterable[tuple[Iterable[int], int]]) -> list[Decoding | None]:
         """`decode(known, target)` of every (known, target) pair, in input
         order: the `Decoding` read off each of its `combinations`."""
-        receivers = [(sorted(set(known)), target) for known, target in receivers]
-        m, n, width = self.ncols, self.nrows, self._width
-        out = []
-        for (known, target), rem in zip(receivers, self.combinations(receivers)):
-            if rem is None:
-                out.append(None)
-                continue
-            coeffs = (byte_row(rem, width) if self._bits == 1 else rem).to_bytes(width, "little")
-            out.append(Decoding(target, tuple(coeffs[m:m + n]), tuple([(p, coeffs[p - 1]) for p in known])))
-        return out
+        return [self._decoding(*found) for found in self.combinations(receivers)]
 
-    def combinations(self, receivers: Iterable[tuple[Iterable[int], int]]) -> list[int | None]:
-        """The remainder of every (known, target) pair, packed like the
-        decoder's rows, in input order; None where the target does not
-        decode.  Every receiver is checked first.  Over GF(2) a side set
-        becomes a bitmask; over GF(2^8) it is sorted, the order in which its
-        pivot rows are taken."""
+    def _decoding(self, side: list[int] | int, target: int, rem: int | None) -> Decoding | None:
+        """The `Decoding` of one result of `combinations`, read off its
+        remainder: a byte per coefficient over GF(2^8), a bit over GF(2)."""
+        if rem is None:
+            return None
+        m, n = self.ncols, self.nrows
+        if self._bits == 8:
+            coeffs = rem.to_bytes(self._width, "little")
+            return Decoding(target, tuple(coeffs[m:m + n]), tuple([(p, coeffs[p - 1]) for p in side]))
+        known = []
+        while side:
+            low = side & -side
+            c = low.bit_length() - 1
+            known.append((c + 1, rem >> c & 1))
+            side ^= low
+        tail = rem >> m
+        return Decoding(target, tuple([tail >> r & 1 for r in range(n)]), tuple(known))
+
+    def combinations(
+        self, receivers: Iterable[tuple[Iterable[int], int]]
+    ) -> list[tuple[list[int] | int, int, int | None]]:
+        """(side set, target, remainder or None) of every (known, target)
+        pair, in input order; the remainder is packed like the decoder's
+        rows, and None where the target does not decode.  Every receiver is
+        checked first.  Over GF(2) the side set is a bitmask, bit c for
+        packet c + 1; over GF(2^8) it is the sorted list of known packets,
+        the order in which its pivot rows are taken."""
         m, bits, pivots, free = self.ncols, self._bits, self._pivots, self._free
-        jobs = []  # (free columns the receiver lacks, its pivot rows at side columns, target)
+        jobs = []  # (side set, free columns the receiver lacks, its pivot rows at side columns, target)
         for known, target in receivers:
             if not 1 <= target <= m:
                 raise ValueError(f"target packet {target} outside 1..{m}")
             rows = []
-            if bits == 1:  # the side set as a bitmask
+            if bits == 1:
                 side = 0  # bit p: packet p known
                 for p in known:
                     if not 1 <= p <= m:
@@ -491,12 +488,12 @@ class Decoder:
                     raise ValueError(f"target packet {target} already known")
                 side >>= 1  # bit c: column c known
                 cols = free & ~side
-                side &= self._pivot_cols if cols else 0
-                while side:
-                    low = side & -side
+                held = side & self._pivot_cols if cols else 0
+                while held:
+                    low = held & -held
                     rows.append(pivots[low.bit_length() - 1])
-                    side ^= low
-            else:  # the side set sorted, the order in which its pivot rows are taken
+                    held ^= low
+            else:
                 side = sorted(set(known))
                 if target in side:
                     raise ValueError(f"target packet {target} already known")
@@ -508,13 +505,13 @@ class Decoder:
                     if p - 1 in pivots:
                         rows.append(pivots[p - 1])
                 cols = int.from_bytes(lacks, "little")
-            jobs.append((cols, rows, target))
+            jobs.append((side, cols, rows, target))
         if len(pivots) == m:  # no free column: every target decodes by its pivot row alone
-            return [(1 << (target - 1) * bits) ^ pivots[target - 1] for _, _, target in jobs]
+            return [(side, target, (1 << (target - 1) * bits) ^ pivots[target - 1]) for side, _, _, target in jobs]
         out = []
         ech = Echelon(m, self._width, bits)  # one receiver echelon, cleared for each receiver
         held, insert = ech.pivots, ech.insert
-        for cols, rows, target in jobs:
+        for side, cols, rows, target in jobs:
             rem = (1 << (target - 1) * bits) ^ pivots.get(target - 1, 0)
             if rows and cols:
                 held.clear()
@@ -526,7 +523,7 @@ class Decoder:
                     rem = None
             elif rem & cols:  # no side pivot row left to eliminate with
                 rem = None
-            out.append(rem)
+            out.append((side, target, rem))
         return out
 
 

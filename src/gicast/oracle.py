@@ -129,25 +129,15 @@ def _combine(coeffs: Sequence[int], packets: Iterable[int], x: Sequence[int], wi
     return acc
 
 
-def _symbols(vs: Iterable[int], x: Sequence[int], xs: Sequence[int]) -> list[int]:
-    """The symbols, bit t in trial t, of each GF(2) combination v of
-    bit-packed columns: the XOR of the payloads x[c] of its columns, or,
-    when it has more columns than there are trials, bit t the parity of
-    v & xs[t], where xs[t] packs trial t's payloads one bit per column."""
-    trials = len(xs)
-    out = []
-    for v in vs:
-        acc = 0
-        if v.bit_count() <= trials:
-            while v:
-                low = v & -v
-                acc ^= x[low.bit_length() - 1]
-                v ^= low
-        else:
-            for t in range(trials - 1, -1, -1):
-                acc = acc << 1 | (v & xs[t]).bit_count() & 1
-        out.append(acc)
-    return out
+def _symbol(v: int, x: Sequence[int]) -> int:
+    """The symbol of a GF(2) combination v of bit-packed columns: the XOR
+    of the payloads x[c] of its columns."""
+    acc = 0
+    while v:
+        low = v & -v
+        acc ^= x[low.bit_length() - 1]
+        v ^= low
+    return acc
 
 
 @lru_cache(maxsize=64)
@@ -161,15 +151,14 @@ def _seeded_payloads(seed: int, w: int, count: int) -> bytes:
 
 
 @lru_cache(maxsize=64)
-def _bit_payloads(seed: int, m: int, trials: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _bit_payloads(seed: int, m: int, trials: int) -> tuple[int, ...]:
     """The GF(2) draws `_seeded_payloads(seed, 1, trials * m)` packed one
-    bit per trial and one bit per packet: x[c] holds packet c + 1's
-    payloads, bit t in trial t; xs[t] holds trial t's, bit c for packet
-    c + 1.  Kept like the draws, so a repeat packs nothing."""
+    bit per trial: x[c] holds packet c + 1's payloads, bit t in trial t.
+    Kept like the draws, so a repeat packs nothing."""
+    if not trials:
+        return (0,) * m
     draws = _seeded_payloads(seed, 1, trials * m)
-    x = tuple(bit_row(int.from_bytes(draws[c::m], "little"), trials) for c in range(m)) if trials else (0,) * m
-    xs = tuple(bit_row(int.from_bytes(draws[t * m:(t + 1) * m], "little"), m) for t in range(trials))
-    return x, xs
+    return tuple(bit_row(int.from_bytes(draws[c::m], "little"), trials) for c in range(m))
 
 
 def simulate_decode(
@@ -193,8 +182,8 @@ def simulate_decode(
         raise ValueError(f"need trials >= 0 and {m} matrix columns, got {trials} and {M.ncols}")
     gf2 = M.field.w == 1
     if gf2:
-        x, xs = _bit_payloads(seed, m, trials)
-        y = _symbols(M.packed_bits, x, xs)
+        x = _bit_payloads(seed, m, trials)
+        y = [_symbol(row, x) for row in M.packed_bits]
     else:
         # x[c]: packet c + 1's payloads, byte t in trial t
         draws = _seeded_payloads(seed, 8, trials * m)
@@ -202,18 +191,15 @@ def simulate_decode(
         y = [_combine(row, range(1, m + 1), x, trials) for row in M.rows]
     top = m + M.nrows
     found = Decoder(M, y, trials).combinations([(side, uid.packet) for uid, side in inst.users])
-    if gf2:  # a remainder's first m bits are its side packets' coefficients
-        low = (1 << m) - 1
-        side_terms = iter(_symbols([rem & low for rem in found if rem is not None], x, xs))
+    low = (1 << m) - 1  # over GF(2), a remainder's side packets' coefficients
     failures: list[tuple[UserId, int | None, str]] = []
     wrong = []
-    for (uid, side), rem in zip(inst.users, found):
-        target = uid.packet
+    for (uid, _), (side, target, rem) in zip(inst.users, found):
         if rem is None:
             failures.append((uid, None, f"packet {target} outside span of rows + side info; rows:\n{M.dump()}"))
             continue
         if gf2:
-            est = rem >> top ^ next(side_terms)
+            est = rem >> top ^ _symbol(rem & low, x)
         else:
             coeffs = rem.to_bytes(top + trials, "little")
             est = int.from_bytes(coeffs[top:], "little") ^ _combine(coeffs, side, x, trials)

@@ -104,6 +104,13 @@ def bitmask_rank(masks) -> int:
     return len(basis)
 
 
+def byte_row(row: int, ncols: int) -> int:
+    """A row of ncols columns packed one bit per column repacked one byte
+    per column, as by `gicast.gf.pack_row`: the inverse of
+    `gicast.gf.bit_row`, kept here to compare the two packings."""
+    return sum(1 << 8 * c for c in range(ncols) if row >> c & 1)
+
+
 def reference_residue(pivots: dict[int, int], row: int, ncols: int, width: int, bits: int = 8) -> int:
     """Row less the pivot rows at every pivot column, in ascending order,
     as one loop of its own: a reference kept apart from `Echelon.residue`,

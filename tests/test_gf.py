@@ -12,7 +12,6 @@ from gicast.gf import (
     Echelon,
     FieldSizeError,
     bit_row,
-    byte_row,
     mds_generator,
     pack_row,
     rank,
@@ -23,7 +22,7 @@ from gicast.gf import (
     unpack_row,
 )
 
-from conftest import bitmask_rank, reference_back_substitution, reference_residue
+from conftest import bitmask_rank, byte_row, reference_back_substitution, reference_residue
 
 
 # ------------------------------------------------------------------- fields

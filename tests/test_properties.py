@@ -28,9 +28,9 @@ from gicast import (
     simulate_decode,
     upm_rate,
 )
-from gicast.gf import Decoder, byte_row, rank, residual_rank, row_basis, solve_decode
+from gicast.gf import Decoder, rank, residual_rank, row_basis, solve_decode
 
-from conftest import bitmask_rank, enumerate_partitions, scalar_trials
+from conftest import bitmask_rank, byte_row, enumerate_partitions, scalar_trials
 
 
 @st.composite
@@ -212,8 +212,12 @@ def test_bit_and_byte_packings_agree(drawn, trials, data):
     width = m + len(rows) + trials
     bits = Decoder(bit, payloads, trials).combinations(receivers)
     bytes_ = Decoder(byte, [byte_row(y, trials) for y in payloads], trials).combinations(receivers)
-    assert [rem if rem is None else byte_row(rem, width) for rem in bits] == bytes_
-    assert [rem is None for rem in bits] == [dec is None for dec in decodings]
+    assert [(target, rem if rem is None else byte_row(rem, width)) for _, target, rem in bits] == [
+        (target, rem) for _, target, rem in bytes_
+    ]
+    # the side set: a bitmask of columns over GF(2), sorted packets over GF(2^8)
+    assert [[c + 1 for c in range(m) if side >> c & 1] for side, _, _ in bits] == [side for side, _, _ in bytes_]
+    assert [rem is None for _, _, rem in bits] == [dec is None for dec in decodings]
 
 
 @given(instances(), st.sampled_from([0, 1, 16]), st.integers(0, 2**32), st.data())
