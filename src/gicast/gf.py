@@ -16,6 +16,9 @@ extension, so either packing gives a 0/1 matrix's GF(2) rank.  `rank`,
 rows, `CodingMatrix.packed_bits`, and one over GF(2^8) on its byte rows.  A
 coded matrix built from packed rows, `CodingMatrix.of_packed`, is over GF(2)
 exactly when its entries are all 0 or 1.
+
+Only `Echelon` and `_echelon_rows` know how a row is packed, so one path of
+`Decoder` decodes both packings.
 """
 
 from __future__ import annotations
@@ -207,6 +210,8 @@ def _scale_tables() -> list[bytes]:
 
 
 _SCALE = _scale_tables()
+_WHOLE = bytes.maketrans(b"01", b"\0\xff")
+_ENTRIES = bytes.maketrans(b"01", b"\0\1")
 
 
 def scale_row(row: int, f: int, width: int) -> int:
@@ -284,6 +289,21 @@ class Echelon:
         self.pivots[c] = row if f == 1 else scale_row(row, GF256.inv(f), self._width)
         return c
 
+    def columns(self, mask: int) -> int:
+        """The whole columns of a column bitmask, bit c for column c, in
+        this packing: the bitmask itself on bit rows, a 0xFF byte per column
+        on byte rows."""
+        if self._lane == 1:
+            return mask
+        return int.from_bytes(f"{mask:b}".encode().translate(_WHOLE), "big")
+
+    def coefficients(self, row: int, ncols: int) -> bytes:
+        """The first ncols coefficients of a row in this packing, byte c
+        holding column c's."""
+        if self._lane == 1:
+            return f"{row & ((1 << ncols) - 1):0{ncols}b}".encode().translate(_ENTRIES)[::-1]
+        return (row & ((1 << 8 * ncols) - 1)).to_bytes(ncols, "little")
+
 
 def _echelon_rows(M: CodingMatrix, width: int | None = None) -> tuple[Echelon, tuple[int, ...]]:
     """An empty `Echelon` over M's columns, `width` columns wide, in M's
@@ -292,6 +312,17 @@ def _echelon_rows(M: CodingMatrix, width: int | None = None) -> tuple[Echelon, t
     if M.field.w == 1:
         return Echelon(M.ncols, width, 1), M.packed_bits
     return Echelon(M.ncols, width), M.packed
+
+
+def _known_columns(known: Iterable[int], m: int) -> int:
+    """Known packets as a column bitmask, bit c for packet c + 1.  A packet
+    outside 1..m raises ValueError."""
+    side = 0
+    for p in known:
+        if not 1 <= p <= m:
+            raise ValueError(f"known packet {p} outside 1..{m}")
+        side |= 1 << p
+    return side >> 1
 
 
 def rank(M: CodingMatrix) -> int:
@@ -366,15 +397,10 @@ def mds_rows(rows: Sequence[int], r: int) -> list[int]:
 def residual_rank(rows: Iterable[int], known: Iterable[int], ncols: int) -> int:
     """Rank of packed rows once the columns of the known packets are zeroed:
     what the rows still tell a receiver holding those packets, eliminated on
-    a byte mask of the unknown columns as in `Decoder.decode_all`.  A known
+    a mask of the unknown columns as in `Decoder.decode_all`.  A known
     packet outside 1..ncols raises ValueError."""
-    unknown = bytearray(b"\xff") * ncols
-    for p in known:
-        if not 0 < p <= ncols:
-            raise ValueError(f"known packet {p} outside 1..{ncols}")
-        unknown[p - 1] = 0
     ech = Echelon(ncols)
-    ech._data = int.from_bytes(unknown, "little")
+    ech._data = ech.columns(((1 << ncols) - 1) & ~_known_columns(known, ncols))
     for row in rows:
         ech.insert(row)
     return len(ech)
@@ -407,9 +433,11 @@ class Decoder:
     columns.  The remainder is then e_t plus a combination of the rows,
     recorded in its tail, with that combination of their symbols on top,
     and is zero outside S, so its column at each side packet is that
-    packet's coefficient.  Receivers leave the shared pivot rows unchanged."""
+    packet's coefficient.  Receivers leave the shared pivot rows unchanged.
+    Side sets, pivot columns and free columns are column bitmasks, bit c
+    for column c, in either packing."""
 
-    __slots__ = ("ncols", "nrows", "_bits", "_width", "_pivots", "_pivot_cols", "_free")
+    __slots__ = ("ncols", "nrows", "_bits", "_width", "_ech", "_pivots", "_pivot_cols", "_free")
 
     def __init__(self, M: CodingMatrix, payloads: Sequence[int] = (), trials: int = 0):
         m = self.ncols = M.ncols
@@ -423,16 +451,17 @@ class Decoder:
         for row in rows:
             ech.insert(row | tag)
             tag <<= bits
+        self._ech = ech
         pivots = self._pivots = ech.pivots
-        lane = ech._lane
-        cols = self._pivot_cols = sum(lane << bits * c for c in pivots)  # the pivot columns
-        free = ech._data ^ cols  # the columns without a pivot row: a bitmask, or 0xFF bytes
-        self._free = free if bits == 1 else free.to_bytes(m, "little")
+        held = self._pivot_cols = sum(1 << c for c in pivots)
+        self._free = (1 << m) - 1 ^ held  # the columns without a pivot row
+        cols = ech.columns(held)
         # Right to left after the rightmost, each pivot row less the pivot rows at
         # the other pivot columns: those right of it are already reduced, and those
         # left of it are never reached, since a pivot row is zero before its column.
         for c in sorted(pivots, reverse=True)[1:]:
-            pivots[c] = ech._reduce(pivots[c], cols ^ lane << bits * c)[0]
+            lead = pivots[c] & -pivots[c]  # its 1 at column c, set aside while it is reduced
+            pivots[c] = ech._reduce(pivots[c] ^ lead, cols)[0] ^ lead
 
     def decode(self, known: Iterable[int], target: int) -> Decoding | None:
         """Express e_target as a combination of the rows and the unit
@@ -445,67 +474,46 @@ class Decoder:
         order: the `Decoding` read off each of its `combinations`."""
         return [self._decoding(*found) for found in self.combinations(receivers)]
 
-    def _decoding(self, side: list[int] | int, target: int, rem: int | None) -> Decoding | None:
+    def _decoding(self, side: int, target: int, rem: int | None) -> Decoding | None:
         """The `Decoding` of one result of `combinations`, read off its
-        remainder: a byte per coefficient over GF(2^8), a bit over GF(2)."""
+        remainder's coefficients at the side columns and in the tail."""
         if rem is None:
             return None
-        m, n = self.ncols, self.nrows
-        if self._bits == 8:
-            coeffs = rem.to_bytes(self._width, "little")
-            return Decoding(target, tuple(coeffs[m:m + n]), tuple([(p, coeffs[p - 1]) for p in side]))
+        m = self.ncols
+        coeffs = self._ech.coefficients(rem, m + self.nrows)
         known = []
         while side:
             low = side & -side
             c = low.bit_length() - 1
-            known.append((c + 1, rem >> c & 1))
+            known.append((c + 1, coeffs[c]))
             side ^= low
-        tail = rem >> m
-        return Decoding(target, tuple([tail >> r & 1 for r in range(n)]), tuple(known))
+        return Decoding(target, tuple(coeffs[m:]), tuple(known))
 
     def combinations(
         self, receivers: Iterable[tuple[Iterable[int], int]]
-    ) -> list[tuple[list[int] | int, int, int | None]]:
+    ) -> list[tuple[int, int, int | None]]:
         """(side set, target, remainder or None) of every (known, target)
-        pair, in input order; the remainder is packed like the decoder's
-        rows, and None where the target does not decode.  Every receiver is
-        checked first.  Over GF(2) the side set is a bitmask, bit c for
-        packet c + 1; over GF(2^8) it is the sorted list of known packets,
-        the order in which its pivot rows are taken."""
-        m, bits, pivots, free = self.ncols, self._bits, self._pivots, self._free
+        pair, in input order; the side set is a column bitmask, bit c for
+        packet c + 1, the remainder is packed like the decoder's rows, and
+        None where the target does not decode.  Every receiver is checked
+        first."""
+        m, bits, pivots, free, pivot_cols = self.ncols, self._bits, self._pivots, self._free, self._pivot_cols
+        columns = self._ech.columns
         jobs = []  # (side set, free columns the receiver lacks, its pivot rows at side columns, target)
         for known, target in receivers:
             if not 1 <= target <= m:
                 raise ValueError(f"target packet {target} outside 1..{m}")
+            side = _known_columns(known, m)
+            if side >> (target - 1) & 1:
+                raise ValueError(f"target packet {target} already known")
+            lacks = free & ~side
             rows = []
-            if bits == 1:
-                side = 0  # bit p: packet p known
-                for p in known:
-                    if not 1 <= p <= m:
-                        raise ValueError(f"known packet {p} outside 1..{m}")
-                    side |= 1 << p
-                if side >> target & 1:
-                    raise ValueError(f"target packet {target} already known")
-                side >>= 1  # bit c: column c known
-                cols = free & ~side
-                held = side & self._pivot_cols if cols else 0
-                while held:
-                    low = held & -held
-                    rows.append(pivots[low.bit_length() - 1])
-                    held ^= low
-            else:
-                side = sorted(set(known))
-                if target in side:
-                    raise ValueError(f"target packet {target} already known")
-                if side and not (1 <= side[0] and side[-1] <= m):
-                    raise ValueError(f"known packet {side[0] if side[0] < 1 else side[-1]} outside 1..{m}")
-                lacks = bytearray(free)
-                for p in side:
-                    lacks[p - 1] = 0
-                    if p - 1 in pivots:
-                        rows.append(pivots[p - 1])
-                cols = int.from_bytes(lacks, "little")
-            jobs.append((side, cols, rows, target))
+            held = side & pivot_cols if lacks else 0
+            while held:
+                low = held & -held
+                rows.append(pivots[low.bit_length() - 1])
+                held ^= low
+            jobs.append((side, columns(lacks) if lacks else 0, rows, target))
         if len(pivots) == m:  # no free column: every target decodes by its pivot row alone
             return [(side, target, (1 << (target - 1) * bits) ^ pivots[target - 1]) for side, _, _, target in jobs]
         out = []

@@ -12,11 +12,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .gf import Decoder, Echelon, bit_row, scale_row, unit_row
+from .gf import Decoder, Echelon, _echelon_rows, scale_row
 from .model import GicInstance, UserId
-from .partition import SchemeSolution, acyclic_bound, acyclic_lower_bound
+from .partition import SchemeSolution, _side_masks, _user_demands, acyclic_bound, acyclic_lower_bound
 
 __all__ = [
     "DEFAULT_FREE_BIT_BUDGET",
@@ -34,15 +34,18 @@ class MinrankBudgetError(ValueError):
     """Completion space too large for the configured free-bit budget."""
 
 
-def _residues(basis: Echelon, demand: int, side: Sequence[int]) -> list[int]:
+def _residues(basis: Echelon, demand: int, side: int) -> list[int]:
     """`basis.residue` of each completion of a receiver's template row, the
-    demanded unit row plus any sum of its side unit rows, in the order
-    e_d, e_d + e_s1, e_d + e_s2, e_d + e_s1 + e_s2, ...  Residues are
-    linear, so one residue per unit row gives them all by XOR."""
+    demanded unit row plus any sum of the unit rows of its side mask, in
+    the order e_d, e_d + e_s1, e_d + e_s2, e_d + e_s1 + e_s2, ... for side
+    packets s1 < s2 < ...  Residues are linear, so one residue per unit
+    row gives them all by XOR."""
     rems = [basis.residue(demand)]
-    for p in side:
-        r = basis.residue(unit_row(p))
+    while side:
+        low = side & -side
+        r = basis.residue(low)
         rems += [o ^ r for o in rems]
+        side ^= low
     return rems
 
 
@@ -63,17 +66,15 @@ def minrank_gf2(inst: GicInstance, budget: int = DEFAULT_FREE_BIT_BUDGET) -> int
     free = sum(len(side) for _, side in inst.users)
     if free > budget:
         raise MinrankBudgetError(f"{free} free cells exceed the budget of {budget}")
-    # Packed 0/1 rows: the echelon works over GF(256), whose rank on them is
-    # the GF(2) rank, and keeps them 0/1, so a row's support is a packet mask.
-    users = [(unit_row(uid.packet), sorted(side)) for uid, side in inst.users]
-    masks = [(demand, sum(map(unit_row, side))) for demand, side in users]
-    nrows = len(users)
+    # Bit rows, bit p - 1 for packet p, so a row is its own packet mask.
+    masks = list(zip(_user_demands(inst), _side_masks(inst)))
+    nrows = len(masks)
     demanded = [0] * (nrows + 1)  # demanded[i]: the packets receivers i.. demand
     for i in range(nrows - 1, -1, -1):
         demanded[i] = demanded[i + 1] | masks[i][0]
     floor = acyclic_bound(inst)
     best = nrows + 1
-    basis = Echelon(inst.m)
+    basis = Echelon(inst.m, bits=1)
     pivots = basis.pivots
 
     def walk(idx: int, touched: int) -> bool:
@@ -87,7 +88,7 @@ def minrank_gf2(inst: GicInstance, budget: int = DEFAULT_FREE_BIT_BUDGET) -> int
         if idx == nrows:
             best = len(pivots)
             return best == floor
-        rems = _residues(basis, *users[idx])
+        rems = _residues(basis, *masks[idx])
         if 0 in rems:
             return walk(idx + 1, touched)
         for rem in dict.fromkeys(rems):
@@ -118,25 +119,14 @@ class DecodeReport:
         return self.failures[0] if self.failures else None
 
 
-def _combine(coeffs: Sequence[int], packets: Iterable[int], x: Sequence[int], width: int) -> int:
-    """Sum of coeffs[p - 1] * x[p - 1] over GF(2^8) for p in packets, each
-    x[p - 1] packed in `width` bytes."""
+def _combine(row: int, x: Sequence[int]) -> int:
+    """The symbol of a packed row on bit-sliced payloads x: the XOR of
+    x[b] over the set bits b of the row."""
     acc = 0
-    for p in packets:
-        f = coeffs[p - 1]
-        if f:
-            acc ^= x[p - 1] if f == 1 else scale_row(x[p - 1], f, width)
-    return acc
-
-
-def _symbol(v: int, x: Sequence[int]) -> int:
-    """The symbol of a GF(2) combination v of bit-packed columns: the XOR
-    of the payloads x[c] of its columns."""
-    acc = 0
-    while v:
-        low = v & -v
-        acc ^= x[low.bit_length() - 1]
-        v ^= low
+    while row:
+        top = row.bit_length() - 1
+        acc ^= x[top]
+        row ^= 1 << top
     return acc
 
 
@@ -151,14 +141,18 @@ def _seeded_payloads(seed: int, w: int, count: int) -> bytes:
 
 
 @lru_cache(maxsize=64)
-def _bit_payloads(seed: int, m: int, trials: int) -> tuple[int, ...]:
-    """The GF(2) draws `_seeded_payloads(seed, 1, trials * m)` packed one
-    bit per trial: x[c] holds packet c + 1's payloads, bit t in trial t.
-    Kept like the draws, so a repeat packs nothing."""
-    if not trials:
-        return (0,) * m
-    draws = _seeded_payloads(seed, 1, trials * m)
-    return tuple(bit_row(int.from_bytes(draws[c::m], "little"), trials) for c in range(m))
+def _payloads(seed: int, w: int, m: int, trials: int) -> tuple[int, ...]:
+    """The draws `_seeded_payloads(seed, w, trials * m)`, trial by trial and
+    packet by packet, packed w bits per trial, bit-sliced like a row packed
+    w bits per column: entry w * c + i holds packet c + 1's payloads times
+    2^i, trial t's at bit w * t, so entry w * c holds the payloads
+    themselves.  A coefficient f of column c is the sum of the 2^i of its
+    set bits, so f times the payloads is the XOR of the entries at those
+    bits, and `_combine` gives a row's symbol.  Kept like the draws, so a
+    repeat packs nothing."""
+    draws = _seeded_payloads(seed, w, trials * m)
+    packed = [sum(v << w * t for t, v in enumerate(draws[c::m])) for c in range(m)]
+    return tuple(scale_row(x, 1 << i, trials) for x in packed for i in range(w))
 
 
 def simulate_decode(
@@ -171,45 +165,35 @@ def simulate_decode(
     each reconstruction; the side packets' part is added here.  The
     payloads are `random.Random(seed).randrange(order)`, trial by trial and
     packet by packet, drawn once per (seed, field, count), and packed like
-    the decoder's rows.  Over GF(2^8) they take one byte per trial, and the
-    side packets' part is the sum of k_p * x_p.  Over GF(2) they take one
-    bit per trial, and that part is the XOR of the payloads of the side
-    packets whose coefficient is 1.  Raises ValueError for a negative
-    `trials` or a matrix not over inst.m columns."""
+    the decoder's rows, w bits per trial over GF(2^w), and bit-sliced by
+    `_payloads`.  The rows' symbols and the side packets' part, the sum of
+    k_p * x_p, both come from `_combine` on the packed rows, which over
+    GF(2) is the XOR of the payloads of a row's packets.  Raises ValueError
+    for a negative `trials` or a matrix not over inst.m columns."""
     M = solution.matrix
     m = inst.m
     if trials < 0 or M.ncols != m:
         raise ValueError(f"need trials >= 0 and {m} matrix columns, got {trials} and {M.ncols}")
-    gf2 = M.field.w == 1
-    if gf2:
-        x = _bit_payloads(seed, m, trials)
-        y = [_symbol(row, x) for row in M.packed_bits]
-    else:
-        # x[c]: packet c + 1's payloads, byte t in trial t
-        draws = _seeded_payloads(seed, 8, trials * m)
-        x = [int.from_bytes(draws[c::m], "little") for c in range(m)]
-        y = [_combine(row, range(1, m + 1), x, trials) for row in M.rows]
+    w = M.field.w  # bits per column of the decoder's rows, and per trial of the payloads
+    x = _payloads(seed, w, m, trials)
+    y = [_combine(row, x) for row in _echelon_rows(M)[1]]
     top = m + M.nrows
     found = Decoder(M, y, trials).combinations([(side, uid.packet) for uid, side in inst.users])
-    low = (1 << m) - 1  # over GF(2), a remainder's side packets' coefficients
+    packets = (1 << w * m) - 1  # a remainder's packet columns
     failures: list[tuple[UserId, int | None, str]] = []
     wrong = []
-    for (uid, _), (side, target, rem) in zip(inst.users, found):
+    for (uid, _), (_, target, rem) in zip(inst.users, found):
         if rem is None:
             failures.append((uid, None, f"packet {target} outside span of rows + side info; rows:\n{M.dump()}"))
             continue
-        if gf2:
-            est = rem >> top ^ _symbol(rem & low, x)
-        else:
-            coeffs = rem.to_bytes(top + trials, "little")
-            est = int.from_bytes(coeffs[top:], "little") ^ _combine(coeffs, side, x, trials)
-        if est != x[target - 1]:
-            wrong.append((uid, est, x[target - 1]))
-    bits = M.field.w
-    lane = (1 << bits) - 1
+        est = rem >> w * top ^ _combine(rem & packets, x)
+        payload = x[w * (target - 1)]
+        if est != payload:
+            wrong.append((uid, est, payload))
+    lane = (1 << w) - 1
     for t in range(trials if wrong else 0):
         for uid, est, payload in wrong:
-            e, v = est >> bits * t & lane, payload >> bits * t & lane
+            e, v = est >> w * t & lane, payload >> w * t & lane
             if e != v:
                 failures.append((uid, t, f"trial {t}: reconstructed {e}, payload {v}"))
     return DecodeReport(passed=not failures, trials=trials, failures=tuple(failures))

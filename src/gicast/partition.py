@@ -513,7 +513,7 @@ def acyclic_lower_bound(fresh: int, pending: Iterable[tuple[int, int]]) -> int:
     adds.  `pending` holds the (demand, side) packet masks of the receivers
     not yet served, and `fresh` masks the packets they demand on which no
     row sent so far is nonzero.  A mask may give each packet any fixed bit:
-    the searches here use bit p - 1, `minrank_gf2` its packed unit rows.
+    the searches here and `minrank_gf2` use bit p - 1.
 
     Grows a set D of fresh packets in ascending packet order, keeping packet
     q when D | q stays acyclic: its packets can be peeled one at a time, each

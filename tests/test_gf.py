@@ -155,14 +155,20 @@ def test_row_basis_keeps_original_rows():
 
 
 def test_bit_rows_pack_one_bit_per_column():
-    # bit c holds column c; byte_row undoes bit_row on every 0/1 row
+    # bit c holds column c; byte_row undoes bit_row on every 0/1 row; both
+    # packings read the same coefficients and widen a column bitmask to
+    # their own whole columns
     assert bit_row(pack_row((1, 0, 1, 1)), 4) == 0b1101
     assert byte_row(0b1101, 4) == pack_row((1, 0, 1, 1))
     rng = random.Random(24)
     for _ in range(200):
         m = rng.randint(1, 40)
-        row = pack_row([rng.randrange(2) for _ in range(m)])
+        entries = [rng.randrange(2) for _ in range(m)]
+        row, tail = pack_row(entries), rng.getrandbits(16)
         assert byte_row(bit_row(row, m), m) == row
+        bits, bytes_ = Echelon(m, bits=1), Echelon(m)
+        assert bits.coefficients(bit_row(row, m) | tail << m, m) == bytes_.coefficients(row | tail << 8 * m, m) == bytes(entries)
+        assert (bits.columns(bit_row(row, m)), bytes_.columns(bit_row(row, m))) == (bit_row(row, m), row * 0xFF)
     M = CodingMatrix(GF2, 3, ((1, 0, 1), (0, 1, 1)))
     assert M.packed_bits == (0b101, 0b110)
     with pytest.raises(ValueError, match="GF\\(2\\)"):
@@ -301,9 +307,13 @@ BAD_RECEIVERS = [(set(), 0), (set(), 4), ({2}, 2), ({0}, 1), ({4}, 1)]
 
 @pytest.mark.parametrize("known,target", BAD_RECEIVERS)
 def test_solve_decode_rejects_packets_outside_the_matrix(known, target):
-    M = CodingMatrix(GF2, 3, ((1, 1, 1),))
-    with pytest.raises(ValueError):
-        solve_decode(M, known, target)
+    # the same check, with the same message, in both packings
+    messages = []
+    for fld in (GF2, GF256):
+        with pytest.raises(ValueError, match=r"^(target|known) packet -?\d+ (outside 1\.\.3|already known)$") as e:
+            solve_decode(CodingMatrix(fld, 3, ((1, 1, 1),)), known, target)
+        messages.append(str(e.value))
+    assert messages[0] == messages[1]
 
 
 @pytest.mark.parametrize("known,target", BAD_RECEIVERS)

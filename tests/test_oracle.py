@@ -439,27 +439,38 @@ def test_payloads_are_the_randrange_draws_trial_by_trial(w):
             assert gicast.oracle._seeded_payloads(seed, w, trials * m) == expected, (seed, trials)
 
 
-def test_gf2_payloads_and_symbols_are_the_draws_bit_by_bit():
-    # x[c] bit t is draw t * m + c; a 0/1 combination's symbol in trial t
-    # is the XOR of its packets' draws there
+@pytest.mark.parametrize("w", [1, 8])
+def test_payloads_pack_the_draws_w_bits_per_trial(w):
+    # lane t, w bits wide, of entry w * c + i is 2^i times draw t * m + c,
+    # so the symbol of a row packed w bits per column is, in trial t, the
+    # sum of its coefficients times the draws; no trials, no lanes
     rng = random.Random(24)
-    for m, trials in [(1, 0), (3, 1), (5, 16), (40, 3), (40, 16), (70, 20)]:
-        x = gicast.oracle._bit_payloads(7, m, trials)
-        draws = gicast.oracle._seeded_payloads(7, 1, trials * m)
-        assert x == tuple(sum(draws[t * m + c] << t for t in range(trials)) for c in range(m))
-        for v in [rng.getrandbits(m) for _ in range(30)] + [(1 << m) - 1, 0]:
-            expected = sum((sum(draws[t * m + c] for c in range(m) if v >> c & 1) & 1) << t for t in range(trials))
-            assert gicast.oracle._symbol(v, x) == expected, (m, trials, v)
+    lane = (1 << w) - 1
+    for m, trials in [(1, 0), (3, 0), (3, 1), (5, 16), (40, 3), (70, 20)]:
+        x = gicast.oracle._payloads(7, w, m, trials)
+        draws = gicast.oracle._seeded_payloads(7, w, trials * m)
+        assert len(x) == w * m
+        for c in range(m):
+            for i in range(w):
+                lanes = [x[w * c + i] >> w * t & lane for t in range(trials)]
+                assert lanes == [GF256.mul(1 << i, draws[t * m + c]) for t in range(trials)], (m, trials, c, i)
+                assert x[w * c + i] >> w * trials == 0, (m, trials, c, i)
+        for row in [rng.getrandbits(w * m) for _ in range(20)] + [(1 << w * m) - 1, 0]:
+            symbol = gicast.oracle._combine(row, x)
+            expected = [reduce(xor, (GF256.mul(row >> w * c & lane, draws[t * m + c]) for c in range(m))) for t in range(trials)]
+            assert [symbol >> w * t & lane for t in range(trials)] == expected, (m, trials, row)
+            assert symbol >> w * trials == 0
+    assert gicast.oracle._payloads(7, w, 4, 0) == (0,) * 4 * w
 
 
 def test_simulate_draws_the_payloads_once_per_field_and_count(ex1):
     gicast.oracle._seeded_payloads.cache_clear()
-    gicast.oracle._bit_payloads.cache_clear()
+    gicast.oracle._payloads.cache_clear()
     upm, ppm = exhaustive_upm(ex1), exhaustive_ppm(ex1)
     assert (upm.matrix.field, ppm.matrix.field) == (GF2, GF256)
     reports = [simulate_decode(ex1, sol, seed=3) for sol in (upm, ppm, upm, ppm)]
     assert gicast.oracle._seeded_payloads.cache_info().misses == 2  # the repeats draw nothing
-    assert gicast.oracle._bit_payloads.cache_info().misses == 1  # nor pack the GF(2) draws again
+    assert gicast.oracle._payloads.cache_info().misses == 2  # nor pack them again
     assert reports[:2] == reports[2:]
     assert all(r.passed for r in reports)
 

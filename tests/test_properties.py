@@ -215,8 +215,9 @@ def test_bit_and_byte_packings_agree(drawn, trials, data):
     assert [(target, rem if rem is None else byte_row(rem, width)) for _, target, rem in bits] == [
         (target, rem) for _, target, rem in bytes_
     ]
-    # the side set: a bitmask of columns over GF(2), sorted packets over GF(2^8)
-    assert [[c + 1 for c in range(m) if side >> c & 1] for side, _, _ in bits] == [side for side, _, _ in bytes_]
+    # the side set: the same bitmask of columns in both packings
+    assert [side for side, _, _ in bits] == [side for side, _, _ in bytes_]
+    assert [side for side, _, _ in bits] == [sum(1 << p - 1 for p in known) for known, _ in receivers]
     assert [rem is None for _, _, rem in bits] == [dec is None for dec in decodings]
 
 
