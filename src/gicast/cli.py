@@ -30,14 +30,13 @@ from .partition import (
     exhaustive_upm,
     group_partition,
     iupm_rate,
-    upm_rate,
     build_transmissions,
 )
 
 
 def _upm_group(inst: GicInstance, groups: UserPartition) -> SchemeSolution:
-    rate, _ = upm_rate(inst, groups)
-    return SchemeSolution("upm-group", rate, groups, build_transmissions(inst, groups))
+    matrix = build_transmissions(inst, groups)
+    return SchemeSolution("upm-group", matrix.nrows, groups, matrix)
 
 
 def _iupm_group(inst: GicInstance, groups: UserPartition) -> SchemeSolution:
@@ -77,13 +76,22 @@ COLUMNS = {
 }
 
 
+def _run(
+    inst: GicInstance, scheme: str, groups: UserPartition | None, cap: int, seed: int
+) -> tuple[SchemeSolution | int, bool]:
+    """One certified run, shared by `solve` and `table`: the scheme's result
+    and whether `simulate_decode` passes it; minrank's value always passes,
+    as there is no code to certify.  OUT_OF_REACH propagates."""
+    result = SOLVERS[scheme](inst, groups, cap)
+    return result, scheme == "minrank" or simulate_decode(inst, result, seed=seed).passed
+
+
 def _solve_one(inst: GicInstance, scheme: str, args) -> tuple[str, bool, SchemeSolution | None]:
     """Run one scheme; returns (record line, verdict passed, solution-if-any)."""
     cap = args.cap_override if args.cap_override is not None else DEFAULT_CAP
     t0 = time.perf_counter()
     groups = group_partition(inst) if scheme in GROUP_SCHEMES else None
-    result = SOLVERS[scheme](inst, groups, cap)
-    passed = scheme == "minrank" or simulate_decode(inst, result, seed=args.seed).passed
+    result, passed = _run(inst, scheme, groups, cap, args.seed)
     ms = round((time.perf_counter() - t0) * 1000)
     if scheme == "minrank":
         return f"scheme=minrank value={result} label=scalar-linear-gf2-optimum time_ms={ms} verified=n/a", True, None
@@ -192,28 +200,23 @@ def cmd_table(args) -> int:
         row = {"k": str(k), "m": str(inst.m), "ppm_bound": f"{bound:g}"}
         for col, scheme in COLUMNS.items():
             try:
-                result = SOLVERS[scheme](inst, groups, cap)
+                result, passed = _run(inst, scheme, groups, cap, args.seed)
             except OUT_OF_REACH:
                 row[col] = "-"
                 continue
-            if scheme == "minrank":
-                row[col] = str(result)
-            else:
-                all_ok &= simulate_decode(inst, result, seed=args.seed).passed
-                row[col] = str(result.rate)
+            all_ok &= passed
+            row[col] = str(result if scheme == "minrank" else result.rate)
         rows.append(row)
     if args.format == "records":
         lines = [
             " ".join(f"{h}={r[h]}" for h in header) for r in rows
         ]
-        text = "\n".join(lines) + "\n"
     else:
         widths = {h: max(len(h), *(len(r[h]) for r in rows)) for h in header}
         lines = ["  ".join(h.ljust(widths[h]) for h in header)]
         for r in rows:
             lines.append("  ".join(r[h].ljust(widths[h]) for h in header))
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0 if all_ok else 1
 
 

@@ -19,6 +19,9 @@ exactly when its entries are all 0 or 1.
 
 Only `Echelon` and `_echelon_rows` know how a row is packed, so one path of
 `Decoder` decodes both packings.
+
+Side sets are column bitmasks, bit c for packet c + 1, made from packets only
+by `_known_columns`: for `GicInstance.packet_masks` and in `Decoder.decode_all`.
 """
 
 from __future__ import annotations
@@ -394,13 +397,13 @@ def mds_rows(rows: Sequence[int], r: int) -> list[int]:
     return out
 
 
-def residual_rank(rows: Iterable[int], known: Iterable[int], ncols: int) -> int:
-    """Rank of packed rows once the columns of the known packets are zeroed:
-    what the rows still tell a receiver holding those packets, eliminated on
-    a mask of the unknown columns as in `Decoder.decode_all`.  A known
-    packet outside 1..ncols raises ValueError."""
+def residual_rank(rows: Iterable[int], side: int, ncols: int) -> int:
+    """Rank of packed rows once the columns of a receiver's side mask, bit
+    c for packet c + 1, are zeroed: what the rows still tell the receiver,
+    eliminated on a mask of the unknown columns as in `Decoder.decode_all`.
+    Bits of the mask above the ncols columns are ignored."""
     ech = Echelon(ncols)
-    ech._data = ech.columns(((1 << ncols) - 1) & ~_known_columns(known, ncols))
+    ech._data = ech.columns(((1 << ncols) - 1) & ~side)
     for row in rows:
         ech.insert(row)
     return len(ech)
@@ -467,12 +470,15 @@ class Decoder:
         """Express e_target as a combination of the rows and the unit
         vectors of the known packets; None when the target is outside the
         span.  One receiver of `decode_all`."""
-        return self._decoding(*self.combinations([(known, target)])[0])
+        return self.decode_all([(known, target)])[0]
 
     def decode_all(self, receivers: Iterable[tuple[Iterable[int], int]]) -> list[Decoding | None]:
         """`decode(known, target)` of every (known, target) pair, in input
-        order: the `Decoding` read off each of its `combinations`."""
-        return [self._decoding(*found) for found in self.combinations(receivers)]
+        order: the `Decoding` read off each of its `combinations`, with the
+        known packets turned into side masks by `_known_columns`.  A known
+        packet outside 1..m raises ValueError."""
+        sides = [(_known_columns(known, self.ncols), target) for known, target in receivers]
+        return [self._decoding(*found) for found in self.combinations(sides)]
 
     def _decoding(self, side: int, target: int, rem: int | None) -> Decoding | None:
         """The `Decoding` of one result of `combinations`, read off its
@@ -489,21 +495,19 @@ class Decoder:
             side ^= low
         return Decoding(target, tuple(coeffs[m:]), tuple(known))
 
-    def combinations(
-        self, receivers: Iterable[tuple[Iterable[int], int]]
-    ) -> list[tuple[int, int, int | None]]:
-        """(side set, target, remainder or None) of every (known, target)
-        pair, in input order; the side set is a column bitmask, bit c for
-        packet c + 1, the remainder is packed like the decoder's rows, and
-        None where the target does not decode.  Every receiver is checked
-        first."""
+    def combinations(self, receivers: Iterable[tuple[int, int]]) -> list[tuple[int, int, int | None]]:
+        """(side mask, target, remainder or None) of every (side mask,
+        target) pair, in input order.  A side mask is a column bitmask, bit c
+        for packet c + 1, within the m columns, as `GicInstance.packet_masks`
+        and `decode_all` give it; the remainder is packed like the decoder's
+        rows, and None where the target does not decode.  Every target is
+        checked first."""
         m, bits, pivots, free, pivot_cols = self.ncols, self._bits, self._pivots, self._free, self._pivot_cols
         columns = self._ech.columns
         jobs = []  # (side set, free columns the receiver lacks, its pivot rows at side columns, target)
-        for known, target in receivers:
+        for side, target in receivers:
             if not 1 <= target <= m:
                 raise ValueError(f"target packet {target} outside 1..{m}")
-            side = _known_columns(known, m)
             if side >> (target - 1) & 1:
                 raise ValueError(f"target packet {target} already known")
             lacks = free & ~side

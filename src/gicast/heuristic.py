@@ -44,7 +44,7 @@ def _receiver_keys(inst: GicInstance) -> dict[UserId, SubsetKey]:
     """Step-1 key per receiver: itself plus every demander of one of its
     side packets that holds the receiver's own packet.  A receiver
     demanding a packet outside 1..m raises ValueError; a side packet
-    outside 1..m does in step 3's `residual_rank`."""
+    outside 1..m does in step 3, from `GicInstance.packet_masks`."""
     side, demanders = inst.side_map, inst.users_of_packet
     keys = {}
     for uid, s in inst.users:
@@ -163,10 +163,11 @@ def step3_rate(
     MDS combinations of each subset's compressed rows, over the field
     `CodingMatrix.of_packed` reads off them.  The matrix is returned as
     built; nothing retries other coefficients."""
+    side = dict(zip(inst.user_ids, (s for _, s in inst.packet_masks)))
     solution_rows = []
     for key in sorted(subsets, key=lambda k: (len(k), k)):
         rows = _subset_rows(subsets[key])
-        rho = max(residual_rank(rows, inst.side_map[u], inst.m) for u in key)
+        rho = max(residual_rank(rows, side[u], inst.m) for u in key)
         if rho:
             solution_rows += mds_rows(rows, rho)
     matrix = CodingMatrix.of_packed(inst.m, solution_rows)

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
+from . import gf
+
 __all__ = [
     "UserId",
     "GicInstance",
@@ -67,6 +69,14 @@ class GicInstance:
         for uid, _ in self.users:
             by.setdefault(uid.packet, []).append(uid)
         return {i: tuple(v) for i, v in by.items()}
+
+    @cached_property
+    def packet_masks(self) -> tuple[tuple[int, int], ...]:
+        """Each receiver's (demand, side) packet masks, bit p - 1 for packet
+        p, in the canonical user order: the `pending` format of
+        `acyclic_lower_bound`.  Built once, each side set by
+        `gf._known_columns`: a side packet outside 1..m raises ValueError."""
+        return tuple((1 << (uid.packet - 1), gf._known_columns(side, self.m)) for uid, side in self.users)
 
     def side_of(self, uid: UserId) -> frozenset[int]:
         return self.side_map[uid]

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .gf import Decoder, Echelon, _echelon_rows, scale_row
 from .model import GicInstance, UserId
-from .partition import SchemeSolution, _side_masks, _user_demands, acyclic_bound, acyclic_lower_bound
+from .partition import SchemeSolution, acyclic_bound, acyclic_lower_bound
 
 __all__ = [
     "DEFAULT_FREE_BIT_BUDGET",
@@ -67,7 +67,7 @@ def minrank_gf2(inst: GicInstance, budget: int = DEFAULT_FREE_BIT_BUDGET) -> int
     if free > budget:
         raise MinrankBudgetError(f"{free} free cells exceed the budget of {budget}")
     # Bit rows, bit p - 1 for packet p, so a row is its own packet mask.
-    masks = list(zip(_user_demands(inst), _side_masks(inst)))
+    masks = inst.packet_masks
     nrows = len(masks)
     demanded = [0] * (nrows + 1)  # demanded[i]: the packets receivers i.. demand
     for i in range(nrows - 1, -1, -1):
@@ -131,26 +131,18 @@ def _combine(row: int, x: Sequence[int]) -> int:
 
 
 @lru_cache(maxsize=64)
-def _seeded_payloads(seed: int, w: int, count: int) -> bytes:
-    """`count` draws of `random.Random(seed).randrange(2^w)`, w 1 or 8, as
-    bytes.  They depend on (seed, w, count) alone, so each is drawn once,
-    and a repeat pays for neither the draws nor the Mersenne Twister key
-    schedule of seeding."""
-    rng = random.Random(seed)
-    return bytes(rng.randrange(1 << w) for _ in range(count))
-
-
-@lru_cache(maxsize=64)
 def _payloads(seed: int, w: int, m: int, trials: int) -> tuple[int, ...]:
-    """The draws `_seeded_payloads(seed, w, trials * m)`, trial by trial and
-    packet by packet, packed w bits per trial, bit-sliced like a row packed
-    w bits per column: entry w * c + i holds packet c + 1's payloads times
-    2^i, trial t's at bit w * t, so entry w * c holds the payloads
-    themselves.  A coefficient f of column c is the sum of the 2^i of its
-    set bits, so f times the payloads is the XOR of the entries at those
-    bits, and `_combine` gives a row's symbol.  Kept like the draws, so a
-    repeat packs nothing."""
-    draws = _seeded_payloads(seed, w, trials * m)
+    """`trials * m` draws of `random.Random(seed).randrange(2^w)`, w 1 or 8,
+    trial by trial and packet by packet, packed w bits per trial,
+    bit-sliced like a row packed w bits per column: entry w * c + i holds
+    packet c + 1's payloads times 2^i, trial t's at bit w * t, so entry
+    w * c holds the payloads themselves.  A coefficient f of column c is the
+    sum of the 2^i of its set bits, so f times the payloads is the XOR of
+    the entries at those bits, and `_combine` gives a row's symbol.  They
+    depend on the arguments alone, so a repeat pays for neither the draws,
+    nor the Mersenne Twister key schedule of seeding, nor the packing."""
+    rng = random.Random(seed)
+    draws = bytes(rng.randrange(1 << w) for _ in range(trials * m))
     packed = [sum(v << w * t for t, v in enumerate(draws[c::m])) for c in range(m)]
     return tuple(scale_row(x, 1 << i, trials) for x in packed for i in range(w))
 
@@ -178,7 +170,8 @@ def simulate_decode(
     x = _payloads(seed, w, m, trials)
     y = [_combine(row, x) for row in _echelon_rows(M)[1]]
     top = m + M.nrows
-    found = Decoder(M, y, trials).combinations([(side, uid.packet) for uid, side in inst.users])
+    receivers = [(side, uid.packet) for uid, (_, side) in zip(inst.user_ids, inst.packet_masks)]
+    found = Decoder(M, y, trials).combinations(receivers)
     packets = (1 << w * m) - 1  # a remainder's packet columns
     failures: list[tuple[UserId, int | None, str]] = []
     wrong = []

@@ -429,22 +429,10 @@ def _cost_lanes(demand: Sequence[int], holders: Sequence[int], sides: Sequence[i
     return acc
 
 
-def _side_masks(inst: GicInstance) -> list[int]:
-    """Each receiver's side packets as a bitmask, bit p - 1 for packet p, in
-    the canonical user order."""
-    return [sum(1 << (p - 1) for p in side) for _, side in inst.users]
-
-
-def _user_demands(inst: GicInstance) -> list[int]:
-    """Each receiver's demanded packet as a bitmask, in the canonical user
-    order."""
-    return [1 << (uid.packet - 1) for uid in inst.user_ids]
-
-
 def _user_cost_table(inst: GicInstance) -> list[int]:
     """`_cost_table` over receiver blocks: member t is user t."""
-    n = len(inst.user_ids)
-    return _cost_table(_user_demands(inst), [1 << t for t in range(n)], _side_masks(inst))
+    masks = inst.packet_masks
+    return _cost_table([d for d, _ in masks], [1 << t for t in range(len(masks))], [s for _, s in masks])
 
 
 def _packet_cost_table(inst: GicInstance) -> list[int]:
@@ -453,7 +441,7 @@ def _packet_cost_table(inst: GicInstance) -> list[int]:
     holders = [0] * inst.m
     for t, uid in enumerate(inst.user_ids):
         holders[uid.packet - 1] |= 1 << t
-    return _cost_table([1 << t for t in range(inst.m)], holders, _side_masks(inst))
+    return _cost_table([1 << t for t in range(inst.m)], holders, [side for _, side in inst.packet_masks])
 
 
 def _rgs_to_blocks(a: Sequence[int]) -> list[list[int]]:
@@ -554,7 +542,7 @@ def acyclic_bound(inst: GicInstance) -> int:
     pending: the size of a maximal acyclic packet set grown in packet order.
     Every index code for the instance, linear or not and over any field,
     sends at least this many symbols."""
-    return acyclic_lower_bound((1 << inst.m) - 1, zip(_user_demands(inst), _side_masks(inst)))
+    return acyclic_lower_bound((1 << inst.m) - 1, inst.packet_masks)
 
 
 def exhaustive_iupm(inst: GicInstance, cap: int = DEFAULT_CAP) -> SchemeSolution:
@@ -582,11 +570,10 @@ def exhaustive_iupm(inst: GicInstance, cap: int = DEFAULT_CAP) -> SchemeSolution
     n = len(ids)
     if n > cap:
         raise PartitionCapError(f"{n} users exceed enumeration cap {cap}")
-    demand = _user_demands(inst)[::-1]
-    sides = _side_masks(inst)[::-1]
-    cost = _cost_table(demand, [1 << t for t in range(n)], sides)
+    users = inst.packet_masks[::-1]
+    demand = [d for d, _ in users]
+    cost = _cost_table(demand, [1 << t for t in range(n)], [s for _, s in users])
     ymask = _block_demands(demand)
-    users = list(zip(demand, sides))
     full = (1 << n) - 1
     floor = acyclic_bound(inst)
     bounds = _table(n, -1)  # acyclic_lower_bound of each mask of users left, once used

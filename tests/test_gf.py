@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from gicast import GF2, GF256, CodingMatrix, field, generate_k2, gf, run_heuristic
+from gicast import GF2, GF256, CodingMatrix, GicInstance, UserId, field, generate_k2, gf, run_heuristic
 from gicast.gf import (
     Decoder,
     Decoding,
@@ -250,25 +250,30 @@ def test_mds_reed_solomon_where_cauchy_does_not_fit():
 # ------------------------------------------------------------ residual rank
 
 def test_entropy_raw_packets():
-    # three unit rows for packets 1, 2, 3 out of m=4
+    # three unit rows for packets 1, 2, 3 out of m=4; side masks, bit p - 1
+    # for packet p
     rows = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
     S = CodingMatrix(GF2, 4, rows)
-    assert residual_rank(S.packed, {1, 2}, S.ncols) == 1
-    assert residual_rank(S.packed, set(), S.ncols) == 3
-    assert residual_rank(S.packed, {1, 2, 3, 4}, S.ncols) == 0
+    assert residual_rank(S.packed, 0b0011, S.ncols) == 1
+    assert residual_rank(S.packed, 0, S.ncols) == 3
+    assert residual_rank(S.packed, 0b1111, S.ncols) == 0
 
 
 def test_entropy_single_xor_row():
     S = CodingMatrix(GF2, 4, ((1, 1, 1, 0),))
-    assert residual_rank(S.packed, {2, 3}, S.ncols) == 1
-    assert residual_rank(S.packed, {1, 2, 3}, S.ncols) == 0
+    assert residual_rank(S.packed, 0b0110, S.ncols) == 1
+    assert residual_rank(S.packed, 0b0111, S.ncols) == 0
 
 
 @pytest.mark.parametrize("known", [{0}, {-1, 2}, {5}, {1, 4, 5}])
-def test_residual_rank_refuses_packets_outside_the_columns(known):
-    S = CodingMatrix(GF2, 4, ((1, 1, 1, 1),))
-    with pytest.raises(ValueError, match="outside 1..4"):
-        residual_rank(S.packed, known, S.ncols)
+def test_side_sets_refuse_packets_outside_the_columns(known):
+    # the two places a side set becomes a mask: the instance's view, for the
+    # searches, the heuristic and the simulator, and `decode`
+    inst = GicInstance(4, ((UserId(3, 1), frozenset(known)),))
+    with pytest.raises(ValueError, match=r"^known packet -?\d+ outside 1\.\.4$"):
+        inst.packet_masks
+    with pytest.raises(ValueError, match=r"^known packet -?\d+ outside 1\.\.4$"):
+        Decoder(CodingMatrix(GF2, 4, ((1, 1, 1, 1),))).decode(known, 3)
 
 
 # ---------------------------------------------------------------- decoding

@@ -3,15 +3,26 @@
 import pytest
 
 from gicast import (
+    GF2,
+    CodingMatrix,
     GicInstance,
     InstanceFormatError,
     InvalidInstanceError,
+    SchemeSolution,
     UserId,
+    acyclic_bound,
+    exhaustive_iupm,
+    exhaustive_ppm,
+    exhaustive_upm,
     generate_k2,
+    gf,
     load_instance,
+    minrank_gf2,
     parse_instance,
     position_index,
+    run_heuristic,
     save_instance,
+    simulate_decode,
     validate,
 )
 
@@ -250,3 +261,57 @@ def test_fixture_files_parse():
     for name in ("example1.gic", "example3.gic", "k6.gic"):
         inst = load_instance((FIXTURES / name).read_text())
         assert validate(inst) == []
+
+
+# ------------------------------------------------------------ packet masks
+
+def test_packet_masks_are_demand_and_side_bits_in_user_order(ex1):
+    assert ex1.packet_masks == tuple(
+        (1 << (uid.packet - 1), sum(1 << (p - 1) for p in side)) for uid, side in ex1.users
+    )
+    inst = GicInstance.make(3, [((2, 1), {1, 3}), ((1, 1), set())])
+    assert inst.packet_masks == ((0b001, 0), (0b010, 0b101))
+
+
+#: Every reader of the mask view, each handed an unvalidated instance.
+VIEW_READERS = {
+    "ppm-exhaustive": exhaustive_ppm,
+    "upm-exhaustive": exhaustive_upm,
+    "iupm-exhaustive": exhaustive_iupm,
+    "minrank": minrank_gf2,
+    "acyclic-bound": acyclic_bound,
+    "heuristic-user": lambda inst: run_heuristic(inst, "user"),
+    "heuristic-packet": lambda inst: run_heuristic(inst, "packet"),
+    "simulate": lambda inst: simulate_decode(
+        inst, SchemeSolution("upm-group", 2, None, CodingMatrix(GF2, 2, ((1, 0), (0, 1))))
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", VIEW_READERS)
+@pytest.mark.parametrize("bad", [3, 0])
+def test_view_readers_refuse_side_packets_outside_the_columns(reader, bad):
+    # one check, in the view, with one message for every reader: some of
+    # these answered, and some failed on a negative shift, when each built
+    # its own masks
+    inst = GicInstance.make(2, [((1, 1), {2, bad}), ((2, 1), {1})])
+    with pytest.raises(ValueError, match=f"^known packet {bad} outside 1\\.\\.2$"):
+        VIEW_READERS[reader](inst)
+
+
+def test_side_sets_become_masks_once_per_instance(monkeypatch):
+    # the heuristic's step 3 and the simulator read one view: a second solve
+    # and certification of the same instance convert nothing
+    calls = []
+    convert = gf._known_columns
+
+    def counted(known, m):
+        calls.append(m)
+        return convert(known, m)
+
+    monkeypatch.setattr(gf, "_known_columns", counted)
+    inst, _ = generate_k2(5)
+    for _ in range(2):
+        for init in ("user", "packet"):
+            assert simulate_decode(inst, run_heuristic(inst, init)).passed
+        assert len(calls) == len(inst.users)

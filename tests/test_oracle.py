@@ -374,8 +374,8 @@ def test_simulate_reports_wrong_coefficients_in_every_trial(monkeypatch, wrong):
 
 
 def reports_wrong_coefficients_in_every_trial(monkeypatch, wrong, sol):
-    # receivers are told apart by their (target, side) pairs
-    sides = {(uid.packet, frozenset(side)): uid for uid, side in MDS_INST.users}
+    # receivers are told apart by their (target, side mask) pairs
+    sides = {(uid.packet, side): uid for uid, (_, side) in zip(MDS_INST.user_ids, MDS_INST.packet_masks)}
     bits = sol.matrix.field.w  # the decoder's packing: bits per column and per trial
     off = 0x35 if bits == 8 else 1
 
@@ -392,9 +392,9 @@ def reports_wrong_coefficients_in_every_trial(monkeypatch, wrong, sol):
         def combinations(self, receivers):
             receivers = list(receivers)
             found = super().combinations(receivers)
-            for j, (known, target) in enumerate(receivers):
-                side, _, rem = found[j]
-                if rem is not None and sides[target, frozenset(known)] in wrong:
+            for j, (side, target) in enumerate(receivers):
+                rem = found[j][2]
+                if rem is not None and sides[target, side] in wrong:
                     found[j] = (side, target, rem ^ self.error)
             return found
 
@@ -431,12 +431,15 @@ def reports_wrong_coefficients_in_every_trial(monkeypatch, wrong, sol):
 
 @pytest.mark.parametrize("w", [1, 8])
 def test_payloads_are_the_randrange_draws_trial_by_trial(w):
+    # entry w * c holds packet c + 1's draws, trial t's in lane t
     m = 5
+    lane = (1 << w) - 1
     for seed in range(40):
         for trials in (0, 1, 3, 16, 400):
             rng = random.Random(seed)
-            expected = bytes(rng.randrange(1 << w) for _ in range(trials) for _ in range(m))
-            assert gicast.oracle._seeded_payloads(seed, w, trials * m) == expected, (seed, trials)
+            expected = [rng.randrange(1 << w) for _ in range(trials) for _ in range(m)]
+            x = gicast.oracle._payloads(seed, w, m, trials)
+            assert [x[w * c] >> w * t & lane for t in range(trials) for c in range(m)] == expected, (seed, trials)
 
 
 @pytest.mark.parametrize("w", [1, 8])
@@ -448,7 +451,8 @@ def test_payloads_pack_the_draws_w_bits_per_trial(w):
     lane = (1 << w) - 1
     for m, trials in [(1, 0), (3, 0), (3, 1), (5, 16), (40, 3), (70, 20)]:
         x = gicast.oracle._payloads(7, w, m, trials)
-        draws = gicast.oracle._seeded_payloads(7, w, trials * m)
+        seeded = random.Random(7)
+        draws = [seeded.randrange(1 << w) for _ in range(trials * m)]
         assert len(x) == w * m
         for c in range(m):
             for i in range(w):
@@ -464,13 +468,12 @@ def test_payloads_pack_the_draws_w_bits_per_trial(w):
 
 
 def test_simulate_draws_the_payloads_once_per_field_and_count(ex1):
-    gicast.oracle._seeded_payloads.cache_clear()
     gicast.oracle._payloads.cache_clear()
     upm, ppm = exhaustive_upm(ex1), exhaustive_ppm(ex1)
     assert (upm.matrix.field, ppm.matrix.field) == (GF2, GF256)
     reports = [simulate_decode(ex1, sol, seed=3) for sol in (upm, ppm, upm, ppm)]
-    assert gicast.oracle._seeded_payloads.cache_info().misses == 2  # the repeats draw nothing
-    assert gicast.oracle._payloads.cache_info().misses == 2  # nor pack them again
+    info = gicast.oracle._payloads.cache_info()
+    assert (info.misses, info.hits) == (2, 2)  # the repeats neither draw nor pack
     assert reports[:2] == reports[2:]
     assert all(r.passed for r in reports)
 
@@ -503,7 +506,7 @@ def test_simulate_refuses_bad_arguments_before_any_work(monkeypatch, case):
         raise AssertionError("simulate_decode started work")
 
     monkeypatch.setattr(gicast.oracle, "Decoder", no_work)
-    monkeypatch.setattr(gicast.oracle, "_seeded_payloads", no_work)
+    monkeypatch.setattr(gicast.oracle, "_payloads", no_work)
     expected = f"need trials >= 0 and 3 matrix columns, got {trials} and {sol.matrix.ncols}"
     with pytest.raises(ValueError, match=f"^{expected}$"):
         simulate_decode(K3, sol, trials=trials)

@@ -40,10 +40,8 @@ from gicast.partition import (
     _min_partition_sum,
     _packet_cost_table,
     _packing,
-    _side_masks,
     _totals,
     _user_cost_table,
-    _user_demands,
     acyclic_lower_bound,
 )
 
@@ -604,7 +602,7 @@ def test_exhaustive_iupm_k4_family():
 def _left_bounds(inst, ymask):
     """The bound `exhaustive_iupm` gives every mask of users left, once the
     other users' blocks are placed, and the reference fresh bound there."""
-    users = list(zip((1 << (uid.packet - 1) for uid in inst.user_ids), _side_masks(inst)))
+    users = inst.packet_masks
     full = len(ymask) - 1
     out = {}
     for left in range(full + 1):
@@ -631,7 +629,7 @@ def test_fresh_bound_holds_for_every_block_prefix():
         inst = random_instance(rng, max_m=5, max_users=6)
         n = len(inst.user_ids)
         cost = _user_cost_table(inst)
-        ymask = _block_demands(_user_demands(inst))
+        ymask = _block_demands([demand for demand, _ in inst.packet_masks])
         bounds = _left_bounds(inst, ymask)
         prefixes = []  # (rank before a block, the check, rank after, bound of the users left, total)
         for blocks in enumerate_partitions(n):

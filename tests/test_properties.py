@@ -127,8 +127,8 @@ def test_rank_invariant_under_scaling(M, scalar):
 @given(gf2_matrices())
 @settings(max_examples=40, deadline=None)
 def test_entropy_boundaries(M):
-    assert residual_rank(M.packed, set(), M.ncols) == rank(M)
-    assert residual_rank(M.packed, set(range(1, M.ncols + 1)), M.ncols) == 0
+    assert residual_rank(M.packed, 0, M.ncols) == rank(M)
+    assert residual_rank(M.packed, (1 << M.ncols) - 1, M.ncols) == 0
 
 
 @given(gf2_matrices(), st.data())
@@ -137,7 +137,7 @@ def test_residual_rank_matches_the_bitmask_reference(M, data):
     drawn = data.draw(st.sets(st.integers(1, M.ncols)))
     for known in (set(), drawn, set(range(1, M.ncols + 1))):
         masks = [sum(1 << c for c, v in enumerate(row) if v and c + 1 not in known) for row in M.rows]
-        assert residual_rank(M.packed, known, M.ncols) == bitmask_rank(masks)
+        assert residual_rank(M.packed, sum(1 << p - 1 for p in known), M.ncols) == bitmask_rank(masks)
 
 
 @given(gf256_matrices(), st.data())
@@ -210,14 +210,15 @@ def test_bit_and_byte_packings_agree(drawn, trials, data):
     # symbols do one byte per trial in the byte rows
     payloads = data.draw(st.lists(st.integers(0, (1 << trials) - 1), min_size=len(rows), max_size=len(rows)))
     width = m + len(rows) + trials
-    bits = Decoder(bit, payloads, trials).combinations(receivers)
-    bytes_ = Decoder(byte, [byte_row(y, trials) for y in payloads], trials).combinations(receivers)
+    sides = [(sum(1 << p - 1 for p in known), target) for known, target in receivers]
+    bits = Decoder(bit, payloads, trials).combinations(sides)
+    bytes_ = Decoder(byte, [byte_row(y, trials) for y in payloads], trials).combinations(sides)
     assert [(target, rem if rem is None else byte_row(rem, width)) for _, target, rem in bits] == [
         (target, rem) for _, target, rem in bytes_
     ]
     # the side set: the same bitmask of columns in both packings
     assert [side for side, _, _ in bits] == [side for side, _, _ in bytes_]
-    assert [side for side, _, _ in bits] == [sum(1 << p - 1 for p in known) for known, _ in receivers]
+    assert [side for side, _, _ in bits] == [side for side, _ in sides]
     assert [rem is None for _, _, rem in bits] == [dec is None for dec in decodings]
 
 
