@@ -21,7 +21,8 @@ Only `Echelon` and `_echelon_rows` know how a row is packed, so one path of
 `Decoder` decodes both packings.
 
 Side sets are column bitmasks, bit c for packet c + 1, made from packets only
-by `_known_columns`: for `GicInstance.packet_masks` and in `Decoder.decode_all`.
+by `_known_columns`: for `GicInstance.packet_masks`, and in `Decoder.decode`
+and `decode_all`.
 """
 
 from __future__ import annotations
@@ -470,7 +471,7 @@ class Decoder:
         """Express e_target as a combination of the rows and the unit
         vectors of the known packets; None when the target is outside the
         span.  One receiver of `decode_all`."""
-        return self.decode_all([(known, target)])[0]
+        return self._decoding(*self.combinations([(_known_columns(known, self.ncols), target)])[0])
 
     def decode_all(self, receivers: Iterable[tuple[Iterable[int], int]]) -> list[Decoding | None]:
         """`decode(known, target)` of every (known, target) pair, in input
