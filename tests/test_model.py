@@ -291,9 +291,7 @@ VIEW_READERS = {
 @pytest.mark.parametrize("reader", VIEW_READERS)
 @pytest.mark.parametrize("bad", [3, 0])
 def test_view_readers_refuse_side_packets_outside_the_columns(reader, bad):
-    # one check, in the view, with one message for every reader: some of
-    # these answered, and some failed on a negative shift, when each built
-    # its own masks
+    # one check, in the view, with one message for every reader
     inst = GicInstance.make(2, [((1, 1), {2, bad}), ((2, 1), {1})])
     with pytest.raises(ValueError, match=f"^known packet {bad} outside 1\\.\\.2$"):
         VIEW_READERS[reader](inst)
