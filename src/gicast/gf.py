@@ -13,16 +13,17 @@ packings, and rows add by XOR in either:
 GF(2) is a subfield of GF(2^8), and rank does not change under a field
 extension, so either packing gives a 0/1 matrix's GF(2) rank.  `rank`,
 `row_basis` and `Decoder` eliminate a matrix over GF(2) on its bit-packed
-rows, `CodingMatrix.packed_bits`, and one over GF(2^8) on its byte rows.  A
-coded matrix built from packed rows, `CodingMatrix.of_packed`, is over GF(2)
-exactly when its entries are all 0 or 1.
+rows, `CodingMatrix.packed_bits`, and one over GF(2^8) on its byte rows;
+`residual_rank` takes 0/1 rows bit-packed.  A coded matrix built from packed
+rows, `CodingMatrix.of_packed`, is over GF(2) exactly when its entries are
+all 0 or 1.
 
 Only `Echelon` and `_echelon_rows` know how a row is packed, so one path of
 `Decoder` decodes both packings.
 
 Side sets are column bitmasks, bit c for packet c + 1, made from packets only
-by `_known_columns`: for `GicInstance.packet_masks`, and in `Decoder.decode`
-and `decode_all`.
+by `_known_columns`: for `GicInstance.packet_masks` and heuristic step 2's
+subset masks, and in `Decoder.decode` and `decode_all`.
 """
 
 from __future__ import annotations
@@ -398,16 +399,28 @@ def mds_rows(rows: Sequence[int], r: int) -> list[int]:
     return out
 
 
-def residual_rank(rows: Iterable[int], side: int, ncols: int) -> int:
-    """Rank of packed rows once the columns of a receiver's side mask, bit
-    c for packet c + 1, are zeroed: what the rows still tell the receiver,
-    eliminated on a mask of the unknown columns as in `Decoder.decode_all`.
-    Bits of the mask above the ncols columns are ignored."""
-    ech = Echelon(ncols)
-    ech._data = ech.columns(((1 << ncols) - 1) & ~side)
-    for row in rows:
-        ech.insert(row)
-    return len(ech)
+def residual_rank(rows: Sequence[int], sides: Iterable[int], ncols: int) -> int:
+    """The largest rank of bit rows, packed as by `bit_row`, once the columns
+    of a receiver's side mask, bit c for packet c + 1, are zeroed, over the
+    side masks given: the most that the rows still tell any of those
+    receivers, 0 for no side mask.  One `Echelon(ncols, bits=1)`, cleared
+    for each side mask, eliminates on a mask of the unknown columns, as in
+    `Decoder.combinations`; the scan stops once a rank reaches the row
+    count.  Bits of a mask above the ncols columns are ignored."""
+    ech = Echelon(ncols, bits=1)
+    held, insert = ech.pivots, ech.insert
+    full, most, best = ech._data, len(rows), 0
+    for side in sides:
+        held.clear()
+        cols = ech._data = full & ~side
+        for row in rows:
+            if row & cols:
+                insert(row)
+        if len(held) > best:
+            best = len(held)
+            if best == most:
+                break
+    return best
 
 
 class Decoding(NamedTuple):

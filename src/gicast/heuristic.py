@@ -16,9 +16,11 @@ matrix of MDS-combined transmissions; no other coefficients are tried.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from itertools import chain
+from operator import attrgetter, lt
 from typing import Iterable
 
-from .gf import CodingMatrix, mds_rows, residual_rank, unit_row
+from .gf import CodingMatrix, _known_columns, bit_row, mds_rows, residual_rank, unit_row
 from .model import GicInstance, UserId
 from .partition import SchemeSolution
 
@@ -40,44 +42,70 @@ SubsetKey = tuple[UserId, ...]
 Groups = tuple[frozenset[int], ...]
 
 
-def _receiver_keys(inst: GicInstance) -> dict[UserId, SubsetKey]:
-    """Step-1 key per receiver: itself plus every demander of one of its
-    side packets that holds the receiver's own packet.  A receiver
-    demanding a packet outside 1..m raises ValueError; a side packet
-    outside 1..m does in step 3, from `GicInstance.packet_masks`."""
-    side, demanders = inst.side_map, inst.users_of_packet
-    keys = {}
-    for uid, s in inst.users:
-        i = uid.packet
-        if not 0 < i <= inst.m:
-            raise ValueError(f"receiver {uid.label()} demands packet {i} outside 1..{inst.m}")
-        keys[uid] = tuple(sorted({uid} | {v for p in s for v in demanders.get(p, ()) if i in side[v]}))
+def _receiver_keys(inst: GicInstance) -> list[int]:
+    """Step-1 key of each receiver, in user order, as a receiver bitmask,
+    bit r for the r-th receiver: its own bit plus every demander of one of
+    its side packets that holds its own packet, that is the OR of its side
+    packets' demanders ANDed with its packet's holders.  A demanded or side
+    packet outside 1..m raises ValueError, from `GicInstance.packet_masks`."""
+    inst.packet_masks  # the range checks; the side sets below are then in 1..m
+    demanders = [0] * (inst.m + 1)
+    holders = [0] * (inst.m + 1)
+    for r, (uid, side) in enumerate(inst.users):
+        bit = 1 << r
+        demanders[uid.packet] |= bit
+        for p in side:
+            holders[p] |= bit
+    keys = []
+    for r, (uid, side) in enumerate(inst.users):
+        near = 0  # the demanders of its side packets
+        for p in side:
+            near |= demanders[p]
+        keys.append(1 << r | near & holders[uid.packet])
     return keys
 
 
-def _seeds(pairs: Iterable[tuple[SubsetKey, int]]) -> dict[SubsetKey, Groups]:
+def _seeds(inst: GicInstance, masks: Iterable[int], packets: Iterable[int]) -> dict[SubsetKey, Groups]:
     """One working subset per key, in first-seen key order, holding the
-    packets inserted under it as a single group."""
-    buckets: dict[SubsetKey, set[int]] = {}
-    for key, packet in pairs:
-        buckets.setdefault(key, set()).add(packet)
-    return {k: (frozenset(v),) for k, v in buckets.items()}
+    packets inserted under it as a single group: each packet goes under the
+    receivers of its key mask, as a sorted `UserId` tuple made once per
+    distinct mask."""
+    buckets: dict[int, set[int]] = {}
+    for mask, packet in zip(masks, packets):
+        group = buckets.get(mask)
+        if group is None:
+            buckets[mask] = {packet}
+        else:
+            group.add(packet)
+    ids = inst.user_ids
+    ordered = all(map(lt, ids, ids[1:]))
+    seeds: dict[SubsetKey, Groups] = {}
+    for mask, group in buckets.items():
+        members = []
+        while mask:
+            low = mask & -mask
+            members.append(ids[low.bit_length() - 1])
+            mask ^= low
+        key = tuple(members) if ordered else tuple(sorted(set(members)))
+        if key in seeds:  # two receivers share a UserId
+            group |= seeds[key][0]
+        seeds[key] = (frozenset(group),)
+    return seeds
 
 
 def initial_subsets_user(inst: GicInstance) -> dict[SubsetKey, Groups]:
     """One insertion of packet i per receiver of i, under that receiver's
     key; packets meeting at a key form a single group."""
-    return _seeds((key, uid.packet) for uid, key in _receiver_keys(inst).items())
+    return _seeds(inst, _receiver_keys(inst), map(attrgetter("packet"), inst.user_ids))
 
 
 def initial_subsets_packet(inst: GicInstance) -> dict[SubsetKey, Groups]:
     """Packet-initialized variant: each packet inserted once, keyed by the
     union of its receivers' keys."""
-    rkeys, demanders = _receiver_keys(inst), inst.users_of_packet
-    return _seeds(
-        (tuple(sorted({v for uid in demanders.get(i, ()) for v in rkeys[uid]})), i)
-        for i in range(1, inst.m + 1)
-    )
+    union = [0] * (inst.m + 1)
+    for uid, key in zip(inst.user_ids, _receiver_keys(inst)):
+        union[uid.packet] |= key
+    return _seeds(inst, union[1:], range(1, inst.m + 1))
 
 
 def step2_merge(
@@ -99,10 +127,16 @@ def step2_merge(
     first, and the keys in one heap per level, ordered by key; a candidate
     whose key has since left or changed class is dropped when it reaches
     the top.  Each promotion costs one classification and a few heap
-    operations, not a scan of every subset."""
+    operations, not a scan of every subset.  Each subset's packets are kept
+    as one mask next to it, ORed into the subset it merges into, so a key
+    member's residual information is the popcount of that mask less the
+    member's side mask; each key's trace label is formatted once per call."""
     subs = dict(subsets)
     all_users = inst.user_ids
-    side = inst.side_map
+    lacks = {uid: ~side for uid, (_, side) in zip(all_users, inst.packet_masks)}
+    pmask = {key: _known_columns(chain.from_iterable(groups), inst.m) for key, groups in subs.items()}
+    names: dict[UserId, str] = {}
+    labels: dict[SubsetKey, str] = {}
     trace: list[str] = []
     ZERO, UNEQUAL = 0, 1
     cls: dict[SubsetKey, int | None] = {}
@@ -110,12 +144,20 @@ def step2_merge(
     levels: dict[int, list[SubsetKey]] = {}  # level -> heap of the keys there
 
     def classify(key: SubsetKey) -> None:
-        pkts = frozenset().union(*subs[key])
-        ents = {len(pkts - side[u]) for u in key}
+        pkts = pmask[key]
+        ents = {(pkts & lacks[u]).bit_count() for u in key}
         c = ZERO if 0 in ents else UNEQUAL if len(ents) > 1 else None
         cls[key] = c
         if c is not None:
             heappush(cands, (c, len(key), key))
+
+    def label(key: SubsetKey) -> str:
+        text = labels.get(key)
+        if text is None:
+            if not names:  # the first label: every receiver's, once
+                names.update(zip(all_users, map(UserId.label, all_users)))
+            text = labels[key] = "".join(map(names.__getitem__, key))
+        return text
 
     for key in subs:
         classify(key)
@@ -128,6 +170,7 @@ def step2_merge(
             cls[key] = None  # it cannot grow; taking it again would change nothing
             continue
         groups = subs.pop(key)
+        pkts = pmask.pop(key)
         del cls[key]
         higher = levels.get(v + 1, [])
         while higher and higher[0] not in subs:
@@ -137,22 +180,18 @@ def step2_merge(
         else:
             missing = next(u for u in all_users if u not in key)
             grown = tuple(sorted(key + (missing,)))
-        step = f"promote {''.join(u.label() for u in key)} level {v} -> {v + 1}"
+        step = f"promote {label(key)} level {v} -> {v + 1}"
         if grown in subs:
             subs[grown] += groups
-            step += f" merge into {''.join(u.label() for u in grown)}"
+            pmask[grown] |= pkts
+            step += f" merge into {label(grown)}"
         else:
             subs[grown] = groups
+            pmask[grown] = pkts
             heappush(levels.setdefault(v + 1, []), grown)
         classify(grown)
         trace.append(step)
     return subs, tuple(trace)
-
-
-def _subset_rows(groups: Groups) -> list[int]:
-    """Post-compression content rows, packed as by `pack_row`: one XOR row
-    per packet group, duplicates dropped."""
-    return list(dict.fromkeys(sum(map(unit_row, g)) for g in groups))
 
 
 def step3_rate(
@@ -160,14 +199,17 @@ def step3_rate(
 ) -> SchemeSolution:
     """Charge each final subset the worst residual information among its key
     members and realize that rate with one deterministic matrix: the plain
-    MDS combinations of each subset's compressed rows, over the field
-    `CodingMatrix.of_packed` reads off them.  The matrix is returned as
-    built; nothing retries other coefficients."""
+    MDS combinations of each subset's compressed rows, one XOR row per
+    packet group with duplicates dropped, over the field
+    `CodingMatrix.of_packed` reads off them.  The residual ranks are one
+    `residual_rank` per subset, on its group masks as bit rows and its key
+    members' side masks.  The matrix is returned as built; nothing retries
+    other coefficients."""
     side = dict(zip(inst.user_ids, (s for _, s in inst.packet_masks)))
     solution_rows = []
     for key in sorted(subsets, key=lambda k: (len(k), k)):
-        rows = _subset_rows(subsets[key])
-        rho = max(residual_rank(rows, side[u], inst.m) for u in key)
+        rows = list(dict.fromkeys(sum(map(unit_row, g)) for g in subsets[key]))
+        rho = residual_rank([bit_row(row, inst.m) for row in rows], map(side.__getitem__, key), inst.m)
         if rho:
             solution_rows += mds_rows(rows, rho)
     matrix = CodingMatrix.of_packed(inst.m, solution_rows)

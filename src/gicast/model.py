@@ -64,19 +64,19 @@ class GicInstance:
         return dict(self.users)
 
     @cached_property
-    def users_of_packet(self) -> dict[int, tuple[UserId, ...]]:
-        by: dict[int, list[UserId]] = {}
-        for uid, _ in self.users:
-            by.setdefault(uid.packet, []).append(uid)
-        return {i: tuple(v) for i, v in by.items()}
-
-    @cached_property
     def packet_masks(self) -> tuple[tuple[int, int], ...]:
         """Each receiver's (demand, side) packet masks, bit p - 1 for packet
         p, in the canonical user order: the `pending` format of
         `acyclic_lower_bound`.  Built once, each side set by
-        `gf._known_columns`: a side packet outside 1..m raises ValueError."""
-        return tuple((1 << (uid.packet - 1), gf._known_columns(side, self.m)) for uid, side in self.users)
+        `gf._known_columns`: a demanded or side packet outside 1..m raises
+        ValueError."""
+        m, known = self.m, gf._known_columns
+        masks = []
+        for uid, side in self.users:
+            if not 1 <= uid.packet <= m:
+                raise ValueError(f"receiver {uid.label()} demands packet {uid.packet} outside 1..{m}")
+            masks.append((1 << (uid.packet - 1), known(side, m)))
+        return tuple(masks)
 
     def side_of(self, uid: UserId) -> frozenset[int]:
         return self.side_map[uid]

@@ -187,11 +187,12 @@ def group_partition(inst: GicInstance) -> UserPartition:
 def build_transmissions(inst: GicInstance, part: UserPartition) -> CodingMatrix:
     """Stack per-block MDS transmissions: block Y with overlap c sends the
     `mds_rows` of its unit rows, b = |Y| - c of them: its parity when b = 1,
-    its unit rows when b = |Y|, Cauchy or Reed-Solomon rows in between.  The
+    its unit rows when b = |Y|, Cauchy or Reed-Solomon rows in between, and
+    none when b = 0, which only a receiver listing its own packet allows.  The
     stack is over the field `CodingMatrix.of_packed` reads off its rows:
     GF(2) unless some block sends rows of the in-between kind."""
     codes = _block_codes(inst, part)
-    rows = [row for Y, c in codes for row in mds_rows([unit_row(p) for p in Y], len(Y) - c)]
+    rows = [row for Y, c in codes if c < len(Y) for row in mds_rows([unit_row(p) for p in Y], len(Y) - c)]
     return CodingMatrix.of_packed(inst.m, rows)
 
 
@@ -438,10 +439,11 @@ def _user_cost_table(inst: GicInstance) -> list[int]:
 def _packet_cost_table(inst: GicInstance) -> list[int]:
     """`_cost_table` over packet blocks: member t is packet t + 1 and
     stands for its demanders, as in `ppm_as_upm`."""
+    masks = inst.packet_masks  # first, so a demanded packet outside 1..m raises its ValueError
     holders = [0] * inst.m
     for t, uid in enumerate(inst.user_ids):
         holders[uid.packet - 1] |= 1 << t
-    return _cost_table([1 << t for t in range(inst.m)], holders, [side for _, side in inst.packet_masks])
+    return _cost_table([1 << t for t in range(inst.m)], holders, [side for _, side in masks])
 
 
 def _rgs_to_blocks(a: Sequence[int]) -> list[list[int]]:

@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 import gicast.partition
-from gicast import GF256, GicInstance, SchemeSolution, load_instance, simulate_decode
-from gicast.gf import scale_row
+from gicast import GF256, CodingMatrix, GicInstance, SchemeSolution, load_instance, simulate_decode
+from gicast.gf import mds_rows, scale_row
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -390,3 +390,20 @@ def reference_step2_merge(inst: GicInstance, subsets: dict) -> tuple[dict, tuple
             subs[grown] = groups
         trace.append(step)
     return subs, tuple(trace)
+
+
+def reference_step3(inst: GicInstance, subsets: dict) -> CodingMatrix:
+    """Step 3 from the definition: a reference kept apart from
+    `gicast.heuristic.step3_rate` that the tests check.  Subsets are taken
+    by ascending (level, key); each packet group is one 0/1 row, duplicates
+    dropped.  A subset's rho is the largest, over its key members, of
+    `bitmask_rank` of its group masks less the member's side packets, and
+    it sends `mds_rows` of its rows, rho of them, nothing when rho is 0."""
+    side = inst.side_map
+    rows = []
+    for key in sorted(subsets, key=lambda k: (len(k), k)):
+        masks = list(dict.fromkeys(sum(1 << p - 1 for p in group) for group in subsets[key]))
+        rho = max(bitmask_rank([row & ~sum(1 << p - 1 for p in side[u]) for row in masks]) for u in key)
+        if rho:
+            rows += mds_rows([byte_row(row, inst.m) for row in masks], rho)
+    return CodingMatrix.of_packed(inst.m, rows)

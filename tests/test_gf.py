@@ -254,15 +254,19 @@ def test_entropy_raw_packets():
     # for packet p
     rows = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
     S = CodingMatrix(GF2, 4, rows)
-    assert residual_rank(S.packed, 0b0011, S.ncols) == 1
-    assert residual_rank(S.packed, 0, S.ncols) == 3
-    assert residual_rank(S.packed, 0b1111, S.ncols) == 0
+    assert residual_rank(S.packed_bits, [0b0011], S.ncols) == 1
+    assert residual_rank(S.packed_bits, [0], S.ncols) == 3
+    assert residual_rank(S.packed_bits, [0b1111], S.ncols) == 0
+    # the largest over the side masks given, 0 for none
+    assert residual_rank(S.packed_bits, [0b1111, 0b0011, 0b0111], S.ncols) == 1
+    assert residual_rank(S.packed_bits, [], S.ncols) == 0
 
 
 def test_entropy_single_xor_row():
     S = CodingMatrix(GF2, 4, ((1, 1, 1, 0),))
-    assert residual_rank(S.packed, 0b0110, S.ncols) == 1
-    assert residual_rank(S.packed, 0b0111, S.ncols) == 0
+    assert residual_rank(S.packed_bits, [0b0110], S.ncols) == 1
+    assert residual_rank(S.packed_bits, [0b0111], S.ncols) == 0
+    assert residual_rank(S.packed_bits, [0b0111, 0b0110], S.ncols) == 1
 
 
 @pytest.mark.parametrize("known", [{0}, {-1, 2}, {5}, {1, 4, 5}])

@@ -37,6 +37,14 @@ def test_user_seed_keys_match_naive(ex1):
         assert list(initial_subsets_packet(inst).items()) == list(by_packet.items())
 
 
+def test_seed_keys_are_sorted_when_the_users_are_not(ex1):
+    # an unvalidated instance may list its users out of order; the keys are
+    # still sorted receiver tuples, the same as the sorted instance's
+    shuffled = GicInstance(ex1.m, ex1.users[::-1])
+    for init in (initial_subsets_user, initial_subsets_packet):
+        assert init(shuffled) == init(ex1)
+
+
 def test_user_seed_keys_k2_family():
     inst, gs = generate_k2(4)
     subsets = initial_subsets_user(inst)

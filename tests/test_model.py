@@ -297,6 +297,15 @@ def test_view_readers_refuse_side_packets_outside_the_columns(reader, bad):
         VIEW_READERS[reader](inst)
 
 
+@pytest.mark.parametrize("reader", VIEW_READERS)
+@pytest.mark.parametrize("bad", [0, 3])
+def test_view_readers_refuse_demanded_packets_outside_the_columns(reader, bad):
+    # the view checks demanded packets too, before it shifts by one
+    inst = GicInstance.make(2, [((1, 1), {2}), ((2, 1), {1}), ((bad, 1), {1})])
+    with pytest.raises(ValueError, match=f"^receiver \\({bad},1\\) demands packet {bad} outside 1\\.\\.2$"):
+        VIEW_READERS[reader](inst)
+
+
 def test_side_sets_become_masks_once_per_instance(monkeypatch):
     # the heuristic's step 3 and the simulator read one view: a second solve
     # and certification of the same instance convert nothing

@@ -250,6 +250,20 @@ def test_transmissions_single_saturated_user():
     assert M.nrows == 3  # one row per block, b=1 each
 
 
+def test_group_schemes_send_nothing_for_a_block_its_receivers_hold():
+    # only a receiver that lists its own packet gives a block an overlap c
+    # equal to |Y|; such a block sends no row instead of asking for an (n, 0)
+    # MDS code, and the group schemes agree with the exhaustive searches
+    from gicast import GicInstance
+    from gicast.cli import SOLVERS
+
+    inst = GicInstance.make(3, [((1, 1), {1, 2}), ((2, 1), set()), ((3, 1), {1})])
+    groups = group_partition(inst)
+    for scheme in ("upm-group", "iupm-group", "ppm-exhaustive", "upm-exhaustive", "iupm-exhaustive"):
+        assert SOLVERS[scheme](inst, groups, 16).rate == 2, scheme
+    assert build_transmissions(inst, groups).rows == ((0, 1, 0), (0, 0, 1))
+
+
 def test_transmissions_wide_block_uses_extension_field(ex1):
     # one block holding every user: c=1, so b=3 coded symbols over GF(2^8)
     P = UserPartition.of([set(ex1.user_ids)])

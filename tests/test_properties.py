@@ -30,7 +30,15 @@ from gicast import (
 )
 from gicast.gf import Decoder, rank, residual_rank, row_basis, solve_decode
 
-from conftest import bitmask_rank, byte_row, enumerate_partitions, scalar_trials
+from conftest import (
+    bitmask_rank,
+    byte_row,
+    enumerate_partitions,
+    reference_initial_subsets,
+    reference_step2_merge,
+    reference_step3,
+    scalar_trials,
+)
 
 
 @st.composite
@@ -127,17 +135,42 @@ def test_rank_invariant_under_scaling(M, scalar):
 @given(gf2_matrices())
 @settings(max_examples=40, deadline=None)
 def test_entropy_boundaries(M):
-    assert residual_rank(M.packed, 0, M.ncols) == rank(M)
-    assert residual_rank(M.packed, (1 << M.ncols) - 1, M.ncols) == 0
+    assert residual_rank(M.packed_bits, [0], M.ncols) == rank(M)
+    assert residual_rank(M.packed_bits, [(1 << M.ncols) - 1], M.ncols) == 0
 
 
 @given(gf2_matrices(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_residual_rank_matches_the_bitmask_reference(M, data):
     drawn = data.draw(st.sets(st.integers(1, M.ncols)))
+    ranks = []
+    sides = []
     for known in (set(), drawn, set(range(1, M.ncols + 1))):
         masks = [sum(1 << c for c, v in enumerate(row) if v and c + 1 not in known) for row in M.rows]
-        assert residual_rank(M.packed, sum(1 << p - 1 for p in known), M.ncols) == bitmask_rank(masks)
+        side = sum(1 << p - 1 for p in known)
+        assert residual_rank(M.packed_bits, [side], M.ncols) == bitmask_rank(masks)
+        ranks.append(bitmask_rank(masks))
+        sides.append(side)
+    # one call over several side masks gives the largest of their ranks
+    for order in (sides, sides[::-1], sides[1:]):
+        expected = max(ranks[sides.index(side)] for side in order)
+        assert residual_rank(M.packed_bits, order, M.ncols) == expected
+
+
+@given(instances(max_m=5, max_users=8))
+@settings(max_examples=150, deadline=None)
+def test_heuristic_matches_the_step_references(inst):
+    # the whole pipeline, both seedings, against the references of steps 1-3
+    for init, start in zip(("user", "packet"), reference_initial_subsets(inst)):
+        merged, trace = reference_step2_merge(inst, start)
+        expected = reference_step3(inst, merged)
+        sol = run_heuristic(inst, init)
+        assert (sol.rate, sol.matrix.rows, sol.matrix.field, sol.trace) == (
+            expected.nrows,
+            expected.rows,
+            expected.field,
+            trace,
+        )
 
 
 @given(gf256_matrices(), st.data())
