@@ -22,8 +22,8 @@ Only `Echelon` and `_echelon_rows` know how a row is packed, so one path of
 `Decoder` decodes both packings.
 
 Side sets are column bitmasks, bit c for packet c + 1, made from packets only
-by `_known_columns`: for `GicInstance.packet_masks` and heuristic step 2's
-subset masks, and in `Decoder.decode` and `decode_all`.
+by `_known_columns`: for `GicInstance.packet_masks`, and in `Decoder.decode`
+and `decode_all`.
 """
 
 from __future__ import annotations

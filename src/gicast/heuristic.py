@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import chain
-from operator import attrgetter, lt
+from operator import attrgetter
 from typing import Iterable
 
-from .gf import CodingMatrix, _known_columns, bit_row, mds_rows, residual_rank, unit_row
+from .gf import CodingMatrix, bit_row, mds_rows, residual_rank, unit_row
 from .model import GicInstance, UserId
 from .partition import SchemeSolution
 
@@ -42,43 +42,41 @@ SubsetKey = tuple[UserId, ...]
 Groups = tuple[frozenset[int], ...]
 
 
-def _receiver_keys(inst: GicInstance) -> list[int]:
-    """Step-1 key of each receiver, in user order, as a receiver bitmask,
-    bit r for the r-th receiver: its own bit plus every demander of one of
-    its side packets that holds its own packet, that is the OR of its side
-    packets' demanders ANDed with its packet's holders.  A demanded or side
-    packet outside 1..m raises ValueError, from `GicInstance.packet_masks`."""
+def _receiver_keys(inst: GicInstance) -> tuple[tuple[UserId, ...], list[int]]:
+    """The receivers, in user order, and the Step-1 key of each as a
+    receiver bitmask, bit r for the r-th receiver: its own bit plus every
+    demander of one of its side packets that holds its own packet, that is
+    the OR of its side packets' demanders ANDed with its packet's holders.
+    A `UserId` listed twice counts once, with its last side set, as in
+    `GicInstance.side_map` and the side masks of steps 2 and 3.  A demanded
+    or side packet outside 1..m raises ValueError, from
+    `GicInstance.packet_masks`."""
     inst.packet_masks  # the range checks; the side sets below are then in 1..m
+    users = inst.side_map.items()
     demanders = [0] * (inst.m + 1)
     holders = [0] * (inst.m + 1)
-    for r, (uid, side) in enumerate(inst.users):
+    for r, (uid, side) in enumerate(users):
         bit = 1 << r
         demanders[uid.packet] |= bit
         for p in side:
             holders[p] |= bit
     keys = []
-    for r, (uid, side) in enumerate(inst.users):
+    for r, (uid, side) in enumerate(users):
         near = 0  # the demanders of its side packets
         for p in side:
             near |= demanders[p]
         keys.append(1 << r | near & holders[uid.packet])
-    return keys
+    return tuple(inst.side_map), keys
 
 
-def _seeds(inst: GicInstance, masks: Iterable[int], packets: Iterable[int]) -> dict[SubsetKey, Groups]:
+def _seeds(ids: tuple[UserId, ...], masks: Iterable[int], packets: Iterable[int]) -> dict[SubsetKey, Groups]:
     """One working subset per key, in first-seen key order, holding the
     packets inserted under it as a single group: each packet goes under the
-    receivers of its key mask, as a sorted `UserId` tuple made once per
-    distinct mask."""
+    receivers of its key mask, bit r for ids[r], as a sorted `UserId` tuple
+    made once per distinct mask."""
     buckets: dict[int, set[int]] = {}
     for mask, packet in zip(masks, packets):
-        group = buckets.get(mask)
-        if group is None:
-            buckets[mask] = {packet}
-        else:
-            group.add(packet)
-    ids = inst.user_ids
-    ordered = all(map(lt, ids, ids[1:]))
+        buckets.setdefault(mask, set()).add(packet)
     seeds: dict[SubsetKey, Groups] = {}
     for mask, group in buckets.items():
         members = []
@@ -86,26 +84,31 @@ def _seeds(inst: GicInstance, masks: Iterable[int], packets: Iterable[int]) -> d
             low = mask & -mask
             members.append(ids[low.bit_length() - 1])
             mask ^= low
-        key = tuple(members) if ordered else tuple(sorted(set(members)))
-        if key in seeds:  # two receivers share a UserId
-            group |= seeds[key][0]
-        seeds[key] = (frozenset(group),)
+        seeds[tuple(sorted(members))] = (frozenset(group),)
     return seeds
 
 
 def initial_subsets_user(inst: GicInstance) -> dict[SubsetKey, Groups]:
     """One insertion of packet i per receiver of i, under that receiver's
     key; packets meeting at a key form a single group."""
-    return _seeds(inst, _receiver_keys(inst), map(attrgetter("packet"), inst.user_ids))
+    ids, keys = _receiver_keys(inst)
+    return _seeds(ids, keys, map(attrgetter("packet"), ids))
 
 
 def initial_subsets_packet(inst: GicInstance) -> dict[SubsetKey, Groups]:
     """Packet-initialized variant: each packet inserted once, keyed by the
     union of its receivers' keys."""
+    ids, keys = _receiver_keys(inst)
     union = [0] * (inst.m + 1)
-    for uid, key in zip(inst.user_ids, _receiver_keys(inst)):
+    for uid, key in zip(ids, keys):
         union[uid.packet] |= key
-    return _seeds(inst, union[1:], range(1, inst.m + 1))
+    return _seeds(ids, union[1:], range(1, inst.m + 1))
+
+
+def _side_masks(inst: GicInstance) -> dict[UserId, int]:
+    """Each receiver's side mask from the view, bit p - 1 for packet p; a
+    `UserId` listed twice keeps its last one."""
+    return dict(zip(inst.user_ids, (s for _, s in inst.packet_masks)))
 
 
 def step2_merge(
@@ -131,11 +134,21 @@ def step2_merge(
     as one mask next to it, ORed into the subset it merges into, so a key
     member's residual information is the popcount of that mask less the
     member's side mask; each key's trace label is formatted once per call."""
+    return _merge(inst, subsets, _side_masks(inst))
+
+
+def _merge(
+    inst: GicInstance, subsets: dict[SubsetKey, Groups], side: dict[UserId, int]
+) -> tuple[dict[SubsetKey, Groups], tuple[str, ...]]:
+    """`step2_merge` on the receivers' side masks."""
     subs = dict(subsets)
     all_users = inst.user_ids
-    lacks = {uid: ~side for uid, (_, side) in zip(all_users, inst.packet_masks)}
-    pmask = {key: _known_columns(chain.from_iterable(groups), inst.m) for key, groups in subs.items()}
-    names: dict[UserId, str] = {}
+    pmask = {}
+    for key, groups in subs.items():
+        pkts = 0
+        for p in chain.from_iterable(groups):
+            pkts |= 1 << (p - 1)
+        pmask[key] = pkts
     labels: dict[SubsetKey, str] = {}
     trace: list[str] = []
     ZERO, UNEQUAL = 0, 1
@@ -145,19 +158,16 @@ def step2_merge(
 
     def classify(key: SubsetKey) -> None:
         pkts = pmask[key]
-        ents = {(pkts & lacks[u]).bit_count() for u in key}
+        ents = {(pkts & ~side[u]).bit_count() for u in key}
         c = ZERO if 0 in ents else UNEQUAL if len(ents) > 1 else None
         cls[key] = c
         if c is not None:
             heappush(cands, (c, len(key), key))
 
     def label(key: SubsetKey) -> str:
-        text = labels.get(key)
-        if text is None:
-            if not names:  # the first label: every receiver's, once
-                names.update(zip(all_users, map(UserId.label, all_users)))
-            text = labels[key] = "".join(map(names.__getitem__, key))
-        return text
+        if key not in labels:
+            labels[key] = "".join(u.label() for u in key)
+        return labels[key]
 
     for key in subs:
         classify(key)
@@ -205,7 +215,13 @@ def step3_rate(
     `residual_rank` per subset, on its group masks as bit rows and its key
     members' side masks.  The matrix is returned as built; nothing retries
     other coefficients."""
-    side = dict(zip(inst.user_ids, (s for _, s in inst.packet_masks)))
+    return _rate(inst, subsets, _side_masks(inst), scheme, trace)
+
+
+def _rate(
+    inst: GicInstance, subsets: dict[SubsetKey, Groups], side: dict[UserId, int], scheme: str, trace: tuple[str, ...]
+) -> SchemeSolution:
+    """`step3_rate` on the receivers' side masks."""
     solution_rows = []
     for key in sorted(subsets, key=lambda k: (len(k), k)):
         rows = list(dict.fromkeys(sum(map(unit_row, g)) for g in subsets[key]))
@@ -224,5 +240,6 @@ def run_heuristic(inst: GicInstance, init: str = "user") -> SchemeSolution:
         start = initial_subsets_packet(inst)
     else:
         raise ValueError(f"init must be 'user' or 'packet', got {init!r}")
-    merged, trace = step2_merge(inst, start)
-    return step3_rate(inst, merged, f"heuristic-{init}", trace)
+    side = _side_masks(inst)
+    merged, trace = _merge(inst, start, side)
+    return _rate(inst, merged, side, f"heuristic-{init}", trace)
