@@ -133,7 +133,8 @@ def step2_merge(
     operations, not a scan of every subset.  Each subset's packets are kept
     as one mask next to it, ORed into the subset it merges into, so a key
     member's residual information is the popcount of that mask less the
-    member's side mask; each key's trace label is formatted once per call."""
+    member's side mask.  Each key's trace label is joined once per call,
+    from receiver labels formatted once, at the first promotion."""
     return _merge(inst, subsets, _side_masks(inst))
 
 
@@ -149,6 +150,7 @@ def _merge(
         for p in chain.from_iterable(groups):
             pkts |= 1 << (p - 1)
         pmask[key] = pkts
+    names: dict[UserId, str] = {}
     labels: dict[SubsetKey, str] = {}
     trace: list[str] = []
     ZERO, UNEQUAL = 0, 1
@@ -166,7 +168,9 @@ def _merge(
 
     def label(key: SubsetKey) -> str:
         if key not in labels:
-            labels[key] = "".join(u.label() for u in key)
+            if not names:  # the first label: every receiver's, once
+                names.update(zip(all_users, map(UserId.label, all_users)))
+            labels[key] = "".join(map(names.__getitem__, key))
         return labels[key]
 
     for key in subs:
