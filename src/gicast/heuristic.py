@@ -16,8 +16,7 @@ matrix of MDS-combined transmissions; no other coefficients are tried.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable
 
 from .gf import CodingMatrix, bit_row, mds_rows, residual_rank, unit_row
@@ -108,7 +107,7 @@ def initial_subsets_packet(inst: GicInstance) -> dict[SubsetKey, Groups]:
 def _side_masks(inst: GicInstance) -> dict[UserId, int]:
     """Each receiver's side mask from the view, bit p - 1 for packet p; a
     `UserId` listed twice keeps its last one."""
-    return dict(zip(inst.user_ids, (s for _, s in inst.packet_masks)))
+    return dict(zip(inst.user_ids, map(itemgetter(1), inst.packet_masks)))
 
 
 def step2_merge(
@@ -146,10 +145,11 @@ def _merge(
     all_users = inst.user_ids
     pmask = {}
     for key, groups in subs.items():
-        pkts = 0
-        for p in chain.from_iterable(groups):
-            pkts |= 1 << (p - 1)
-        pmask[key] = pkts
+        pkts = 0  # bit p for packet p, then shifted to the side masks' bit p - 1
+        for group in groups:
+            for p in group:
+                pkts |= 1 << p
+        pmask[key] = pkts >> 1
     names: dict[UserId, str] = {}
     labels: dict[SubsetKey, str] = {}
     trace: list[str] = []
