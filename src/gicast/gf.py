@@ -22,8 +22,7 @@ Only `Echelon` and `_echelon_rows` know how a row is packed, so one path of
 `Decoder` decodes both packings.
 
 Side sets are column bitmasks, bit c for packet c + 1, made from packets only
-by `_known_columns`: for `GicInstance.packet_masks`, and in `Decoder.decode`
-and `decode_all`.
+by `_known_columns`: for `GicInstance.packet_masks`, and in `Decoder.decode`.
 """
 
 from __future__ import annotations
@@ -77,8 +76,9 @@ _EXP, _LOG = _tables()
 
 class Field:
     """Arithmetic in GF(2) or GF(2^8).  Elements are ints 0..2^w-1;
-    addition is XOR, multiplication goes through the one GF(2^8) log/antilog
-    table, which GF(2) shares as its subfield {0, 1}."""
+    addition is XOR, inverses and powers go through the one GF(2^8)
+    log/antilog table, which GF(2) shares as its subfield {0, 1}, and
+    products are `scale_row` on packed rows."""
 
     __slots__ = ("w", "order")
 
@@ -87,11 +87,6 @@ class Field:
             raise ValueError(f"extension degree must be 1 or 8, got {w}")
         self.w = w
         self.order = 1 << w
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return _EXP[_LOG[a] + _LOG[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -483,16 +478,10 @@ class Decoder:
     def decode(self, known: Iterable[int], target: int) -> Decoding | None:
         """Express e_target as a combination of the rows and the unit
         vectors of the known packets; None when the target is outside the
-        span.  One receiver of `decode_all`."""
+        span: the `Decoding` read off this receiver's `combinations`, with
+        the known packets turned into a side mask by `_known_columns`.  A
+        known packet outside 1..m raises ValueError."""
         return self._decoding(*self.combinations([(_known_columns(known, self.ncols), target)])[0])
-
-    def decode_all(self, receivers: Iterable[tuple[Iterable[int], int]]) -> list[Decoding | None]:
-        """`decode(known, target)` of every (known, target) pair, in input
-        order: the `Decoding` read off each of its `combinations`, with the
-        known packets turned into side masks by `_known_columns`.  A known
-        packet outside 1..m raises ValueError."""
-        sides = [(_known_columns(known, self.ncols), target) for known, target in receivers]
-        return [self._decoding(*found) for found in self.combinations(sides)]
 
     def _decoding(self, side: int, target: int, rem: int | None) -> Decoding | None:
         """The `Decoding` of one result of `combinations`, read off its
@@ -513,7 +502,7 @@ class Decoder:
         """(side mask, target, remainder or None) of every (side mask,
         target) pair, in input order.  A side mask is a column bitmask, bit c
         for packet c + 1, within the m columns, as `GicInstance.packet_masks`
-        and `decode_all` give it; the remainder is packed like the decoder's
+        and `decode` give it; the remainder is packed like the decoder's
         rows, and None where the target does not decode.  Every target is
         checked first."""
         m, bits, pivots, free, pivot_cols = self.ncols, self._bits, self._pivots, self._free, self._pivot_cols

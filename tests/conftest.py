@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import gicast.partition
-from gicast import GF256, CodingMatrix, GicInstance, SchemeSolution, load_instance, simulate_decode
+from gicast import CodingMatrix, GicInstance, SchemeSolution, load_instance, simulate_decode
 from gicast.gf import mds_rows, scale_row
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -74,17 +74,17 @@ def shaped_instance(rng: random.Random, m: int, n_users: int) -> GicInstance:
 
 def scalar_trials(inst: GicInstance, M, decodings: dict, trials: int, seed: int) -> list:
     """The payload trials one trial and one receiver at a time through
-    GF256.mul, in the simulator's order of draws and of failures: payloads
+    `scale_row`, in the simulator's order of draws and of failures: payloads
     are `random.Random(seed).randrange` of M's field order, and `decodings`
     maps each decodable receiver, in user order, to its `Decoding`."""
     rng = random.Random(seed)
     failures = []
     for t in range(trials):
         x = [rng.randrange(M.field.order) for _ in range(inst.m)]
-        y = [reduce(xor, (GF256.mul(e, v) for e, v in zip(row, x)), 0) for row in M.rows]
+        y = [reduce(xor, (scale_row(v, e, 1) for e, v in zip(row, x)), 0) for row in M.rows]
         for uid, dec in decodings.items():
-            est = reduce(xor, (GF256.mul(f, v) for f, v in zip(dec.row_coeffs, y)), 0)
-            est ^= reduce(xor, (GF256.mul(f, x[p - 1]) for p, f in dec.known_coeffs), 0)
+            est = reduce(xor, (scale_row(v, f, 1) for f, v in zip(dec.row_coeffs, y)), 0)
+            est ^= reduce(xor, (scale_row(x[p - 1], f, 1) for p, f in dec.known_coeffs), 0)
             if est != x[uid.packet - 1]:
                 failures.append((uid, t, f"trial {t}: reconstructed {est}, payload {x[uid.packet - 1]}"))
     return failures
@@ -353,7 +353,7 @@ def reference_step2_merge(inst: GicInstance, subsets: dict) -> tuple[dict, tuple
     tests check, with the same promotions, trace and dict order."""
     subs = dict(subsets)
     all_users = inst.user_ids
-    side = inst.side_map
+    side = dict(inst.users)
     trace: list[str] = []
     stuck: set = set()
     while True:
@@ -399,7 +399,7 @@ def reference_step3(inst: GicInstance, subsets: dict) -> CodingMatrix:
     dropped.  A subset's rho is the largest, over its key members, of
     `bitmask_rank` of its group masks less the member's side packets, and
     it sends `mds_rows` of its rows, rho of them, nothing when rho is 0."""
-    side = inst.side_map
+    side = dict(inst.users)
     rows = []
     for key in sorted(subsets, key=lambda k: (len(k), k)):
         masks = list(dict.fromkeys(sum(1 << p - 1 for p in group) for group in subsets[key]))

@@ -28,19 +28,38 @@ from conftest import bitmask_rank, byte_row, reference_back_substitution, refere
 # ------------------------------------------------------------------- fields
 
 def test_gf2_tables():
-    assert GF2.mul(1, 1) == 1
+    assert scale_row(1, 1, 1) == 1
     assert GF2.inv(1) == 1
 
 
 def test_gf256_inverses_exhaustive():
     for a in range(1, 256):
-        assert GF256.mul(a, GF256.inv(a)) == 1
+        assert scale_row(GF256.inv(a), a, 1) == 1
 
 
 def test_gf256_known_products():
     # 0x53 * 0xCA = 0x01 under the conventional degree-8 polynomial
-    assert GF256.mul(0x53, 0xCA) == 0x01
-    assert GF256.mul(2, 128) == 0x1B
+    assert scale_row(0xCA, 0x53, 1) == 0x01
+    assert scale_row(128, 2, 1) == 0x1B
+
+
+def test_scale_row_matches_shift_and_add_products():
+    # every scaling table against carry-less multiplication modulo
+    # x^8 + x^4 + x^3 + x + 1, which shares nothing with the log tables
+    def product(a, b):
+        out = 0
+        while b:
+            if b & 1:
+                out ^= a
+            a <<= 1
+            if a & 0x100:
+                a ^= 0x11B
+            b >>= 1
+        return out
+
+    every = pack_row(range(256))
+    for f in range(256):
+        assert unpack_row(scale_row(every, f, 256), 256) == tuple(product(x, f) for x in range(256))
 
 
 @pytest.mark.parametrize("w", [1, 8])
@@ -50,11 +69,11 @@ def test_field_axioms_randomized(w):
     q = 1 << w
     for _ in range(200):
         a, b, c = rng.randrange(q), rng.randrange(q), rng.randrange(q)
-        assert fld.mul(a, b) == fld.mul(b, a)
-        assert fld.mul(a, fld.mul(b, c)) == fld.mul(fld.mul(a, b), c)
-        assert fld.mul(a, b ^ c) == fld.mul(a, b) ^ fld.mul(a, c)
+        assert scale_row(b, a, 1) == scale_row(a, b, 1)
+        assert scale_row(scale_row(c, b, 1), a, 1) == scale_row(c, scale_row(b, a, 1), 1)
+        assert scale_row(b ^ c, a, 1) == scale_row(b, a, 1) ^ scale_row(c, a, 1)
         if a:
-            assert fld.mul(fld.mul(a, b), fld.inv(a)) == b
+            assert scale_row(fld.inv(a), scale_row(b, a, 1), 1) == b
 
 
 def test_field_pow():
@@ -62,7 +81,7 @@ def test_field_pow():
     a = 7
     acc = 1
     for e in range(1, 10):
-        acc = GF256.mul(acc, a)
+        acc = scale_row(a, acc, 1)
         assert GF256.pow(a, e) == acc
 
 
@@ -107,13 +126,12 @@ def test_rank_gf256():
 
 
 def test_echelon_scales_pivot_rows_through_field_mul():
-    # a row led by f is stored as f^-1 times itself: every scaling table
-    # is checked against Field.mul on every element
+    # a row led by f is stored as f^-1 times itself, on every element
     for f in range(1, 256):
         ech = Echelon(257)
         assert ech.insert(pack_row((f, *range(256)))) == 0
         inv = GF256.inv(f)
-        assert unpack_row(ech.pivots[0], 257) == (1, *(GF256.mul(inv, x) for x in range(256)))
+        assert unpack_row(ech.pivots[0], 257) == (1, *(scale_row(x, inv, 1) for x in range(256)))
 
 
 @pytest.mark.parametrize("order", [2, 256], ids=["GF2", "GF256"])
@@ -327,6 +345,9 @@ def test_solve_decode_rejects_packets_outside_the_matrix(known, target):
 
 @pytest.mark.parametrize("known,target", BAD_RECEIVERS)
 def test_decode_all_checks_every_receiver_before_decoding(monkeypatch, known, target):
+    # decoding all receivers at once, `combinations` checks every target
+    # before it decodes any; a known packet outside the columns is refused
+    # by `decode` as it makes the side mask
     decoder = Decoder(CodingMatrix(GF2, 3, ((1, 1, 1),)))
 
     class Untouched(Echelon):
@@ -335,7 +356,10 @@ def test_decode_all_checks_every_receiver_before_decoding(monkeypatch, known, ta
 
     monkeypatch.setattr(gf, "Echelon", Untouched)
     with pytest.raises(ValueError):
-        decoder.decode_all([({1}, 2), ({1}, 3), (known, target)])
+        decoder.decode(known, target)
+    if all(1 <= p <= 3 for p in known):
+        with pytest.raises(ValueError):
+            decoder.combinations([(0b001, 2), (0b001, 3), (sum(1 << p - 1 for p in known), target)])
 
 
 def test_solve_decode_mds_any_erasure_pattern():
@@ -353,7 +377,7 @@ def test_solve_decode_coefficients_reconstruct_symbol():
     payload = [rng.randrange(256) for _ in range(5)]
     received = [
         0 if not row else __import__("functools").reduce(
-            lambda a, b: a ^ b, (GF256.mul(c, x) for c, x in zip(row, payload))
+            lambda a, b: a ^ b, (scale_row(x, c, 1) for c, x in zip(row, payload))
         )
         for row in M.rows
     ]
@@ -362,9 +386,9 @@ def test_solve_decode_coefficients_reconstruct_symbol():
     assert dec is not None
     acc = 0
     for coeff, sym in zip(dec.row_coeffs, received):
-        acc ^= GF256.mul(coeff, sym)
+        acc ^= scale_row(sym, coeff, 1)
     for col, coeff in dec.known_coeffs:
-        acc ^= GF256.mul(coeff, payload[col - 1])
+        acc ^= scale_row(payload[col - 1], coeff, 1)
     assert acc == payload[0]
 
 
@@ -378,7 +402,7 @@ def fresh_decoding(rows, m, known, target):
     basis = []  # (pivot column, vector, its combination of rows then units), fully reduced
 
     def axpy(f, xs, ys):
-        return [y ^ GF256.mul(f, x) for x, y in zip(xs, ys)]
+        return [y ^ scale_row(x, f, 1) for x, y in zip(xs, ys)]
 
     def reduce(v, comb):
         for col, bv, bc in basis:
@@ -392,7 +416,7 @@ def fresh_decoding(rows, m, known, target):
             if any(v):
                 col = next(c for c, e in enumerate(v) if e)
                 inv = GF256.inv(v[col])
-                v, comb = [GF256.mul(inv, e) for e in v], [GF256.mul(inv, e) for e in comb]
+                v, comb = [scale_row(e, inv, 1) for e in v], [scale_row(e, inv, 1) for e in comb]
                 basis[:] = [(c, axpy(bv[col], v, bv), axpy(bv[col], comb, bc)) for c, bv, bc in basis]
                 basis.append((col, v, comb))
 
@@ -420,7 +444,7 @@ def decoder_draws(fld):
             if rows and rng.random() < 0.4:
                 a, b = rng.choice(rows), rng.choice(rows)
                 f = rng.randrange(fld.order)
-                rows.append(tuple(x ^ GF256.mul(f, y) for x, y in zip(a, b)))
+                rows.append(tuple(x ^ scale_row(y, f, 1) for x, y in zip(a, b)))
             else:
                 rows.append(tuple(rng.randrange(fld.order) if rng.random() < 0.6 else 0 for _ in range(m)))
         receivers = []
@@ -548,7 +572,8 @@ def receiver_inserts(monkeypatch, M, known, target):
 def test_decode_all_matches_a_fresh_elimination_per_receiver(monkeypatch, fld):
     # each draw's receivers, plus one whose side list is a prefix of each
     # one's and one with the same side list and any target, shuffled: the
-    # one receiver echelon must carry nothing from a receiver to the next
+    # one receiver echelon of `combinations` must carry nothing from a
+    # receiver to the next, and each `decode` is the fresh elimination's
     rng = random.Random(fld.order + 9)
     stopped = 0
     for rows, m, draws in decoder_draws(fld):
@@ -558,7 +583,10 @@ def test_decode_all_matches_a_fresh_elimination_per_receiver(monkeypatch, fld):
             receivers.append((set(sorted(known)[:rng.randint(0, len(known))]), target))
             receivers.append((known, rng.choice([t for t in range(1, m + 1) if t not in known])))
         rng.shuffle(receivers)
-        found = Decoder(M).decode_all(receivers)
+        decoder = Decoder(M)
+        sides = [(sum(1 << p - 1 for p in known), target) for known, target in receivers]
+        assert decoder.combinations(sides) == [Decoder(M).combinations([side])[0] for side in sides], rows
+        found = [decoder.decode(known, target) for known, target in receivers]
         assert found == [fresh_decoding(rows, m, known, target) for known, target in receivers], rows
         alone = [receiver_inserts(monkeypatch, M, known, target)[1] for known, target in receivers]
         stopped += any(n < len(known) for n, (known, _) in zip(alone, receivers))

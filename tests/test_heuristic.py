@@ -45,20 +45,6 @@ def test_seed_keys_are_sorted_when_the_users_are_not(ex1):
         assert init(shuffled) == init(ex1)
 
 
-@pytest.mark.parametrize("init", ["user", "packet"])
-@pytest.mark.parametrize("last", [frozenset({2}), frozenset()])
-def test_a_receiver_listed_twice_counts_with_its_last_side_set(init, last):
-    # an unvalidated instance may list one UserId twice; all three steps
-    # read its last listing, as GicInstance.side_map does, in either order
-    first = frozenset({2}) - last
-    other = (UserId(2, 1), frozenset({1}))
-    twice = GicInstance(2, ((UserId(1, 1), first), (UserId(1, 1), last), other))
-    once = GicInstance(2, ((UserId(1, 1), last), other))
-    a, b = run_heuristic(twice, init), run_heuristic(once, init)
-    assert (a.rate, a.matrix.rows, a.trace) == (b.rate, b.matrix.rows, b.trace)
-    assert a.rate == (1 if last else 2)
-
-
 def test_user_seed_keys_k2_family():
     inst, gs = generate_k2(4)
     subsets = initial_subsets_user(inst)
@@ -171,7 +157,7 @@ def test_step2_matches_the_rescanning_reference(init):
         assert trace == expected_trace
         assert list(merged.items()) == list(expected.items())  # dict order too
         # a subset keyed by every receiver that still needs promoting stays put
-        side, everyone = inst.side_map, inst.user_ids
+        side, everyone = dict(inst.users), inst.user_ids
         if everyone in merged:
             pkts = frozenset().union(*merged[everyone])
             ents = {len(pkts - side[u]) for u in everyone}

@@ -25,6 +25,8 @@ from gicast import (
     simulate_decode,
     validate,
 )
+from gicast.cli import SOLVERS
+from gicast.partition import DEFAULT_CAP, group_partition
 
 from conftest import FIXTURES
 
@@ -188,13 +190,13 @@ def test_position_index_range_checks():
 def test_load_example1_fixture(ex1):
     assert ex1.m == 4
     assert len(ex1.users) == 5
-    assert ex1.side_of(UserId(1, 2)) == {2, 3}
-    assert ex1.side_of(UserId(4, 1)) == {1}
+    assert ex1.side_masks[UserId(1, 2)] == 0b0110
+    assert ex1.side_masks[UserId(4, 1)] == 0b0001
 
 
 def test_empty_side_line():
     inst = parse_instance("gic 1\nuser 1 1 :\nuser 1 2 :\n")
-    assert inst.side_of(UserId(1, 1)) == set()
+    assert dict(inst.users)[UserId(1, 1)] == set()
 
 
 def test_round_trip_k4():
@@ -231,7 +233,7 @@ def test_parse_rejects_what_int_accepts_beyond_the_grammar(text, line):
 
 def test_parse_keeps_negative_side_packets_for_validate():
     inst = parse_instance("gic 2\nuser 1 1 : -2\nuser 2 1 : 1\n# comment \u0662\n")
-    assert inst.side_of(UserId(1, 1)) == {-2}
+    assert dict(inst.users)[UserId(1, 1)] == {-2}
 
 
 def test_parse_rejects_missing_header():
@@ -285,6 +287,8 @@ VIEW_READERS = {
     "simulate": lambda inst: simulate_decode(
         inst, SchemeSolution("upm-group", 2, None, CodingMatrix(GF2, 2, ((1, 0), (0, 1))))
     ),
+    "upm-group": lambda inst: SOLVERS["upm-group"](inst, group_partition(inst), None),
+    "iupm-group": lambda inst: SOLVERS["iupm-group"](inst, group_partition(inst), None),
 }
 
 
@@ -306,9 +310,19 @@ def test_view_readers_refuse_demanded_packets_outside_the_columns(reader, bad):
         VIEW_READERS[reader](inst)
 
 
+@pytest.mark.parametrize("reader", VIEW_READERS)
+def test_view_readers_refuse_a_repeated_receiver(reader):
+    # a receiver listed twice has no one side set: the view refuses it, in
+    # either listing order, before any reader charges it
+    for first, last in ((frozenset({2}), frozenset()), (frozenset(), frozenset({2}))):
+        inst = GicInstance(2, ((UserId(1, 1), first), (UserId(1, 1), last), (UserId(2, 1), frozenset({1}))))
+        with pytest.raises(ValueError, match=r"^receiver \(1,1\) is listed twice$"):
+            VIEW_READERS[reader](inst)
+
+
 def test_side_sets_become_masks_once_per_instance(monkeypatch):
-    # the heuristic's step 3 and the simulator read one view: a second solve
-    # and certification of the same instance convert nothing
+    # every scheme and the simulator read one view: a second solve and
+    # certification of the same instance convert nothing
     calls = []
     convert = gf._known_columns
 
@@ -317,8 +331,9 @@ def test_side_sets_become_masks_once_per_instance(monkeypatch):
         return convert(known, m)
 
     monkeypatch.setattr(gf, "_known_columns", counted)
-    inst, _ = generate_k2(5)
+    inst, _ = generate_k2(4)
     for _ in range(2):
-        for init in ("user", "packet"):
-            assert simulate_decode(inst, run_heuristic(inst, init)).passed
+        for scheme, solve in SOLVERS.items():
+            result = solve(inst, group_partition(inst), DEFAULT_CAP)
+            assert scheme == "minrank" or simulate_decode(inst, result).passed
         assert len(calls) == len(inst.users)

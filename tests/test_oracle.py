@@ -419,7 +419,7 @@ def reports_wrong_coefficients_in_every_trial(monkeypatch, wrong, sol):
     affected = []
     for t in range(16):
         x = [rng.randrange(M.field.order) for _ in range(4)]
-        if reduce(xor, (GF256.mul(e, v) for e, v in zip(M.rows[0], x)), 0):
+        if reduce(xor, (scale_row(v, e, 1) for e, v in zip(M.rows[0], x)), 0):
             affected.append(t)
     for uid in wrong:
         assert [t for u, t, _ in report.failures if u == uid] == affected
@@ -457,11 +457,11 @@ def test_payloads_pack_the_draws_w_bits_per_trial(w):
         for c in range(m):
             for i in range(w):
                 lanes = [x[w * c + i] >> w * t & lane for t in range(trials)]
-                assert lanes == [GF256.mul(1 << i, draws[t * m + c]) for t in range(trials)], (m, trials, c, i)
+                assert lanes == [scale_row(draws[t * m + c], 1 << i, 1) for t in range(trials)], (m, trials, c, i)
                 assert x[w * c + i] >> w * trials == 0, (m, trials, c, i)
         for row in [rng.getrandbits(w * m) for _ in range(20)] + [(1 << w * m) - 1, 0]:
             symbol = gicast.oracle._combine(row, x)
-            expected = [reduce(xor, (GF256.mul(row >> w * c & lane, draws[t * m + c]) for c in range(m))) for t in range(trials)]
+            expected = [reduce(xor, (scale_row(draws[t * m + c], row >> w * c & lane, 1) for c in range(m))) for t in range(trials)]
             assert [symbol >> w * t & lane for t in range(trials)] == expected, (m, trials, row)
             assert symbol >> w * trials == 0
     assert gicast.oracle._payloads(7, w, 4, 0) == (0,) * 4 * w

@@ -278,13 +278,13 @@ def test_transmissions_match_placed_generator_rows():
     rng = random.Random(20261018)
     for _ in range(300):
         inst = random_instance(rng, max_m=6, max_users=9)
-        ids = inst.user_ids
+        ids, side = inst.user_ids, dict(inst.users)
         labels = [rng.randrange(len(ids)) for _ in ids]
         part = UserPartition.of([u for u, l in zip(ids, labels) if l == b] for b in set(labels))
         expect = []
         for W in part.blocks:
             Y = sorted({u.packet for u in W})
-            b = len(Y) - min(len(inst.side_of(u) & set(Y)) for u in W)
+            b = len(Y) - min(len(side[u] & set(Y)) for u in W)
             for coeffs in mds_generator(len(Y), b, GF256).rows:
                 row = [0] * inst.m
                 for p, f in zip(Y, coeffs):

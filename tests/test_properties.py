@@ -28,7 +28,7 @@ from gicast import (
     simulate_decode,
     upm_rate,
 )
-from gicast.gf import Decoder, rank, residual_rank, row_basis, solve_decode
+from gicast.gf import Decoder, rank, residual_rank, row_basis, scale_row, solve_decode
 
 from conftest import (
     bitmask_rank,
@@ -77,7 +77,7 @@ def gf256_matrices(draw, max_rows=6, max_cols=8):
             row = [0] * ncols
             for prev in rows:
                 f = draw(st.integers(0, 255))
-                row = [a ^ GF256.mul(f, b) for a, b in zip(row, prev)]
+                row = [a ^ scale_row(b, f, 1) for a, b in zip(row, prev)]
         else:
             row = [draw(entries) for _ in range(ncols)]
         rows.append(tuple(row))
@@ -127,7 +127,7 @@ def test_rank_invariant_under_scaling(M, scalar):
     scaled = CodingMatrix(
         GF256,
         M.ncols,
-        tuple(tuple(GF256.mul(scalar, v) for v in row) for row in M.rows),
+        tuple(tuple(scale_row(v, scalar, 1) for v in row) for row in M.rows),
     )
     assert rank(scaled) == rank(lifted)
 
@@ -201,7 +201,7 @@ def test_gf256_elimination(M, data):
         assert [p for p, _ in dec.known_coeffs] == sorted(known)
         acc = [0] * M.ncols
         for f, row in zip(dec.row_coeffs, M.rows, strict=True):
-            acc = [a ^ GF256.mul(f, e) for a, e in zip(acc, row)]
+            acc = [a ^ scale_row(e, f, 1) for a, e in zip(acc, row)]
         for p, f in dec.known_coeffs:
             acc[p - 1] ^= f
         assert tuple(acc) == unit
@@ -237,8 +237,9 @@ def test_bit_and_byte_packings_agree(drawn, trials, data):
     for _ in range(data.draw(st.integers(1, 2 * m))):
         target = data.draw(st.integers(1, m))
         receivers.append((data.draw(st.sets(st.integers(1, m).filter(lambda p: p != target))), target))
-    decodings = Decoder(bit).decode_all(receivers)
-    assert decodings == Decoder(byte).decode_all(receivers)
+    bit_decoder, byte_decoder = Decoder(bit), Decoder(byte)
+    decodings = [bit_decoder.decode(known, target) for known, target in receivers]
+    assert decodings == [byte_decoder.decode(known, target) for known, target in receivers]
     # the trial payloads, one bit per trial, ride in the bit rows as the same
     # symbols do one byte per trial in the byte rows
     payloads = data.draw(st.lists(st.integers(0, (1 << trials) - 1), min_size=len(rows), max_size=len(rows)))
@@ -290,7 +291,8 @@ def test_simulate_matches_per_receiver_decodes_and_scalar_trials(inst, trials, s
         # trial payloads riding above the tags leave every decoding as it is;
         # they are packed like the rows, one bit per trial over GF(2)
         payloads = data.draw(st.lists(st.integers(0, (1 << M.field.w * trials) - 1), min_size=M.nrows, max_size=M.nrows))
-        assert Decoder(M, payloads, trials).decode_all(receivers) == Decoder(M).decode_all(receivers)
+        riding, plain = Decoder(M, payloads, trials), Decoder(M)
+        assert [riding.decode(*r) for r in receivers] == [plain.decode(*r) for r in receivers]
 
 
 @given(st.integers(1, 7))
