@@ -45,6 +45,21 @@ def test_seed_keys_are_sorted_when_the_users_are_not(ex1):
         assert init(shuffled) == init(ex1)
 
 
+@pytest.mark.parametrize("init", ["user", "packet"])
+@pytest.mark.parametrize("last", [frozenset({2}), frozenset()])
+def test_a_receiver_listed_twice_counts_with_its_last_side_set(init, last):
+    # an unvalidated instance may list one UserId twice; the heuristic no
+    # longer picks a listing for it but refuses it, in either order. Only
+    # the instance that keeps one listing, here the last, gets a rate
+    first = frozenset({2}) - last
+    other = (UserId(2, 1), frozenset({1}))
+    twice = GicInstance(2, ((UserId(1, 1), first), (UserId(1, 1), last), other))
+    once = GicInstance(2, ((UserId(1, 1), last), other))
+    with pytest.raises(ValueError, match=r"^receiver \(1,1\) is listed twice$"):
+        run_heuristic(twice, init)
+    assert run_heuristic(once, init).rate == (1 if last else 2)
+
+
 def test_user_seed_keys_k2_family():
     inst, gs = generate_k2(4)
     subsets = initial_subsets_user(inst)
